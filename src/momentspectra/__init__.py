@@ -61,7 +61,6 @@ from .numrange import (
     spectral_norm,
 )
 from .invariance import (
-    PowerSeriesVector,
     cesaro_adjoint_integral_check,
     composition_matrix_phi,
     hilbert_column_check,

@@ -242,7 +242,6 @@ def _cmd_pseudo(args, writer: ArtifactWriter):
     if len(window) != 4:
         raise ValueError("window must be re0,re1,im0,im1")
     op = _build_operator(args, args.dim)
-    # worker count falls back to the MOMENT_SPECTRA_THREADS cap
     grid = pseudospectrum_grid(op, tuple(window), args.res, args.dim)
     writer.write_text("pseudo.csv", grid_csv(grid))
     writer.write_text("pseudo.svg", heatmap_svg(grid.sigma_min, tuple(window)))

@@ -2,117 +2,98 @@
 invariant-subspace diagnostics.
 
 The affine self-maps phi_t(z) = e^{-t} z + 1 - e^{-t} of the disc induce
-upper-triangular composition matrices in the monomial basis, and averaging
-them against e^{-t} dt reproduces the adjoint of the Cesaro matrix column
-by column (a Beta integral after substituting u = e^{-t}).  Monomial-tail
-subspaces are invariant for every terraced truncation but not for Hankel
-ones; both facts are checked as entrywise defects.
+upper-triangular composition matrices in the monomial basis whose entries
+are Bernstein polynomials b_{m,n}(u) = C(n, m) u^m (1 - u)^{n-m} at
+u = e^{-t}.  Averaging them against e^{-t} dt reproduces the adjoint of the
+Cesaro matrix column by column (a Beta integral after substituting
+u = e^{-t}).  Monomial-tail subspaces are invariant for every terraced
+truncation but not for Hankel ones; both facts are checked as entrywise
+defects.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .operators import TerracedOperator, WeightSequence
 from .quadrature import fixed_gauss_legendre_01
 
-#: math.comb up to here; log-gamma evaluation above
-EXACT_BINOMIAL_LIMIT = 1000
 #: singular values at least this fraction of the largest count toward rank
 RANK_REL_THRESHOLD = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class PowerSeriesVector:
-    """Truncated power-series element; the norm is the coefficient l2 norm."""
+def _bernstein(degree: int, x):
+    """Yield the Bernstein basis (b_{0,n}(x), ..., b_{n,n}(x)) for
+    n = 0, ..., degree, each an array of shape (n + 1,) + x.shape.
 
-    coefficients: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.coefficients.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coefficients))
-
-    def eval_at(self, t: float) -> complex:
-        acc = 0.0 + 0.0j
-        for c in self.coefficients[::-1]:
-            acc = acc * t + c
-        return acc
-
-
-def binomial(n: int, m: int) -> float:
-    """C(n, m) as a float; exact integer arithmetic below the overflow range."""
-    if m < 0 or m > n:
-        return 0.0
-    if n <= EXACT_BINOMIAL_LIMIT:
-        return float(math.comb(n, m))
-    return math.exp(math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1))
+    Built by the recurrence b_{m,n} = (1 - x) b_{m,n-1} + x b_{m-1,n-1},
+    which needs no binomial coefficients and so cannot overflow.
+    """
+    x = np.asarray(x, dtype=float)
+    basis = np.ones((1,) + x.shape)
+    for n in range(degree + 1):
+        if n:
+            previous, basis = basis, np.zeros((n + 1,) + x.shape)
+            basis[:-1] = (1.0 - x) * previous
+            basis[1:] += x * previous
+        yield basis
 
 
 def composition_matrix_phi(t: float, dim: int) -> np.ndarray:
     """Coefficient matrix of f -> f(phi_t(z)) for phi_t(z) = e^{-t} z + 1 - e^{-t}.
 
-    Column n holds the monomial coefficients of phi_t(z)^n:
-    entry (m, n) = C(n, m) e^{-t m} (1 - e^{-t})^{n - m} for m <= n.
+    Column n holds the monomial coefficients of phi_t(z)^n, the Bernstein
+    basis at p = e^{-t}: entry (m, n) = C(n, m) p^m (1 - p)^{n - m} for m <= n.
     Upper triangular, so truncations compose exactly: M(s) M(t) = M(s + t).
     """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-    p = math.exp(-t)
-    q = 1.0 - p
     matrix = np.zeros((dim, dim))
-    for n in range(dim):
-        for m in range(n + 1):
-            matrix[m, n] = binomial(n, m) * p**m * q ** (n - m)
+    for n, column in enumerate(_bernstein(dim - 1, math.exp(-t))):
+        matrix[: n + 1, n] = column
     return matrix
 
 
-def cesaro_adjoint_integral_check(dim: int, quad_order: int | None = None) -> float:
+@lru_cache(maxsize=2)
+def _bernstein_integrals(degree: int) -> np.ndarray:
+    """Upper-triangular matrix whose entry (m, n), m <= n <= degree, is the
+    integral of b_{m,n} over [0, 1] by a Gauss-Legendre rule exact for
+    polynomials of degree up to degree + 16.  Cached and read-only, so the
+    Hilbert columns of one dimension share a single table."""
+    u, w = fixed_gauss_legendre_01(degree // 2 + 9)
+    integrals = np.zeros((degree + 1, degree + 1))
+    for n, basis in enumerate(_bernstein(degree, u)):
+        integrals[: n + 1, n] = basis @ w
+    integrals.flags.writeable = False
+    return integrals
+
+
+def cesaro_adjoint_integral_check(dim: int) -> float:
     """Max deviation between the integral of e^{-t} C_{phi_t} over t >= 0 and
-    the adjoint Cesaro matrix (entries 1/(n+1) for m <= n).
-
-    Substituting u = e^{-t} turns entry (m, n) into the polynomial integral
-    of C(n, m) u^m (1 - u)^{n-m} on [0, 1], evaluated by a Gauss-Legendre
-    rule of polynomial-exact order.
-    """
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    order = quad_order if quad_order is not None else dim + 8
-    u, w = fixed_gauss_legendre_01(order)
-    deviation = 0.0
-    for n in range(dim):
-        target = 1.0 / (n + 1.0)
-        for m in range(n + 1):
-            integral = float(np.sum(w * binomial(n, m) * u**m * (1.0 - u) ** (n - m)))
-            deviation = max(deviation, abs(integral - target))
-    return deviation
+    the adjoint Cesaro matrix (entries 1/(n+1) for m <= n): the Rhaly check
+    with the Cesaro weights a_n = 1/(n+1), for which D is the identity."""
+    return rhaly_adjoint_integral_check(WeightSequence.cesaro(dim), dim)
 
 
-def rhaly_adjoint_integral_check(weights: WeightSequence, dim: int,
-                                 quad_order: int | None = None) -> float:
+def rhaly_adjoint_integral_check(weights: WeightSequence, dim: int) -> float:
     """Max deviation between the integral of e^{-t} C_{phi_t} D applied first
     (D = diag((n+1) conj(a_n))) and the conjugate transpose of the terraced
-    matrix."""
+    matrix.
+
+    Substituting u = e^{-t} turns entry (m, n) of the integral into the
+    integral of b_{m,n}(u) on [0, 1]; both sides vanish below the diagonal.
+    """
     if dim < 1:
         raise ValueError("dim must be at least 1")
     a = weights.values[:dim]
     if a.size < dim:
         raise ValueError("weight sequence shorter than dim")
-    order = quad_order if quad_order is not None else dim + 8
-    u, w = fixed_gauss_legendre_01(order)
     diag = (np.arange(dim) + 1.0) * np.conj(a)
     adjoint = np.conj(TerracedOperator(weights, dim).dense()).T
-    deviation = 0.0
-    for n in range(dim):
-        for m in range(n + 1):
-            integral = float(np.sum(w * binomial(n, m) * u**m * (1.0 - u) ** (n - m)))
-            deviation = max(deviation, abs(integral * diag[n] - adjoint[m, n]))
-    return deviation
+    return float(np.max(np.abs(_bernstein_integrals(dim - 1) * diag - adjoint)))
 
 
 def monomial_invariance_check(matrix: np.ndarray, k: int) -> float:
@@ -155,16 +136,11 @@ def kernel_span_rank(locations, dim: int) -> int:
     return int(np.sum(singular >= RANK_REL_THRESHOLD * singular[0]))
 
 
-def hilbert_column_check(n: int, dim: int, quad_order: int | None = None) -> float:
+def hilbert_column_check(n: int, dim: int) -> float:
     """Max deviation over m < dim between the integral over t of the
-    weighted-composition column expansion C(n+m, m) t^n (1-t)^m and the
-    Hankel entries 1/(n+m+1)."""
+    weighted-composition column expansion C(n+m, m) t^n (1-t)^m, the
+    Bernstein polynomial b_{n,n+m}(t), and the Hankel entries 1/(n+m+1)."""
     if not 0 <= n < dim:
         raise ValueError(f"column {n} out of range for dim {dim}")
-    order = quad_order if quad_order is not None else (n + dim) // 2 + 8
-    t, w = fixed_gauss_legendre_01(order)
-    deviation = 0.0
-    for m in range(dim):
-        integral = float(np.sum(w * binomial(n + m, m) * t**n * (1.0 - t) ** m))
-        deviation = max(deviation, abs(integral - 1.0 / (n + m + 1.0)))
-    return deviation
+    integrals = _bernstein_integrals(2 * dim - 2)[n, n : n + dim]
+    return float(np.max(np.abs(integrals - 1.0 / (n + np.arange(dim) + 1.0))))

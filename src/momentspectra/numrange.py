@@ -4,7 +4,8 @@ The numerical range of a matrix compression is sampled through its support
 function h(theta) = lambda_max(Re(e^{i theta} A)); the minimum real part of
 the range equals the smallest eigenvalue of the Hermitian part.  A matrix
 whose Hermitian part is positive semidefinite generates a contraction
-semigroup: ||exp(-tau A)|| <= 1 for all tau >= 0.
+semigroup: ||exp(-tau A)|| <= 1 for all tau >= 0, checked with the exact
+spectral norm (the largest singular value).
 """
 
 from __future__ import annotations
@@ -13,11 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-
-#: power-iteration settings for the spectral-norm estimator
-NORM_TOL = 1e-12
-NORM_MAX_ITERATIONS = 10_000
-
 
 class EigensolverError(RuntimeError):
     """Dense symmetric eigensolver failed to converge."""
@@ -85,36 +81,9 @@ def fov_boundary(matrix: np.ndarray, n_angles: int = 256) -> FovResult:
     )
 
 
-def spectral_norm(matrix: np.ndarray, tol: float = NORM_TOL,
-                  max_iterations: int = NORM_MAX_ITERATIONS, seed: int = 20240802) -> float:
-    """Spectral norm by power iteration on A* A with a fixed deterministic
-    start vector; stops when the estimate's relative change is below tol.
-
-    The estimate never exceeds the true norm (up to rounding); when the top
-    singular values cluster, the stationarity stop can leave it below the
-    maximum by as much as the cluster width.
-    """
-    m = np.asarray(matrix)
-    n = m.shape[0]
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n) + (1j * rng.standard_normal(n) if np.iscomplexobj(m) else 0.0)
-    v = v / np.linalg.norm(v)
-    estimate = 0.0
-    for _ in range(max_iterations):
-        w = m @ v
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        v = m.conj().T @ w
-        norm_v = float(np.linalg.norm(v))
-        if norm_v == 0.0:
-            return norm_w
-        v = v / norm_v
-        new = np.sqrt(norm_v)
-        if abs(new - estimate) <= tol * max(new, 1e-300):
-            return float(new)
-        estimate = new
-    return float(estimate)
+def spectral_norm(matrix: np.ndarray) -> float:
+    """Spectral norm ||A||_2: the largest singular value, exact to rounding."""
+    return float(np.linalg.norm(matrix, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +95,7 @@ class ContractionResult:
 
 def contraction_check(matrix: np.ndarray, taus) -> ContractionResult:
     """||exp(-tau A)|| for each tau, via the scaling-and-squaring matrix
-    exponential and the power-iteration norm estimator; reports the max."""
+    exponential and the exact spectral norm; reports the max."""
     taus = np.asarray(list(taus), dtype=float)
     if taus.size == 0:
         raise ValueError("need at least one tau")

@@ -20,7 +20,7 @@ from .measures import MomentSequence
 DENSE_LIMIT = 8192
 #: below this size a direct Hankel multiply beats the FFT path
 FFT_THRESHOLD = 64
-#: prefix/suffix sums switch to extended-precision accumulation above this
+#: prefix/suffix sums switch to longdouble accumulation above this
 COMPENSATED_THRESHOLD = 4096
 
 VERDICT_BOUNDED = "Bounded"
@@ -43,38 +43,15 @@ class DenseLimitError(ValueError):
     pass
 
 
-# extended-precision path is only worthwhile where longdouble beats double
-_HAS_EXTENDED = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
-
-
-def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
-    # Neumaier running compensation; sequential fallback for platforms
-    # whose longdouble is plain double
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    out = np.empty_like(x)
-    for i, v in enumerate(x):
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-        out[i] = total + comp
-    return out
-
-
 def prefix_sums(x: np.ndarray) -> np.ndarray:
     """Running sums of x, accumulated left to right.
 
-    Above COMPENSATED_THRESHOLD the accumulation is carried in extended
-    precision (compensated fallback otherwise) so that long runs stay
-    reproducible and accurate.
+    Above COMPENSATED_THRESHOLD the accumulation is carried in longdouble,
+    which is extended precision where the platform has it and plain double
+    otherwise.
     """
     if x.size > COMPENSATED_THRESHOLD:
-        if _HAS_EXTENDED:
-            return np.cumsum(x.astype(np.clongdouble)).astype(np.complex128)
-        return _compensated_cumsum(x)
+        return np.cumsum(x.astype(np.clongdouble)).astype(np.complex128)
     return np.cumsum(x)
 
 

@@ -11,8 +11,6 @@ contains the open disc centered at beta with radius beta.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -349,12 +347,9 @@ def smallest_singular_value(matrix: np.ndarray, method: str = "auto") -> float:
 
 def pseudospectrum_grid(op, window: tuple[float, float, float, float],
                         resolution: int, dim: int,
-                        dense_limit: int = DENSE_LIMIT,
-                        n_workers: int | None = None) -> PseudospectrumGrid:
+                        dense_limit: int = DENSE_LIMIT) -> PseudospectrumGrid:
     """Evaluate sigma_min(z I - A_dim) on a resolution x resolution grid over
-    the window (re0, re1, im0, im1).  Grid points are independent; worker
-    count is capped by MOMENT_SPECTRA_THREADS, output ordering is by index.
-    """
+    the window (re0, re1, im0, im1); rows follow im_axis, columns re_axis."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     if dim > dense_limit:
@@ -364,28 +359,8 @@ def pseudospectrum_grid(op, window: tuple[float, float, float, float],
     im_axis = np.linspace(im0, im1, resolution)
     matrix = dense(op, limit=dense_limit).astype(complex)
     identity = np.eye(dim, dtype=complex)
-
-    def at_point(z: complex) -> float:
-        return smallest_singular_value(z * identity - matrix)
-
-    points = [complex(re, im) for im in im_axis for re in re_axis]
-    if n_workers is None:
-        n_workers = _worker_cap()
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            values = list(pool.map(at_point, points))
-    else:
-        values = [at_point(z) for z in points]
+    values = [smallest_singular_value(complex(re, im) * identity - matrix)
+              for im in im_axis for re in re_axis]
     grid = np.array(values).reshape(resolution, resolution)
     return PseudospectrumGrid(re_axis=re_axis, im_axis=im_axis, sigma_min=grid)
 
-
-def _worker_cap() -> int:
-    cap = os.environ.get("MOMENT_SPECTRA_THREADS", "")
-    try:
-        value = int(cap)
-    except ValueError:
-        value = 0
-    if value > 0:
-        return min(value, os.cpu_count() or 1)
-    return 1

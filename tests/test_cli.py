@@ -209,17 +209,6 @@ def test_config_file_provides_defaults_and_flags_override(tmp_path):
     assert len((out2 / "moments.csv").read_text().strip().splitlines()) == 4
 
 
-def test_thread_cap_does_not_change_results(tmp_path, monkeypatch):
-    args = ["pseudo", "--measure", "power(2)", "--window", "0,1,-0.5,0.5",
-            "--res", "6", "--dim", "24"]
-    monkeypatch.delenv("MOMENT_SPECTRA_THREADS", raising=False)
-    main(args + ["--out", str(tmp_path / "t1")])
-    monkeypatch.setenv("MOMENT_SPECTRA_THREADS", "2")
-    main(args + ["--out", str(tmp_path / "t2")])
-    assert (tmp_path / "t1" / "pseudo.csv").read_bytes() == \
-        (tmp_path / "t2" / "pseudo.csv").read_bytes()
-
-
 # --------------------------------------------------------------------------
 # determinism
 

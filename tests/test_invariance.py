@@ -6,7 +6,6 @@ import pytest
 
 from helpers import hankel_from_measure, random_complex, terraced_from_measure
 from momentspectra import (
-    PowerSeriesVector,
     WeightSequence,
     cesaro_adjoint_integral_check,
     composition_matrix_phi,
@@ -15,7 +14,7 @@ from momentspectra import (
     monomial_invariance_check,
     rhaly_adjoint_integral_check,
 )
-from momentspectra.invariance import binomial
+from momentspectra.invariance import _bernstein
 
 
 # --------------------------------------------------------------------------
@@ -43,14 +42,25 @@ def test_beta_integral_identity_for_hilbert_entries():
             assert value == Fraction(1, n + m + 1)
 
 
-def test_binomial_helper_paths():
-    for n, m in ((10, 3), (60, 30), (1000, 500)):
-        assert binomial(n, m) == float(math.comb(n, m))
-    # log-gamma path: compare against exact integer arithmetic where the
-    # value still fits a float
-    assert binomial(1050, 3) == pytest.approx(float(math.comb(1050, 3)), rel=1e-12)
-    assert binomial(5, 9) == 0.0
-    assert binomial(5, -1) == 0.0
+def test_bernstein_recurrence_matches_exact_binomial_form():
+    # b_{m,n}(x) = C(n, m) x^m (1-x)^(n-m) in rational arithmetic at the
+    # float inputs; the recurrence adds only positive terms, so each entry
+    # carries a relative error of a few eps per degree
+    nodes = [0.0, 0.3, 0.5, 0.91, 1.0]
+    for n, basis in enumerate(_bernstein(60, nodes)):
+        for j, x in enumerate(nodes):
+            p = Fraction(x)
+            for m in range(n + 1):
+                exact = float(Fraction(math.comb(n, m)) * p**m * (1 - p) ** (n - m))
+                assert basis[m, j] == pytest.approx(exact, rel=1e-13, abs=1e-300), (n, m, x)
+
+
+def test_bernstein_past_the_binomial_overflow_range():
+    # C(1100, 550) overflows a float; the recurrence never forms it
+    *_, basis = _bernstein(1100, np.linspace(0.0, 1.0, 11))
+    assert basis.shape == (1101, 11)
+    assert np.all(np.isfinite(basis)) and np.all(basis >= 0.0)
+    assert np.max(np.abs(basis.sum(axis=0) - 1.0)) <= 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -200,7 +210,6 @@ def test_rank_one_hankel_quadratic_form_is_point_evaluation():
     for _ in range(100):
         coeffs = random_complex(rng, 32)
         coeffs /= np.linalg.norm(coeffs)
-        f = PowerSeriesVector(coeffs)
         quad = (coeffs.conj() @ (matrix @ coeffs)).real
-        assert abs(quad - abs(f.eval_at(t)) ** 2) <= 1e-12
-        assert f.norm() == pytest.approx(1.0, abs=1e-12)
+        value = np.polynomial.polynomial.polyval(t, coeffs)
+        assert abs(quad - abs(value) ** 2) <= 1e-12

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from helpers import hankel_from_measure, random_complex, rhp_catalog_matrices, terraced_from_measure
 from momentspectra import (
@@ -123,13 +124,16 @@ def test_equivalence_of_min_eig_and_fov_min_on_catalog():
 
 
 # --------------------------------------------------------------------------
-# spectral norm estimator
+# spectral norm
 
 def test_spectral_norm_matches_svd_oracle():
     rng = np.random.default_rng(7)
-    matrix = random_complex(rng, 2500).reshape(50, 50)
-    exact = np.linalg.svd(matrix, compute_uv=False)[0]
-    assert spectral_norm(matrix) == pytest.approx(exact, rel=1e-9)
+    # exp(-0.1 A) for the Cesaro matrix has a tight top singular-value
+    # cluster, where a power iteration stops short of the norm
+    cesaro = terraced_from_measure("lebesgue", 64).dense()
+    for matrix in (random_complex(rng, 2500).reshape(50, 50), scipy.linalg.expm(-0.1 * cesaro)):
+        exact = np.linalg.svd(matrix, compute_uv=False)[0]
+        assert spectral_norm(matrix) == pytest.approx(exact, rel=1e-13)
 
 
 def test_spectral_norm_diagonal_and_zero():
@@ -153,15 +157,10 @@ def test_catalog_generators_are_contractive(name):
         matrix = terraced_from_measure("lebesgue", 64).dense()
     result = contraction_check(matrix, [0.1, 1.0, 10.0])
     assert result.max_norm <= 1.0 + 1e-10
-    # oracle: exact spectral norms of the same exponentials; the power
-    # iteration estimates from below and can sit under the exact value by
-    # the width of the top singular-value cluster
-    import scipy.linalg
-
+    # oracle: singular values of the same exponentials
     for tau, norm in zip(result.taus, result.norms):
         exact = np.linalg.svd(scipy.linalg.expm(-tau * matrix), compute_uv=False)[0]
-        assert norm <= exact + 1e-12
-        assert norm >= exact - 1e-3 * exact
+        assert norm == pytest.approx(exact, rel=1e-13)
 
 
 def test_shifted_matrix_violates_contraction_and_dissipativity():

@@ -43,6 +43,23 @@ def test_prefix_sums_match_fsum_oracle_above_compensation_threshold():
         assert abs(ours[idx] - exact) <= 1e-9 * max(1.0, abs(exact))
 
 
+def test_prefix_sums_within_recursive_summation_bound_at_two_to_the_twenty():
+    # recursive summation of i+1 terms errs by at most (i+1) eps sum|x_k|
+    # per component; both prefix_sums and a plain float64 cumsum must meet it
+    n = 2**20
+    rng = np.random.default_rng(13)
+    x = random_complex(rng, n) * np.logspace(0, 8, n)
+    eps = np.finfo(np.float64).eps
+    results = {"prefix_sums": prefix_sums(x), "float64 cumsum": np.cumsum(x)}
+    for idx in (0, 4095, 4096, 65535, 2**19, *rng.integers(0, n, 3), n - 1):
+        for part in (np.real, np.imag):
+            values = part(x[: idx + 1])
+            exact = math.fsum(values.tolist())
+            bound = (idx + 1) * eps * float(np.sum(np.abs(values)))
+            for name, sums in results.items():
+                assert abs(part(sums[idx]) - exact) <= bound, (name, idx)
+
+
 def test_suffix_sums_reverse_prefix():
     rng = np.random.default_rng(12)
     x = random_complex(rng, 300)

@@ -341,13 +341,6 @@ def test_pseudospectrum_grid_layout_and_values():
     assert grid.sigma_min[5, 3] == pytest.approx(direct, rel=1e-10)
 
 
-def test_pseudospectrum_grid_parallel_matches_serial():
-    op = terraced_from_measure("power(2)", 24)
-    serial = pseudospectrum_grid(op, (0.0, 1.0, -0.5, 0.5), 6, 24, n_workers=1)
-    parallel = pseudospectrum_grid(op, (0.0, 1.0, -0.5, 0.5), 6, 24, n_workers=2)
-    assert np.array_equal(serial.sigma_min, parallel.sigma_min)
-
-
 def test_pseudospectrum_grid_validates_inputs():
     op = terraced_from_measure("lebesgue", 16)
     with pytest.raises(ValueError):
