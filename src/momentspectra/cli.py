@@ -2,7 +2,8 @@
 plus a run manifest into an output directory.
 
 Exit codes: 0 when all checks pass, 2 when a numeric check fails its
-tolerance, 1 on usage or input errors.
+tolerance or a computation fails numerically (overflow, a degenerate
+recurrence, quadrature or eigensolver failure), 1 on usage or input errors.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from .measures import (
     moments,
     parse_measure,
 )
-from .numrange import contraction_check, fov_boundary, hermitian_min_eig, spectral_norm
+from .numrange import (EigensolverError, contraction_check, fov_boundary,
+                       hermitian_min_eig, spectral_norm)
 from .operators import (
     HankelMomentOperator,
     TerracedOperator,
@@ -43,6 +45,7 @@ from .operators import (
     boundedness_report,
     dense,
 )
+from .quadrature import QuadratureError
 from .serialize import (
     contraction_payload,
     fov_csv,
@@ -247,7 +250,7 @@ def _cmd_pseudo(args, writer: ArtifactWriter):
     writer.write_text("pseudo.svg", heatmap_svg(grid.sigma_min, tuple(window)))
     if args.dump_matrix:
         writer.write_text("matrix.csv", matrix_csv(dense(op)))
-    return 0, {"svd_dim_limit": spectral_mod.SVD_DIM_LIMIT}
+    return 0, {}
 
 
 def _cmd_fov(args, writer: ArtifactWriter):
@@ -535,6 +538,11 @@ def main(argv: list[str] | None = None) -> int:
     except (MeasureSyntaxError, MeasureParameterError) as exc:
         print(f"measure error: {exc}", file=sys.stderr)
         return 1
+    # before ValueError: LinAlgError subclasses it
+    except (ArithmeticError, QuadratureError, EigensolverError,
+            np.linalg.LinAlgError) as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1

@@ -55,6 +55,12 @@ class MeasureParameterError(ValueError):
     """Weight or atom parameter outside its admissible range."""
 
 
+def _number_text(x: float) -> str:
+    """Shortest digits that parse back to x, never repr's 1e-05 exponents;
+    abs drops the sign of -0.0, the one negative value an atom accepts."""
+    return np.format_float_positional(abs(x), trim="-")
+
+
 @dataclass(frozen=True)
 class Dirac:
     """Point mass at t, 0 <= t < 1."""
@@ -73,7 +79,7 @@ class Dirac:
         return float(self.t**n), 0.0
 
     def text(self) -> str:
-        return f"dirac({self.t!r})"
+        return f"dirac({_number_text(self.t)})"
 
 
 @dataclass(frozen=True)
@@ -94,7 +100,7 @@ class Lebesgue:
         return integrate(lambda t: t**n, 0.0, self.r, tol)
 
     def text(self) -> str:
-        return "lebesgue" if self.r == 1.0 else f"lebesgue({self.r!r})"
+        return "lebesgue" if self.r == 1.0 else f"lebesgue({_number_text(self.r)})"
 
 
 @dataclass(frozen=True)
@@ -114,7 +120,7 @@ class PowerDensity:
         return integrate(lambda t: t ** (n + self.alpha), 0.0, 1.0, tol)
 
     def text(self) -> str:
-        return f"power({self.alpha!r})"
+        return f"power({_number_text(self.alpha)})"
 
 
 @dataclass(frozen=True)
@@ -145,7 +151,7 @@ class LogPowerDensity:
         return value, bound
 
     def text(self) -> str:
-        return f"logpower({self.s!r})"
+        return f"logpower({_number_text(self.s)})"
 
 
 Atom = Union[Dirac, Lebesgue, PowerDensity, LogPowerDensity]
@@ -167,7 +173,7 @@ class MeasureSpec:
     def text(self) -> str:
         parts = []
         for weight, atom in self.terms:
-            prefix = "" if weight == 1.0 else f"{weight!r}*"
+            prefix = "" if weight == 1.0 else f"{_number_text(weight)}*"
             parts.append(prefix + atom.text())
         return "+".join(parts)
 

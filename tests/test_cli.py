@@ -186,6 +186,15 @@ def test_bad_measure_is_input_error(tmp_path):
                  "--out", str(tmp_path / "y")]) == 1
 
 
+def test_numeric_failure_exits_two_with_one_line(tmp_path, capsys):
+    # exp(-1e6 (A - 5I)) overflows: a numeric failure, not an input error
+    code = main(["contraction", "--measure", "lebesgue", "--dim", "64", "--taus", "1e6",
+                 "--shift", "5", "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: ") and err.count("\n") == 1
+
+
 def test_missing_required_flag_is_usage_error():
     assert main(["moments", "--n", "4"]) == 1
 

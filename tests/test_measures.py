@@ -47,9 +47,20 @@ def test_parse_whitespace_insignificant():
 
 
 def test_parse_text_round_trip():
-    for text in ("dirac(0.5)", "dirac(0)+0.5*lebesgue", "power(2)", "3.5*logpower(1.25)"):
+    for text in ("dirac(0.5)", "dirac(0)+0.5*lebesgue", "power(2)", "3.5*logpower(1.25)",
+                 "0.00001*dirac(0.00001)"):
         spec = parse_measure(text)
         assert parse_measure(spec.text()) == spec
+
+
+def test_text_round_trips_numbers_repr_writes_with_exponents():
+    # repr gives 1e-05, 5e-324 and 1e+16; the grammar has no exponent syntax
+    for x in (1e-05, 5e-324, 1e16):
+        spec = MeasureSpec(((x, PowerDensity(x)),))
+        assert parse_measure(spec.text()) == spec
+    # the grammar has no signs either
+    spec = MeasureSpec(((1.0, Dirac(-0.0)),))
+    assert parse_measure(spec.text()) == spec
 
 
 @pytest.mark.parametrize(
@@ -176,6 +187,12 @@ _ATOMS = st.one_of(
 _SPECS = st.lists(
     st.tuples(st.floats(0.1, 4.0), _ATOMS), min_size=1, max_size=3
 ).map(lambda terms: MeasureSpec(tuple(terms)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SPECS)
+def test_text_round_trips_through_the_parser(spec):
+    assert parse_measure(spec.text()) == spec
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import measure_moments, terraced_from_measure
+from helpers import hankel_from_measure, measure_moments, terraced_from_measure
 from momentspectra import (
     DegenerateAtZeroError,
     DuplicateMomentsError,
@@ -19,6 +19,7 @@ from momentspectra import (
     smallest_singular_value,
     spectrum_region,
 )
+from momentspectra import spectral
 from momentspectra.measures import MomentProvenance, MomentSequence
 from momentspectra.spectral import ANALYTIC, IN_L2, INCONCLUSIVE, NOT_IN_L2, NUMERIC_FIT
 
@@ -322,12 +323,11 @@ def test_resolvent_grows_at_interior_points():
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_inverse_iteration_agrees_with_svd_at_crossover():
-    matrix = terraced_from_measure("lebesgue", 512).dense().astype(complex)
-    shifted = (0.5 + 0.75j) * np.eye(512) - matrix
-    via_svd = smallest_singular_value(shifted, method="svd")
-    via_iteration = smallest_singular_value(shifted, method="inverse-iteration")
-    assert via_iteration == pytest.approx(via_svd, rel=1e-8)
+def test_sigma_min_of_a_diagonal_given_as_a_vector():
+    d = np.array([3.0 - 4.0j, -0.25 + 0.5j, 2.0, 1e-300j])
+    for diag in (d, d[:3], d[:1]):
+        direct = np.linalg.svd(np.diag(diag), compute_uv=False)[-1]
+        assert smallest_singular_value(diag) == pytest.approx(direct, rel=1e-15)
 
 
 def test_pseudospectrum_grid_layout_and_values():
@@ -349,11 +349,41 @@ def test_pseudospectrum_grid_validates_inputs():
         pseudospectrum_grid(op, (0, 1, 0, 1), 4, 16, dense_limit=8)
 
 
-def test_pseudospectrum_grid_beyond_svd_crossover():
-    # above the SVD limit the grid runs on shifted inverse iteration
+def test_pseudospectrum_grid_terraced_above_dim_512_matches_svd():
+    # the terraced family takes a full SVD per point at every dim
     op = terraced_from_measure("lebesgue", 544)
     grid = pseudospectrum_grid(op, (0.4, 0.6, 0.7, 0.8), 2, 544)
     z = complex(grid.re_axis[0], grid.im_axis[0])
     direct = np.linalg.svd(z * np.eye(544) - op.dense().astype(complex),
                            compute_uv=False)[-1]
-    assert grid.sigma_min[0, 0] == pytest.approx(direct, rel=1e-8)
+    assert grid.sigma_min[0, 0] == pytest.approx(direct, rel=1e-13)
+
+
+def test_pseudospectrum_grid_hankel_matches_svd_at_every_point():
+    # the Hilbert matrix is real symmetric: one eigvalsh serves the grid
+    op = hankel_from_measure("lebesgue", 128)
+    grid = pseudospectrum_grid(op, (-0.5, 2.0, -1.0, 1.0), 8, 128)
+    matrix = op.dense()
+    for i, im in enumerate(grid.im_axis):
+        for j, re in enumerate(grid.re_axis):
+            z = complex(re, im)
+            direct = np.linalg.svd(z * np.eye(128) - matrix, compute_uv=False)[-1]
+            # Weyl: a backward-stable solver is off by at most about dim eps ||zI - H||
+            tol = 128 * np.finfo(float).eps * (np.linalg.norm(matrix) + abs(z))
+            assert abs(grid.sigma_min[i, j] - direct) <= tol
+
+
+@pytest.mark.parametrize("build", [terraced_from_measure, hankel_from_measure])
+def test_pseudospectrum_grid_calls_sigma_min_once_per_point(build, monkeypatch):
+    # the perfbench traced run reads per-point sigma_min timings from these
+    # calls (spectral.smallest_singular_value.*.s_per_point), for both families
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return original(matrix)
+
+    original = spectral.smallest_singular_value
+    monkeypatch.setattr(spectral, "smallest_singular_value", counting)
+    grid = pseudospectrum_grid(build("lebesgue", 16), (-0.5, 2.0, -1.0, 1.0), 5, 16)
+    assert len(calls) == grid.sigma_min.size == 25
