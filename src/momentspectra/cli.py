@@ -80,7 +80,10 @@ class _Parser(argparse.ArgumentParser):
 def _parse_index_range(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        indices = list(range(int(lo), int(hi) + 1))
+        if not indices:
+            raise ValueError(f"empty index range {text!r}")
+        return indices
     return [int(text)]
 
 
@@ -89,7 +92,10 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _parse_ints(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+    ints = [int(part) for part in text.split(",") if part.strip()]
+    if not ints:
+        raise ValueError(f"empty integer list {text!r}")
+    return ints
 
 
 class ArtifactWriter:
@@ -128,18 +134,17 @@ def _weights_from_family(family: str, n_terms: int) -> WeightSequence:
 
 
 def _build_weights(args, n_terms: int) -> WeightSequence:
-    if getattr(args, "weights", None):
+    if args.weights:
         return _weights_from_family(args.weights, n_terms)
-    if getattr(args, "measure", None):
+    if args.measure:
         ms = moments(parse_measure(args.measure), n_terms)
         return WeightSequence.from_moments(ms)
     raise ValueError("provide --measure or --weights")
 
 
 def _build_operator(args, dim: int):
-    kind = getattr(args, "kind", "terraced")
-    if kind == "hankel":
-        if not getattr(args, "measure", None):
+    if args.kind == "hankel":
+        if not args.measure:
             raise ValueError("a hankel operator needs --measure")
         ms = moments(parse_measure(args.measure), 2 * dim - 1)
         return HankelMomentOperator.from_moments(ms, dim)
@@ -147,8 +152,29 @@ def _build_operator(args, dim: int):
 
 
 # --------------------------------------------------------------------------
-# subcommand handlers: each returns (exit_code, tolerances)
+# subcommand table: name -> (handler, help, options); each handler returns
+# (exit_code, tolerances) and each option is a (flag, add_argument kwargs) pair
 
+_COMMANDS: dict[str, tuple] = {}
+
+
+def _command(name: str, help: str, *options):
+    def register(handler):
+        _COMMANDS[name] = (handler, help, options)
+        return handler
+    return register
+
+
+_MEASURE = ("--measure", dict(required=True))
+_SOURCE = (("--measure", {}), ("--weights", {}))
+_OPERATOR = _SOURCE + (("--kind", dict(choices=("terraced", "hankel"), default="terraced")),)
+
+
+@_command("moments", "moment sequence CSV for a measure",
+          _MEASURE,
+          ("--n", dict(type=int, required=True)),
+          ("--quadrature", dict(action="store_true", help="force the adaptive-quadrature path")),
+          ("--tol", dict(type=float, default=1e-13)))
 def _cmd_moments(args, writer: ArtifactWriter):
     spec = parse_measure(args.measure)
     method = "quadrature" if args.quadrature else "closed"
@@ -157,6 +183,11 @@ def _cmd_moments(args, writer: ArtifactWriter):
     return 0, {"moment_tol": args.tol}
 
 
+@_command("classify", "point-spectrum membership verdicts",
+          _MEASURE,
+          ("--k", dict(required=True, help="index or range a..b")),
+          ("--n", dict(type=int, default=4096)),
+          ("--method", dict(choices=("auto", "analytic", "numeric"), default="auto")))
 def _cmd_classify(args, writer: ArtifactWriter):
     spec = parse_measure(args.measure)
     ms = moments(spec, args.n)
@@ -182,6 +213,12 @@ def _cmd_classify(args, writer: ArtifactWriter):
     }
 
 
+@_command("eigencheck", "eigenvector residuals",
+          _MEASURE,
+          ("--k", dict(required=True)),
+          ("--dim", dict(type=int, default=400)),
+          ("--embed", dict(type=int, default=1)),
+          ("--tol", dict(type=float, default=1e-8)))
 def _cmd_eigencheck(args, writer: ArtifactWriter):
     spec = parse_measure(args.measure)
     ms = moments(spec, args.embed * args.dim)
@@ -196,6 +233,9 @@ def _cmd_eigencheck(args, writer: ArtifactWriter):
     return (0 if worst <= args.tol else 2), {"residual_tol": args.tol}
 
 
+@_command("adjoint-disc", "guaranteed adjoint point-spectrum disc",
+          _MEASURE,
+          ("--n", dict(type=int, default=4096)))
 def _cmd_adjoint_disc(args, writer: ArtifactWriter):
     spec = parse_measure(args.measure)
     ms = moments(spec, args.n)
@@ -216,6 +256,9 @@ def _cmd_adjoint_disc(args, writer: ArtifactWriter):
     }
 
 
+@_command("region", "predicted spectral region from the weight limit",
+          *_SOURCE,
+          ("--n", dict(type=int, default=256)))
 def _cmd_region(args, writer: ArtifactWriter):
     weights = _build_weights(args, args.n)
     report = boundedness_report(weights, args.n)
@@ -240,6 +283,12 @@ def _cmd_region(args, writer: ArtifactWriter):
     return 0, {"limit_oscillation_tol": operators_mod.LIMIT_OSCILLATION_TOL}
 
 
+@_command("pseudo", "sigma_min grid over a complex window",
+          *_OPERATOR,
+          ("--window", dict(required=True, help="re0,re1,im0,im1")),
+          ("--res", dict(type=int, default=64)),
+          ("--dim", dict(type=int, default=256)),
+          ("--dump-matrix", dict(action="store_true")))
 def _cmd_pseudo(args, writer: ArtifactWriter):
     window = _parse_floats(args.window)
     if len(window) != 4:
@@ -253,6 +302,12 @@ def _cmd_pseudo(args, writer: ArtifactWriter):
     return 0, {}
 
 
+@_command("fov", "field-of-values boundary and right-half-plane check",
+          *_OPERATOR,
+          ("--dim", dict(type=int, default=64)),
+          ("--angles", dict(type=int, default=256)),
+          ("--require-rhp", dict(type=float, default=None, nargs="?", const=1e-10,
+                                 help="fail (exit 2) when min Re W drops below -TOL")))
 def _cmd_fov(args, writer: ArtifactWriter):
     matrix = dense(_build_operator(args, args.dim))
     result = fov_boundary(matrix, n_angles=args.angles)
@@ -271,6 +326,13 @@ def _cmd_fov(args, writer: ArtifactWriter):
     return code, {"rhp_tol": args.require_rhp}
 
 
+@_command("contraction", "semigroup contraction norms",
+          *_OPERATOR,
+          ("--dim", dict(type=int, default=64)),
+          ("--taus", dict(default="0.1,1,10")),
+          ("--shift", dict(type=float, default=0.0,
+                           help="check A - shift*I instead (negative control)")),
+          ("--tol", dict(type=float, default=1e-9)))
 def _cmd_contraction(args, writer: ArtifactWriter):
     matrix = dense(_build_operator(args, args.dim)).astype(complex)
     if args.shift:
@@ -281,6 +343,11 @@ def _cmd_contraction(args, writer: ArtifactWriter):
     return code, {"contraction_tol": args.tol}
 
 
+@_command("invariance", "integral representations and monomial defects",
+          _MEASURE,
+          ("--dim", dict(type=int, default=32)),
+          ("--k-max", dict(type=int, default=8)),
+          ("--tol", dict(type=float, default=1e-11)))
 def _cmd_invariance(args, writer: ArtifactWriter):
     spec = parse_measure(args.measure)
     checks = []
@@ -333,6 +400,10 @@ def _cmd_invariance(args, writer: ArtifactWriter):
     return code, {"integral_tol": args.tol}
 
 
+@_command("hilbert", "Hilbert-matrix column identities and norm growth",
+          ("--max-index", dict(type=int, default=16)),
+          ("--dims", dict(default="64,128,256")),
+          ("--tol", dict(type=float, default=1e-12)))
 def _cmd_hilbert(args, writer: ArtifactWriter):
     dim = args.max_index + 1
     columns = []
@@ -365,6 +436,10 @@ def _cmd_hilbert(args, writer: ArtifactWriter):
     return code, {"column_tol": args.tol}
 
 
+@_command("bench", "kernel timing harness",
+          ("--dim", dict(type=int, default=8192)),
+          ("--kernels", dict(default="terraced,terraced-dense,hankel,hankel-dense")),
+          ("--repeats", dict(type=int, default=3)))
 def _cmd_bench(args, writer: ArtifactWriter):
     rows = [
         benchmark_apply(kernel.strip(), args.dim, repeats=args.repeats)
@@ -375,148 +450,50 @@ def _cmd_bench(args, writer: ArtifactWriter):
     return 0, {}
 
 
-_HANDLERS = {
-    "moments": _cmd_moments,
-    "classify": _cmd_classify,
-    "eigencheck": _cmd_eigencheck,
-    "adjoint-disc": _cmd_adjoint_disc,
-    "region": _cmd_region,
-    "pseudo": _cmd_pseudo,
-    "fov": _cmd_fov,
-    "contraction": _cmd_contraction,
-    "invariance": _cmd_invariance,
-    "hilbert": _cmd_hilbert,
-    "bench": _cmd_bench,
-}
-
-
-def build_parser() -> tuple[_Parser, dict]:
+def build_parser() -> _Parser:
     parser = _Parser(prog="momentspectra",
                      description="Spectral diagnostics for terraced and Hankel moment operators")
     sub = parser.add_subparsers(dest="command", required=True)
-    parsers = {}
-
-    def add(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", required=True, help="output directory for artifacts")
         p.add_argument("--config", default=None, help="key = value defaults file")
-        parsers[name] = p
-        return p
-
-    p = add("moments", help="moment sequence CSV for a measure")
-    p.add_argument("--measure", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--quadrature", action="store_true",
-                   help="force the adaptive-quadrature path")
-    p.add_argument("--tol", type=float, default=1e-13)
-
-    p = add("classify", help="point-spectrum membership verdicts")
-    p.add_argument("--measure", required=True)
-    p.add_argument("--k", required=True, help="index or range a..b")
-    p.add_argument("--n", type=int, default=4096)
-    p.add_argument("--method", choices=("auto", "analytic", "numeric"), default="auto")
-
-    p = add("eigencheck", help="eigenvector residuals")
-    p.add_argument("--measure", required=True)
-    p.add_argument("--k", required=True)
-    p.add_argument("--dim", type=int, default=400)
-    p.add_argument("--embed", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-8)
-
-    p = add("adjoint-disc", help="guaranteed adjoint point-spectrum disc")
-    p.add_argument("--measure", required=True)
-    p.add_argument("--n", type=int, default=4096)
-
-    p = add("region", help="predicted spectral region from the weight limit")
-    p.add_argument("--measure")
-    p.add_argument("--weights")
-    p.add_argument("--n", type=int, default=256)
-
-    p = add("pseudo", help="sigma_min grid over a complex window")
-    p.add_argument("--measure")
-    p.add_argument("--weights")
-    p.add_argument("--kind", choices=("terraced", "hankel"), default="terraced")
-    p.add_argument("--window", required=True, help="re0,re1,im0,im1")
-    p.add_argument("--res", type=int, default=64)
-    p.add_argument("--dim", type=int, default=256)
-    p.add_argument("--dump-matrix", action="store_true")
-
-    p = add("fov", help="field-of-values boundary and right-half-plane check")
-    p.add_argument("--measure")
-    p.add_argument("--weights")
-    p.add_argument("--kind", choices=("terraced", "hankel"), default="terraced")
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--angles", type=int, default=256)
-    p.add_argument("--require-rhp", type=float, default=None, nargs="?", const=1e-10,
-                   help="fail (exit 2) when min Re W drops below -TOL")
-
-    p = add("contraction", help="semigroup contraction norms")
-    p.add_argument("--measure")
-    p.add_argument("--weights")
-    p.add_argument("--kind", choices=("terraced", "hankel"), default="terraced")
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--taus", default="0.1,1,10")
-    p.add_argument("--shift", type=float, default=0.0,
-                   help="check A - shift*I instead (negative control)")
-    p.add_argument("--tol", type=float, default=1e-9)
-
-    p = add("invariance", help="integral representations and monomial defects")
-    p.add_argument("--measure", required=True)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--k-max", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-11)
-
-    p = add("hilbert", help="Hilbert-matrix column identities and norm growth")
-    p.add_argument("--max-index", type=int, default=16)
-    p.add_argument("--dims", default="64,128,256")
-    p.add_argument("--tol", type=float, default=1e-12)
-
-    p = add("bench", help="kernel timing harness")
-    p.add_argument("--dim", type=int, default=8192)
-    p.add_argument("--kernels", default="terraced,terraced-dense,hankel,hankel-dense")
-    p.add_argument("--repeats", type=int, default=3)
-
-    return parser, parsers
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+    return parser
 
 
-def _load_config(path: str) -> dict:
-    values = {}
+def _config_flags(path: str) -> list[str]:
+    """Each `key = value` line of a config file as the flag `--key=value`
+    (`_` in the key becomes `-`); `true` gives the bare `--key` and `false`
+    gives nothing, so argparse validates config values like typed flags."""
+    flags = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        if not eq:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
+        flag = "--" + key.strip().replace("_", "-")
         value = value.strip()
-        if value.lower() in ("true", "false"):
-            values[key] = value.lower() == "true"
-            continue
-        try:
-            values[key] = int(value)
-        except ValueError:
-            try:
-                values[key] = float(value)
-            except ValueError:
-                values[key] = value
-    return values
+        if value.lower() == "true":
+            flags.append(flag)
+        elif value.lower() != "false":
+            flags.append(f"{flag}={value}")
+    return flags
 
 
 def run(argv: list[str]) -> int:
-    parser, parsers = build_parser()
-    # apply config-file defaults to the chosen subparser before the real parse
-    if "--config" in argv:
-        idx = argv.index("--config")
-        if idx + 1 < len(argv) and argv and argv[0] in parsers:
-            subparser = parsers[argv[0]]
-            config = _load_config(argv[idx + 1])
-            subparser.set_defaults(**config)
-            for action in subparser._actions:
-                if action.dest in config:
-                    action.required = False
-    args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    config = pre.parse_known_args(argv)[0].config
+    if config:
+        # right after the subcommand name, so flags given on the command line
+        # come later and win: argparse keeps the last value it sees
+        argv = argv[:1] + _config_flags(config) + argv[1:]
+    args = build_parser().parse_args(argv)
+    handler = _COMMANDS[args.command][0]
     writer = ArtifactWriter(args.out)
     start = time.perf_counter()
     code, tolerances = handler(args, writer)

@@ -104,7 +104,9 @@ def contraction_check(matrix: np.ndarray, taus) -> ContractionResult:
     m = np.asarray(matrix)
     norms = np.empty(taus.size)
     for i, tau in enumerate(taus):
-        exp_m = scipy.linalg.expm(-tau * m)
+        # an overflow is reported once, by the finiteness check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            exp_m = scipy.linalg.expm(-tau * m)
         if not np.all(np.isfinite(exp_m)):
             raise OverflowError(f"matrix exponential overflowed at tau={tau}")
         norms[i] = spectral_norm(exp_m)

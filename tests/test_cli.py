@@ -195,6 +195,26 @@ def test_numeric_failure_exits_two_with_one_line(tmp_path, capsys):
     assert err.startswith("numeric error: ") and err.count("\n") == 1
 
 
+def test_unreachable_quadrature_tolerance_exits_two(tmp_path, capsys):
+    code = main(["moments", "--measure", "power(2.5)", "--quadrature", "--n", "8",
+                 "--tol", "1e-18", "--out", str(tmp_path / "q")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("numeric error: adaptive quadrature stalled")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["classify", "--measure", "dirac(0.5)", "--k", "5..2", "--n", "64"],
+        ["eigencheck", "--measure", "dirac(0.5)", "--k", "5..2", "--dim", "16"],
+        ["hilbert", "--max-index", "2", "--dims", ""],
+    ],
+)
+def test_empty_list_argument_is_input_error(tmp_path, capsys, args):
+    assert main(args + ["--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.startswith("input error: empty")
+
+
 def test_missing_required_flag_is_usage_error():
     assert main(["moments", "--n", "4"]) == 1
 
@@ -216,6 +236,48 @@ def test_config_file_provides_defaults_and_flags_override(tmp_path):
     out2 = tmp_path / "c2"
     assert main(["moments", "--config", str(config), "--n", "3", "--out", str(out2)]) == 0
     assert len((out2 / "moments.csv").read_text().strip().splitlines()) == 4
+
+
+@pytest.mark.parametrize(
+    "lines, argv, code, expect",
+    [
+        # an unknown key is an unrecognized flag
+        ("measure = lebesgue\nn = 4\nfoo = 1\n", ["moments", "--config", "{config}"], 1, {}),
+        ("measure = lebesgue\nn = 4\n", ["moments", "--config={config}"], 0, {"n": 4}),
+        # choices, types and required apply to config values
+        ("measure = lebesgue\nkind = spiral\n", ["fov", "--config", "{config}"], 1, {}),
+        ("measure = lebesgue\nn = four\n", ["moments", "--config", "{config}"], 1, {}),
+        ("n = 4\n", ["moments", "--config", "{config}"], 1, {}),
+        # true is the bare flag, so --require-rhp takes its const; false adds nothing
+        ("measure = lebesgue\nrequire_rhp = true\n",
+         ["fov", "--config", "{config}", "--dim", "8", "--angles", "8"],
+         0, {"require_rhp": 1e-10}),
+        ("measure = lebesgue\nrequire_rhp = false\n",
+         ["fov", "--config", "{config}", "--dim", "8", "--angles", "8"],
+         0, {"require_rhp": None}),
+        ("measure = lebesgue\ndump_matrix = true\nwindow = -0.5,2.5,-1.5,1.5\n",
+         ["pseudo", "--config", "{config}", "--res", "4", "--dim", "8"],
+         0, {"dump_matrix": True, "window": "-0.5,2.5,-1.5,1.5"}),
+        ("measure = lebesgue\ndump_matrix = false\nwindow = 0,1,0,1\n",
+         ["pseudo", "--config", "{config}", "--res", "4", "--dim", "8"],
+         0, {"dump_matrix": False}),
+    ],
+    ids=["unknown-key", "config-equals-path", "bad-choice", "bad-type", "missing-required",
+         "true-is-bare-flag", "false-adds-nothing", "dump-matrix-negative-window",
+         "dump-matrix-false"],
+)
+def test_config_lines_are_parsed_as_flags(tmp_path, capsys, lines, argv, code, expect):
+    config = tmp_path / "run.conf"
+    config.write_text(lines)
+    out = tmp_path / "out"
+    argv = [arg.format(config=config) for arg in argv] + ["--out", str(out)]
+    assert main(argv) == code
+    if code == 1:
+        assert capsys.readouterr().err.startswith("usage error: ")
+        return
+    inputs = read_json(out / "manifest.json")["inputs"]
+    assert {key: inputs[key] for key in expect} == expect
+    assert (out / "matrix.csv").exists() == bool(inputs.get("dump_matrix"))
 
 
 # --------------------------------------------------------------------------
