@@ -455,7 +455,7 @@ def build_parser() -> _Parser:
                      description="Spectral diagnostics for terraced and Hankel moment operators")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, options) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--out", required=True, help="output directory for artifacts")
         p.add_argument("--config", default=None, help="key = value defaults file")
         for flag, kwargs in options:
@@ -485,7 +485,7 @@ def _config_flags(path: str) -> list[str]:
 
 
 def run(argv: list[str]) -> int:
-    pre = _Parser(add_help=False)
+    pre = _Parser(add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     config = pre.parse_known_args(argv)[0].config
     if config:

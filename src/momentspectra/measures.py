@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -38,9 +38,6 @@ MOMENT_TOL = 1e-13
 #: fitted log-slope below this (with a good fit) declares bounded partial sums
 BOUNDED_SLOPE = 0.02
 BOUNDED_RESIDUAL = 1e-3
-
-CLOSED_FORM = "closed-form"
-QUADRATURE = "quadrature"
 
 
 class MeasureSyntaxError(ValueError):
@@ -279,26 +276,31 @@ def _parse_atom(toks: _Tokens) -> Atom:
 # --------------------------------------------------------------------------
 # moments
 
-@dataclass(frozen=True)
-class MomentProvenance:
-    kind: str
-    error_bound: float = 0.0
-
-    def label(self) -> str:
-        if self.kind == CLOSED_FORM:
-            return CLOSED_FORM
-        return f"{QUADRATURE}({self.error_bound:.3e})"
-
-
 @dataclass(eq=False)
 class MomentSequence:
-    """Moments mu_0..mu_{n-1} with partial sums s_n and per-entry provenance."""
+    """Moments mu_0..mu_{n-1} and their partial sums s_n = mu_0 + ... + mu_n.
+
+    error_bounds holds the certified quadrature error bound of each entry
+    when any density term was integrated, and is None when every entry is a
+    closed form.  degenerate marks a measure concentrated at 0: mu_0 > 0 and
+    every later moment vanishes.
+    """
 
     values: np.ndarray
-    partial_sums: np.ndarray
-    provenance: tuple[MomentProvenance, ...]
-    n_terms: int
-    degenerate: bool
+    error_bounds: np.ndarray | None = None
+    partial_sums: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.partial_sums = np.cumsum(self.values)
+
+    @property
+    def n_terms(self) -> int:
+        return self.values.size
+
+    @property
+    def degenerate(self) -> bool:
+        return bool(self.n_terms >= 2 and self.values[0] > 0.0
+                    and np.all(self.values[1:] == 0.0))
 
 
 def moments(spec: MeasureSpec, n_terms: int, method: str = "closed",
@@ -315,32 +317,20 @@ def moments(spec: MeasureSpec, n_terms: int, method: str = "closed",
         raise ValueError(f"unknown moment method {method!r}")
     ns = np.arange(n_terms)
     values = np.zeros(n_terms)
-    bounds = np.zeros(n_terms)
-    any_quadrature = False
+    bounds = None
     for weight, atom in spec.terms:
         if method == "closed" or isinstance(atom, Dirac):
             values += weight * atom.closed_moments(ns)
-        else:
-            any_quadrature = True
-            # split the per-moment tolerance so weighted bounds still sum
-            # below it
-            term_tol = tol / (len(spec.terms) * max(weight, 1.0))
-            for n in ns:
-                v, b = atom.quadrature_moment(int(n), term_tol)
-                values[n] += weight * v
-                bounds[n] += weight * b
-    if any_quadrature:
-        provenance = tuple(MomentProvenance(QUADRATURE, float(b)) for b in bounds)
-    else:
-        provenance = tuple(MomentProvenance(CLOSED_FORM) for _ in ns)
-    degenerate = bool(n_terms >= 2 and values[0] > 0.0 and np.all(values[1:] == 0.0))
-    return MomentSequence(
-        values=values,
-        partial_sums=np.cumsum(values),
-        provenance=provenance,
-        n_terms=n_terms,
-        degenerate=degenerate,
-    )
+            continue
+        if bounds is None:
+            bounds = np.zeros(n_terms)
+        # split the per-moment tolerance so weighted bounds still sum below it
+        term_tol = tol / (len(spec.terms) * max(weight, 1.0))
+        for n in range(n_terms):
+            v, b = atom.quadrature_moment(n, term_tol)
+            values[n] += weight * v
+            bounds[n] += weight * b
+    return MomentSequence(values, bounds)
 
 
 # --------------------------------------------------------------------------

@@ -62,11 +62,9 @@ def suffix_sums(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class WeightSequence:
-    """Row weights a_n of a terraced matrix, with their generator tag."""
+    """Row weights a_n of a terraced matrix."""
 
     values: np.ndarray
-    kind: str
-    param: float | None = None
 
     def __post_init__(self):
         if self.values.ndim != 1 or self.values.size < 1:
@@ -74,11 +72,11 @@ class WeightSequence:
 
     @classmethod
     def cesaro(cls, n: int) -> "WeightSequence":
-        return cls(1.0 / (np.arange(n) + 1.0) + 0.0j, "cesaro")
+        return cls(1.0 / (np.arange(n) + 1.0) + 0.0j)
 
     @classmethod
     def power_law(cls, s: float, n: int) -> "WeightSequence":
-        return cls(np.power(np.arange(n) + 1.0, -s) + 0.0j, "power-law", s)
+        return cls(np.power(np.arange(n) + 1.0, -s) + 0.0j)
 
     @classmethod
     def leibowitz_squares(cls, n: int) -> "WeightSequence":
@@ -88,15 +86,15 @@ class WeightSequence:
         while k * k < n:
             vals[k * k] = float(k * k) ** -0.875
             k += 1
-        return cls(vals, "leibowitz-squares")
+        return cls(vals)
 
     @classmethod
     def from_moments(cls, ms: MomentSequence) -> "WeightSequence":
-        return cls(ms.values.astype(complex), "from-moments")
+        return cls(ms.values.astype(complex))
 
     @classmethod
     def custom(cls, values) -> "WeightSequence":
-        return cls(np.asarray(values, dtype=complex), "custom")
+        return cls(np.asarray(values, dtype=complex))
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,11 +118,6 @@ class TerracedOperator:
             raise DenseLimitError(f"dim {self.dim} exceeds dense limit {limit}")
         a = self.row_weights()
         return np.tril(np.ones((self.dim, self.dim))) * a[:, None]
-
-    def truncation_spectrum(self) -> np.ndarray:
-        """Eigenvalues of the dense truncation: the diagonal of a triangular
-        matrix, i.e. exactly the first dim weights."""
-        return self.row_weights().copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,13 +202,10 @@ def factorization_check(weights: WeightSequence, dim: int) -> float:
 
     The identity holds exactly; the returned deviation is rounding only.
     """
-    a = weights.values[:dim]
-    if a.size < dim:
-        raise ValueError("weight sequence shorter than dim")
-    d = (np.arange(dim) + 1.0) * a
+    op = TerracedOperator(weights, dim)
+    d = (np.arange(dim) + 1.0) * op.row_weights()
     product = d[:, None] * cesaro_dense(dim)
-    terraced = np.tril(np.ones((dim, dim))) * a[:, None]
-    return float(np.max(np.abs(product - terraced)))
+    return float(np.max(np.abs(product - op.dense())))
 
 
 @dataclass(frozen=True)

@@ -36,9 +36,10 @@ def parse_complex(text: str) -> complex:
 def moments_csv(ms: MomentSequence) -> str:
     lines = ["n,mu_n,s_n,provenance"]
     for n in range(ms.n_terms):
+        label = ("closed-form" if ms.error_bounds is None
+                 else f"quadrature({ms.error_bounds[n]:.3e})")
         lines.append(
-            f"{n},{format_float(ms.values[n])},{format_float(ms.partial_sums[n])},"
-            f"{ms.provenance[n].label()}"
+            f"{n},{format_float(ms.values[n])},{format_float(ms.partial_sums[n])},{label}"
         )
     return "\n".join(lines) + "\n"
 

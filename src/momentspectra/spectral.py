@@ -17,9 +17,7 @@ import numpy as np
 
 from .measures import GrowthEstimate, MomentSequence, fit_line
 from .operators import (
-    DENSE_LIMIT,
     VERDICT_COMPACT,
-    DenseLimitError,
     TerracedOperator,
     WeightSequence,
     dense,
@@ -78,7 +76,6 @@ class Eigenvector:
     """Truncated eigenvector; values may carry a factored-out log scale."""
 
     values: np.ndarray
-    tail_magnitude: float
     log_scale: float = 0.0
 
 
@@ -207,7 +204,7 @@ def eigenvector(ms: MomentSequence, k: int, dim: int) -> Eigenvector:
             factor = abs(x[n + 1])
             x[: n + 2] /= factor
             log_scale += float(np.log(factor))
-    return Eigenvector(values=x, tail_magnitude=float(abs(x[-1])), log_scale=log_scale)
+    return Eigenvector(values=x, log_scale=log_scale)
 
 
 def eigenvector_residual(ms: MomentSequence, k: int, dim: int,
@@ -316,20 +313,17 @@ def smallest_singular_value(matrix: np.ndarray) -> float:
 
 
 def pseudospectrum_grid(op, window: tuple[float, float, float, float],
-                        resolution: int, dim: int,
-                        dense_limit: int = DENSE_LIMIT) -> PseudospectrumGrid:
+                        resolution: int, dim: int) -> PseudospectrumGrid:
     """Evaluate sigma_min(z I - A_dim) on a resolution x resolution grid over
     the window (re0, re1, im0, im1); rows follow im_axis, columns re_axis.
     A Hermitian A = Q diag(lam) Q* (Hankel) takes one eigvalsh per grid: the
     unitary Q keeps sigma_min = min |z - lam|.  Others (terraced) take an SVD per point."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    if dim > dense_limit:
-        raise DenseLimitError(f"dim {dim} exceeds dense limit {dense_limit}")
     re0, re1, im0, im1 = window
     re_axis = np.linspace(re0, re1, resolution)
     im_axis = np.linspace(im0, im1, resolution)
-    matrix = dense(op, limit=dense_limit)
+    matrix = dense(op)
     if np.array_equal(matrix, matrix.conj().T):
         lam = np.linalg.eigvalsh(matrix)
         shifted = lambda z: z - lam

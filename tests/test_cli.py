@@ -215,8 +215,10 @@ def test_empty_list_argument_is_input_error(tmp_path, capsys, args):
     assert capsys.readouterr().err.startswith("input error: empty")
 
 
-def test_missing_required_flag_is_usage_error():
+def test_missing_required_flag_is_usage_error(tmp_path):
     assert main(["moments", "--n", "4"]) == 1
+    # flags must be spelt in full: a prefix of --measure is not --measure
+    assert main(["moments", "--meas", "lebesgue", "--n", "4", "--out", str(tmp_path)]) == 1
 
 
 def test_help_exits_zero(capsys):
@@ -243,6 +245,8 @@ def test_config_file_provides_defaults_and_flags_override(tmp_path):
     [
         # an unknown key is an unrecognized flag
         ("measure = lebesgue\nn = 4\nfoo = 1\n", ["moments", "--config", "{config}"], 1, {}),
+        # keys must be spelt in full: a prefix of measure is not measure
+        ("meas = lebesgue\nn = 4\n", ["moments", "--config", "{config}"], 1, {}),
         ("measure = lebesgue\nn = 4\n", ["moments", "--config={config}"], 0, {"n": 4}),
         # choices, types and required apply to config values
         ("measure = lebesgue\nkind = spiral\n", ["fov", "--config", "{config}"], 1, {}),
@@ -262,8 +266,8 @@ def test_config_file_provides_defaults_and_flags_override(tmp_path):
          ["pseudo", "--config", "{config}", "--res", "4", "--dim", "8"],
          0, {"dump_matrix": False}),
     ],
-    ids=["unknown-key", "config-equals-path", "bad-choice", "bad-type", "missing-required",
-         "true-is-bare-flag", "false-adds-nothing", "dump-matrix-negative-window",
+    ids=["unknown-key", "abbreviated-key", "config-equals-path", "bad-choice", "bad-type",
+         "missing-required", "true-is-bare-flag", "false-adds-nothing", "dump-matrix-negative-window",
          "dump-matrix-false"],
 )
 def test_config_lines_are_parsed_as_flags(tmp_path, capsys, lines, argv, code, expect):

@@ -20,19 +20,13 @@ from momentspectra import (
     spectrum_region,
 )
 from momentspectra import spectral
-from momentspectra.measures import MomentProvenance, MomentSequence
+from momentspectra.measures import MomentSequence
+from momentspectra.operators import DENSE_LIMIT, DenseLimitError
 from momentspectra.spectral import ANALYTIC, IN_L2, INCONCLUSIVE, NOT_IN_L2, NUMERIC_FIT
 
 
 def _handmade_moments(values) -> MomentSequence:
-    values = np.asarray(values, dtype=float)
-    return MomentSequence(
-        values=values,
-        partial_sums=np.cumsum(values),
-        provenance=tuple(MomentProvenance("closed-form") for _ in values),
-        n_terms=values.size,
-        degenerate=False,
-    )
+    return MomentSequence(np.asarray(values, dtype=float))
 
 
 def _classified(text: str, n: int, ks, method="auto"):
@@ -345,8 +339,10 @@ def test_pseudospectrum_grid_validates_inputs():
     op = terraced_from_measure("lebesgue", 16)
     with pytest.raises(ValueError):
         pseudospectrum_grid(op, (0, 1, 0, 1), 1, 16)
-    with pytest.raises(ValueError):
-        pseudospectrum_grid(op, (0, 1, 0, 1), 4, 16, dense_limit=8)
+    # dense() refuses before it allocates, so the oversized operator is cheap
+    big = DENSE_LIMIT + 1
+    with pytest.raises(DenseLimitError):
+        pseudospectrum_grid(terraced_from_measure("lebesgue", big), (0, 1, 0, 1), 4, big)
 
 
 def test_pseudospectrum_grid_terraced_above_dim_512_matches_svd():
