@@ -30,7 +30,6 @@ from .operators import (
     WeightSequence,
     boundedness_report,
     dense,
-    factorization_check,
     hankel_apply,
     terraced_apply,
     terraced_apply_adjoint,

@@ -35,8 +35,7 @@ from .measures import (
     moments,
     parse_measure,
 )
-from .numrange import (EigensolverError, contraction_check, fov_boundary,
-                       hermitian_min_eig, spectral_norm)
+from .numrange import contraction_check, fov_boundary, hermitian_min_eig, spectral_norm
 from .operators import (
     HankelMomentOperator,
     TerracedOperator,
@@ -516,8 +515,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"measure error: {exc}", file=sys.stderr)
         return 1
     # before ValueError: LinAlgError subclasses it
-    except (ArithmeticError, QuadratureError, EigensolverError,
-            np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, QuadratureError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

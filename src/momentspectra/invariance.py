@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import TerracedOperator, WeightSequence
+from .operators import TerracedOperator, WeightSequence, check_dense_limit
 from .quadrature import fixed_gauss_legendre_01
 
 #: singular values at least this fraction of the largest count toward rank
@@ -51,6 +51,7 @@ def composition_matrix_phi(t: float, dim: int) -> np.ndarray:
     """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
+    check_dense_limit(dim)
     matrix = np.zeros((dim, dim))
     for n, column in enumerate(_bernstein(dim - 1, math.exp(-t))):
         matrix[: n + 1, n] = column
@@ -63,6 +64,7 @@ def _bernstein_integrals(degree: int) -> np.ndarray:
     integral of b_{m,n} over [0, 1] by a Gauss-Legendre rule exact for
     polynomials of degree up to degree + 16.  Cached and read-only, so the
     Hilbert columns of one dimension share a single table."""
+    check_dense_limit(degree + 1)
     u, w = fixed_gauss_legendre_01(degree // 2 + 9)
     integrals = np.zeros((degree + 1, degree + 1))
     for n, basis in enumerate(_bernstein(degree, u)):

@@ -71,10 +71,6 @@ class Dirac:
     def closed_moments(self, ns: np.ndarray) -> np.ndarray:
         return np.power(self.t, ns.astype(float))
 
-    def quadrature_moment(self, n: int, tol: float) -> tuple[float, float]:
-        # an atom carries no density to integrate; the closed form is exact
-        return float(self.t**n), 0.0
-
     def text(self) -> str:
         return f"dirac({_number_text(self.t)})"
 

@@ -15,9 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-class EigensolverError(RuntimeError):
-    """Dense symmetric eigensolver failed to converge."""
-
 
 @dataclass(frozen=True, eq=False)
 class FovResult:
@@ -45,10 +42,7 @@ def hermitian_min_eig(matrix: np.ndarray) -> float:
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
-    try:
-        return float(np.linalg.eigvalsh(hermitian_part(m))[0])
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise EigensolverError(f"symmetric eigensolver did not converge: {exc}") from exc
+    return float(np.linalg.eigvalsh(hermitian_part(m))[0])
 
 
 def fov_boundary(matrix: np.ndarray, n_angles: int = 256) -> FovResult:
@@ -64,10 +58,7 @@ def fov_boundary(matrix: np.ndarray, n_angles: int = 256) -> FovResult:
     boundary = np.empty(n_angles, dtype=complex)
     for j, theta in enumerate(angles):
         rotated = hermitian_part(np.exp(1j * theta) * m)
-        try:
-            eigvals, eigvecs = np.linalg.eigh(rotated)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise EigensolverError(f"symmetric eigensolver did not converge: {exc}") from exc
+        eigvals, eigvecs = np.linalg.eigh(rotated)
         support[j] = eigvals[-1]
         v = eigvecs[:, -1]
         boundary[j] = v.conj() @ (m @ v)

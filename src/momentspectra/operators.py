@@ -20,8 +20,6 @@ from .measures import MomentSequence
 DENSE_LIMIT = 8192
 #: below this size a direct Hankel multiply beats the FFT path
 FFT_THRESHOLD = 64
-#: prefix/suffix sums switch to longdouble accumulation above this
-COMPENSATED_THRESHOLD = 4096
 
 VERDICT_BOUNDED = "Bounded"
 VERDICT_COMPACT = "CompactIndicated"
@@ -43,15 +41,18 @@ class DenseLimitError(ValueError):
     pass
 
 
-def prefix_sums(x: np.ndarray) -> np.ndarray:
-    """Running sums of x, accumulated left to right.
+def check_dense_limit(side: int, limit: int = DENSE_LIMIT) -> None:
+    """Refuse a side x side dense matrix above the limit, before allocating it."""
+    if side > limit:
+        raise DenseLimitError(f"dim {side} exceeds dense limit {limit}")
 
-    Above COMPENSATED_THRESHOLD the accumulation is carried in longdouble,
-    which is extended precision where the platform has it and plain double
-    otherwise.
+
+def prefix_sums(x: np.ndarray) -> np.ndarray:
+    """Running sums of x, accumulated left to right in the dtype of x.
+
+    Recursive summation: entry i errs by at most (i+1) eps sum|x[:i+1]|
+    per component, the bound the dense product is held to as well.
     """
-    if x.size > COMPENSATED_THRESHOLD:
-        return np.cumsum(x.astype(np.clongdouble)).astype(np.complex128)
     return np.cumsum(x)
 
 
@@ -92,10 +93,6 @@ class WeightSequence:
     def from_moments(cls, ms: MomentSequence) -> "WeightSequence":
         return cls(ms.values.astype(complex))
 
-    @classmethod
-    def custom(cls, values) -> "WeightSequence":
-        return cls(np.asarray(values, dtype=complex))
-
 
 @dataclass(frozen=True, eq=False)
 class TerracedOperator:
@@ -114,8 +111,7 @@ class TerracedOperator:
         return self.weights.values[: self.dim]
 
     def dense(self, limit: int = DENSE_LIMIT) -> np.ndarray:
-        if self.dim > limit:
-            raise DenseLimitError(f"dim {self.dim} exceeds dense limit {limit}")
+        check_dense_limit(self.dim, limit)
         a = self.row_weights()
         return np.tril(np.ones((self.dim, self.dim))) * a[:, None]
 
@@ -140,8 +136,7 @@ class HankelMomentOperator:
         return cls(np.asarray(ms.values, dtype=float), dim)
 
     def dense(self, limit: int = DENSE_LIMIT) -> np.ndarray:
-        if self.dim > limit:
-            raise DenseLimitError(f"dim {self.dim} exceeds dense limit {limit}")
+        check_dense_limit(self.dim, limit)
         idx = np.add.outer(np.arange(self.dim), np.arange(self.dim))
         return np.asarray(self.moments)[idx]
 
@@ -188,24 +183,8 @@ def dense(op, limit: int = DENSE_LIMIT) -> np.ndarray:
     m = np.asarray(op)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
-    if m.shape[0] > limit:
-        raise DenseLimitError(f"dim {m.shape[0]} exceeds dense limit {limit}")
+    check_dense_limit(m.shape[0], limit)
     return m
-
-
-def cesaro_dense(dim: int) -> np.ndarray:
-    return TerracedOperator(WeightSequence.cesaro(dim), dim).dense()
-
-
-def factorization_check(weights: WeightSequence, dim: int) -> float:
-    """Max absolute entry of D_a @ C - R_a, with D_a = diag((n+1) a_n).
-
-    The identity holds exactly; the returned deviation is rounding only.
-    """
-    op = TerracedOperator(weights, dim)
-    d = (np.arange(dim) + 1.0) * op.row_weights()
-    product = d[:, None] * cesaro_dense(dim)
-    return float(np.max(np.abs(product - op.dense())))
 
 
 @dataclass(frozen=True)

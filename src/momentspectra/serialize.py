@@ -22,17 +22,6 @@ def format_complex(z: complex) -> str:
     return f"{format_float(z.real)}{sign}{format_float(abs(z.imag))}i"
 
 
-def parse_complex(text: str) -> complex:
-    body = text.strip()
-    if not body.endswith("i"):
-        raise ValueError(f"not a complex entry: {text!r}")
-    body = body[:-1]
-    split = max(body.rfind("+"), body.rfind("-"))
-    if split <= 0:
-        raise ValueError(f"not a complex entry: {text!r}")
-    return complex(float(body[:split]), float(body[split:]))
-
-
 def moments_csv(ms: MomentSequence) -> str:
     lines = ["n,mu_n,s_n,provenance"]
     for n in range(ms.n_terms):

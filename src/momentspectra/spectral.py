@@ -188,22 +188,38 @@ def eigenvector(ms: MomentSequence, k: int, dim: int) -> Eigenvector:
         raise ValueError(
             f"moments underflow to zero at index {active}; the recurrence needs dim <= {active}"
         )
-    mu = ms.values
+    mu = ms.values[:dim]
     mu_k = float(mu[k])
+    gap = mu_k - mu[k + 1:]
+    small = np.abs(gap) < RECURRENCE_GAP_FLOOR
+    if small.any():
+        raise ZeroDivisionError(
+            f"recurrence blow-up: |mu_{k} - mu_{k + 1 + int(np.argmax(small))}| "
+            f"< {RECURRENCE_GAP_FLOOR}"
+        )
+    ratio = mu[k + 1:] * mu_k / (mu[k:-1] * gap)
     x = np.zeros(dim)
     x[k] = 1.0
     log_scale = 0.0
-    for n in range(k, dim - 1):
-        gap = mu_k - mu[n + 1]
-        if abs(gap) < RECURRENCE_GAP_FLOOR:
-            raise ZeroDivisionError(
-                f"recurrence blow-up: |mu_{k} - mu_{n + 1}| < {RECURRENCE_GAP_FLOOR}"
-            )
-        x[n + 1] = mu[n + 1] * mu_k / (mu[n] * gap) * x[n]
-        if abs(x[n + 1]) > OVERFLOW_GUARD:
-            factor = abs(x[n + 1])
-            x[: n + 2] /= factor
-            log_scale += float(np.log(factor))
+    start = k
+    while start < dim - 1:
+        # x[start] is exactly 1 or -1 (x_k, or an entry divided by its own
+        # modulus), so scaling the running product by it repeats the
+        # one-entry-at-a-time recurrence bit for bit.  Entries past the first
+        # one above the guard may overflow (inf, or inf * 0 = nan against an
+        # underflowed ratio); they are discarded and redone from there
+        with np.errstate(over="ignore", invalid="ignore"):
+            segment = np.cumprod(ratio[start - k:]) * x[start]
+        above = np.flatnonzero(np.abs(segment) > OVERFLOW_GUARD)
+        if above.size == 0:
+            x[start + 1:] = segment
+            break
+        end = start + 1 + int(above[0])
+        x[start + 1:end + 1] = segment[:above[0] + 1]
+        factor = abs(x[end])
+        x[:end + 1] /= factor
+        log_scale += float(np.log(factor))
+        start = end
     return Eigenvector(values=x, log_scale=log_scale)
 
 
@@ -316,6 +332,7 @@ def pseudospectrum_grid(op, window: tuple[float, float, float, float],
                         resolution: int, dim: int) -> PseudospectrumGrid:
     """Evaluate sigma_min(z I - A_dim) on a resolution x resolution grid over
     the window (re0, re1, im0, im1); rows follow im_axis, columns re_axis.
+    dim must equal the side of A's dense matrix.
     A Hermitian A = Q diag(lam) Q* (Hankel) takes one eigvalsh per grid: the
     unitary Q keeps sigma_min = min |z - lam|.  Others (terraced) take an SVD per point."""
     if resolution < 2:
@@ -324,6 +341,8 @@ def pseudospectrum_grid(op, window: tuple[float, float, float, float],
     re_axis = np.linspace(re0, re1, resolution)
     im_axis = np.linspace(im0, im1, resolution)
     matrix = dense(op)
+    if matrix.shape[0] != dim:
+        raise ValueError(f"dim {dim} does not match the operator's dimension {matrix.shape[0]}")
     if np.array_equal(matrix, matrix.conj().T):
         lam = np.linalg.eigvalsh(matrix)
         shifted = lambda z: z - lam

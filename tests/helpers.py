@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from momentspectra import (
+    Dirac,
     HankelMomentOperator,
+    Lebesgue,
+    LogPowerDensity,
+    MeasureSpec,
+    PowerDensity,
     TerracedOperator,
     WeightSequence,
     moments,
@@ -18,6 +24,21 @@ CATALOG_MEASURES = {
     "power-2": "power(2)",
     "delta0-plus-half-lebesgue": "dirac(0)+0.5*lebesgue",
 }
+
+#: measures of one to three weighted atoms of every kind
+MEASURE_SPECS = st.lists(
+    st.tuples(
+        st.floats(0.1, 4.0),
+        st.one_of(
+            st.builds(Dirac, st.floats(0.0, 0.9)),
+            st.builds(Lebesgue, st.floats(0.1, 1.0)),
+            st.builds(PowerDensity, st.floats(0.25, 6.0)),
+            st.builds(LogPowerDensity, st.floats(1.1, 5.0)),
+        ),
+    ),
+    min_size=1,
+    max_size=3,
+).map(lambda terms: MeasureSpec(tuple(terms)))
 
 
 def measure_moments(text: str, n_terms: int):
@@ -49,3 +70,15 @@ def rhp_catalog_matrices(dim: int) -> dict[str, np.ndarray]:
 
 def random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def parse_complex(text: str) -> complex:
+    """Inverse of serialize.format_complex: 're+imi' back to a complex."""
+    body = text.strip()
+    if not body.endswith("i"):
+        raise ValueError(f"not a complex entry: {text!r}")
+    body = body[:-1]
+    split = max(body.rfind("+"), body.rfind("-"))
+    if split <= 0:
+        raise ValueError(f"not a complex entry: {text!r}")
+    return complex(float(body[:split]), float(body[split:]))

@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import parse_complex
 from momentspectra.cli import main
-from momentspectra.serialize import parse_complex
 from momentspectra.svg import boundary_svg, heatmap_svg, region_svg
 
 
@@ -193,6 +193,30 @@ def test_numeric_failure_exits_two_with_one_line(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("numeric error: ") and err.count("\n") == 1
+
+
+def test_eigensolver_failure_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    code = main(["fov", "--measure", "lebesgue", "--dim", "8", "--out", str(tmp_path / "f")])
+    assert code == 2
+    assert capsys.readouterr().err == "numeric error: Eigenvalues did not converge\n"
+
+
+@pytest.mark.parametrize(
+    "args, side",
+    [
+        (["invariance", "--measure", "lebesgue", "--dim", "8193"], 8193),
+        # the Bernstein table of the Hilbert columns has side 2 (max-index + 1) - 1
+        (["hilbert", "--max-index", "8191"], 16383),
+        (["hilbert", "--max-index", "4096"], 8193),
+    ],
+)
+def test_dense_limit_refused_before_allocating(tmp_path, capsys, args, side):
+    assert main(args + ["--out", str(tmp_path / "d")]) == 1
+    assert capsys.readouterr().err == f"input error: dim {side} exceeds dense limit 8192\n"
 
 
 def test_unreachable_quadrature_tolerance_exits_two(tmp_path, capsys):

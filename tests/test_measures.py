@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import MEASURE_SPECS
 from momentspectra import (
     Dirac,
     Lebesgue,
@@ -176,26 +177,14 @@ def test_pure_dirac_quadrature_stays_closed_form():
 # --------------------------------------------------------------------------
 # sequence invariants (property-based)
 
-_ATOMS = st.one_of(
-    st.builds(Dirac, st.floats(0.0, 0.9)),
-    st.builds(Lebesgue, st.floats(0.1, 1.0)),
-    st.builds(PowerDensity, st.floats(0.25, 6.0)),
-    st.builds(LogPowerDensity, st.floats(1.1, 5.0)),
-)
-
-_SPECS = st.lists(
-    st.tuples(st.floats(0.1, 4.0), _ATOMS), min_size=1, max_size=3
-).map(lambda terms: MeasureSpec(tuple(terms)))
-
-
 @settings(max_examples=100, deadline=None)
-@given(_SPECS)
+@given(MEASURE_SPECS)
 def test_text_round_trips_through_the_parser(spec):
     assert parse_measure(spec.text()) == spec
 
 
 @settings(max_examples=25, deadline=None)
-@given(_SPECS)
+@given(MEASURE_SPECS)
 def test_moments_nonincreasing_and_sums_nondecreasing(spec):
     ms = moments(spec, 48)
     assert np.all(np.diff(ms.values) <= 1e-15)
@@ -203,7 +192,7 @@ def test_moments_nonincreasing_and_sums_nondecreasing(spec):
 
 
 @settings(max_examples=25, deadline=None)
-@given(_SPECS)
+@given(MEASURE_SPECS)
 def test_moment_hankel_matrices_positive_semidefinite(spec):
     ms = moments(spec, 31)
     for k in (4, 16):
@@ -212,7 +201,7 @@ def test_moment_hankel_matrices_positive_semidefinite(spec):
 
 
 @settings(max_examples=25, deadline=None)
-@given(_SPECS, _SPECS, st.floats(0.25, 3.0), st.floats(0.25, 3.0))
+@given(MEASURE_SPECS, MEASURE_SPECS, st.floats(0.25, 3.0), st.floats(0.25, 3.0))
 def test_moments_linear_in_the_measure(spec_a, spec_b, a, b):
     combined = MeasureSpec(
         tuple((a * w, atom) for w, atom in spec_a.terms)
@@ -224,7 +213,7 @@ def test_moments_linear_in_the_measure(spec_a, spec_b, a, b):
 
 
 @settings(max_examples=25, deadline=None)
-@given(_SPECS, st.integers(1, 32))
+@given(MEASURE_SPECS, st.integers(1, 32))
 def test_quadrature_within_its_bounds_of_the_closed_form(spec, n):
     # the certified bound covers discretisation only; rounding adds the
     # (n + 267) eps |mu_n| allowance the benchmark's moments oracle uses

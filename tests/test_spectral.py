@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import hankel_from_measure, measure_moments, terraced_from_measure
+from helpers import MEASURE_SPECS, hankel_from_measure, measure_moments, terraced_from_measure
 from momentspectra import (
     DegenerateAtZeroError,
     DuplicateMomentsError,
     HypothesesNotMetError,
+    TerracedOperator,
     WeightSequence,
     adjoint_disc,
     adjoint_eigenvector,
@@ -20,7 +23,7 @@ from momentspectra import (
     spectrum_region,
 )
 from momentspectra import spectral
-from momentspectra.measures import MomentSequence
+from momentspectra.measures import MomentSequence, moments
 from momentspectra.operators import DENSE_LIMIT, DenseLimitError
 from momentspectra.spectral import ANALYTIC, IN_L2, INCONCLUSIVE, NOT_IN_L2, NUMERIC_FIT
 
@@ -191,6 +194,72 @@ def test_eigenvector_rejects_underflowed_range():
         eigenvector(ms, 0, 1200)
 
 
+def _reference_eigenvector(ms: MomentSequence, k: int, dim: int) -> spectral.Eigenvector:
+    """The recurrence one entry at a time, renormalizing past the overflow
+    guard: the oracle the vectorized eigenvector must match bit for bit."""
+    active = spectral._validate_moments(ms)
+    if not 0 <= k < dim:
+        raise ValueError(f"index {k} out of range for dim {dim}")
+    if ms.values.size < dim:
+        raise ValueError(f"need {dim} moments, have {ms.values.size}")
+    if active < dim:
+        raise ValueError(
+            f"moments underflow to zero at index {active}; the recurrence needs dim <= {active}"
+        )
+    mu = ms.values
+    mu_k = float(mu[k])
+    x = np.zeros(dim)
+    x[k] = 1.0
+    log_scale = 0.0
+    for n in range(k, dim - 1):
+        gap = mu_k - mu[n + 1]
+        if abs(gap) < spectral.RECURRENCE_GAP_FLOOR:
+            raise ZeroDivisionError(
+                f"recurrence blow-up: |mu_{k} - mu_{n + 1}| < {spectral.RECURRENCE_GAP_FLOOR}"
+            )
+        x[n + 1] = mu[n + 1] * mu_k / (mu[n] * gap) * x[n]
+        if abs(x[n + 1]) > spectral.OVERFLOW_GUARD:
+            factor = abs(x[n + 1])
+            x[: n + 2] /= factor
+            log_scale += float(np.log(factor))
+    return spectral.Eigenvector(values=x, log_scale=log_scale)
+
+
+def _outcome(fn, ms, k, dim):
+    # floating-point warnings are not part of the contract; values and
+    # exceptions are
+    try:
+        with np.errstate(all="ignore"):
+            vec = fn(ms, k, dim)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return vec.values.tobytes(), vec.log_scale
+
+
+@pytest.mark.parametrize("text, k", [("lebesgue", 100), ("lebesgue", 300), ("lebesgue", 1000),
+                                     ("dirac(0)+0.5*lebesgue", 200)])
+def test_eigenvector_renormalizations_match_the_loop_bit_for_bit(text, k):
+    ms = measure_moments(text, 4096)
+    expected = _outcome(_reference_eigenvector, ms, k, 4096)
+    assert expected[1] > 0.0  # the case renormalizes
+    assert _outcome(eigenvector, ms, k, 4096) == expected
+
+
+def test_eigenvector_guard_names_the_first_degenerate_index():
+    ms = _handmade_moments([1.0, 0.5, 1e-3 + 5e-15, 1e-3, 1e-3 - 4e-15, 1e-5])
+    with pytest.raises(ZeroDivisionError, match=r"\|mu_2 - mu_3\|"):
+        eigenvector(ms, 2, 6)
+    assert _outcome(eigenvector, ms, 2, 6) == _outcome(_reference_eigenvector, ms, 2, 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(MEASURE_SPECS, st.integers(2, 3000), st.floats(0.0, 1.0, exclude_max=True))
+def test_eigenvector_matches_the_loop_bit_for_bit(spec, dim, k_fraction):
+    ms = moments(spec, dim)
+    k = int(k_fraction * dim)
+    assert _outcome(eigenvector, ms, k, dim) == _outcome(_reference_eigenvector, ms, k, dim)
+
+
 # --------------------------------------------------------------------------
 # adjoint eigenvectors
 
@@ -266,7 +335,7 @@ def test_spectrum_region_cesaro():
 
 
 def test_spectrum_region_dirac_weights_degenerate_to_points():
-    weights = WeightSequence.custom(0.5 ** np.arange(128))
+    weights = WeightSequence(0.5 ** np.arange(128) + 0j)
     region = spectrum_region(weights, boundedness_report(weights, 128))
     assert region.disc_center is None
     assert 0.0 in region.points
@@ -282,7 +351,7 @@ def test_spectrum_region_rejects_leibowitz():
 
 def test_spectrum_region_requires_a_limit():
     n = np.arange(512)
-    weights = WeightSequence.custom((2.0 + (-1.0) ** n) / (n + 1.0))
+    weights = WeightSequence((2.0 + (-1.0) ** n) / (n + 1.0) + 0j)
     report = boundedness_report(weights, 512)
     with pytest.raises(HypothesesNotMetError):
         spectrum_region(weights, report)
@@ -343,6 +412,14 @@ def test_pseudospectrum_grid_validates_inputs():
     big = DENSE_LIMIT + 1
     with pytest.raises(DenseLimitError):
         pseudospectrum_grid(terraced_from_measure("lebesgue", big), (0, 1, 0, 1), 4, big)
+
+
+def test_pseudospectrum_grid_rejects_a_dim_other_than_the_operators():
+    # z * eye(dim) - A with dim 1 would broadcast, subtracting every entry from z
+    op = TerracedOperator(WeightSequence.cesaro(16), 16)
+    for dim in (1, 8, 17):
+        with pytest.raises(ValueError, match="does not match"):
+            pseudospectrum_grid(op, (0.4, 0.6, 0.7, 0.8), 2, dim)
 
 
 def test_pseudospectrum_grid_terraced_above_dim_512_matches_svd():
