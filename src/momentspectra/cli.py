@@ -35,7 +35,7 @@ from .measures import (
     moments,
     parse_measure,
 )
-from .numrange import contraction_check, fov_boundary, hermitian_min_eig, spectral_norm
+from .numrange import contraction_check, fov_boundary, spectral_norm
 from .operators import (
     HankelMomentOperator,
     TerracedOperator,
@@ -308,15 +308,14 @@ def _cmd_pseudo(args, writer: ArtifactWriter):
           ("--require-rhp", dict(type=float, default=None, nargs="?", const=1e-10,
                                  help="fail (exit 2) when min Re W drops below -TOL")))
 def _cmd_fov(args, writer: ArtifactWriter):
-    matrix = dense(_build_operator(args, args.dim))
-    result = fov_boundary(matrix, n_angles=args.angles)
+    result = fov_boundary(dense(_build_operator(args, args.dim)), n_angles=args.angles)
     writer.write_text("fov.csv", fov_csv(result))
     writer.write_text("fov.svg", boundary_svg(result.boundary_points))
     payload = {
         "dim": result.dim,
         "n_angles": args.angles,
         "min_real_part": result.min_real_part,
-        "hermitian_min_eig": hermitian_min_eig(matrix),
+        "hermitian_min_eig": result.min_real_part,
     }
     writer.write_text("fov.json", to_json(payload))
     code = 0
@@ -333,7 +332,7 @@ def _cmd_fov(args, writer: ArtifactWriter):
                            help="check A - shift*I instead (negative control)")),
           ("--tol", dict(type=float, default=1e-9)))
 def _cmd_contraction(args, writer: ArtifactWriter):
-    matrix = dense(_build_operator(args, args.dim)).astype(complex)
+    matrix = dense(_build_operator(args, args.dim))
     if args.shift:
         matrix = matrix - args.shift * np.eye(args.dim)
     result = contraction_check(matrix, _parse_floats(args.taus))
@@ -404,6 +403,9 @@ def _cmd_invariance(args, writer: ArtifactWriter):
           ("--dims", dict(default="64,128,256")),
           ("--tol", dict(type=float, default=1e-12)))
 def _cmd_hilbert(args, writer: ArtifactWriter):
+    largest = (operators_mod.DENSE_LIMIT - 1) // 2  # Bernstein table side 2 max-index + 1
+    if args.max_index > largest:
+        raise ValueError(f"--max-index {args.max_index} exceeds {largest} (dense limit)")
     dim = args.max_index + 1
     columns = []
     ok = True

@@ -82,20 +82,14 @@ def cesaro_adjoint_integral_check(dim: int) -> float:
 
 def rhaly_adjoint_integral_check(weights: WeightSequence, dim: int) -> float:
     """Max deviation between the integral of e^{-t} C_{phi_t} D applied first
-    (D = diag((n+1) conj(a_n))) and the conjugate transpose of the terraced
-    matrix.
+    (D = diag((n+1) a_n)) and the transpose of the real terraced matrix.
 
     Substituting u = e^{-t} turns entry (m, n) of the integral into the
     integral of b_{m,n}(u) on [0, 1]; both sides vanish below the diagonal.
     """
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    a = weights.values[:dim]
-    if a.size < dim:
-        raise ValueError("weight sequence shorter than dim")
-    diag = (np.arange(dim) + 1.0) * np.conj(a)
-    adjoint = np.conj(TerracedOperator(weights, dim).dense()).T
-    return float(np.max(np.abs(_bernstein_integrals(dim - 1) * diag - adjoint)))
+    terraced = TerracedOperator(weights, dim)  # refuses dim < 1 and short weights
+    diag = (np.arange(dim) + 1.0) * terraced.row_weights()
+    return float(np.max(np.abs(_bernstein_integrals(dim - 1) * diag - terraced.dense().T)))
 
 
 def monomial_invariance_check(matrix: np.ndarray, k: int) -> float:

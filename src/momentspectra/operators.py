@@ -63,26 +63,31 @@ def suffix_sums(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class WeightSequence:
-    """Row weights a_n of a terraced matrix."""
+    """Row weights a_n of a terraced matrix: one real float64 vector, as for
+    moments of a positive measure and the Cesaro, power-law and Leibowitz
+    families.  A complex array is refused, not cast."""
 
     values: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.values):
+            raise ValueError("weights must be real, got a complex array")
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         if self.values.ndim != 1 or self.values.size < 1:
             raise ValueError("weight sequence must be a nonempty vector")
 
     @classmethod
     def cesaro(cls, n: int) -> "WeightSequence":
-        return cls(1.0 / (np.arange(n) + 1.0) + 0.0j)
+        return cls(1.0 / (np.arange(n) + 1.0))
 
     @classmethod
     def power_law(cls, s: float, n: int) -> "WeightSequence":
-        return cls(np.power(np.arange(n) + 1.0, -s) + 0.0j)
+        return cls(np.power(np.arange(n) + 1.0, -s))
 
     @classmethod
     def leibowitz_squares(cls, n: int) -> "WeightSequence":
         # n^(-7/8) at perfect squares, 0 otherwise; index 0 maps to 0
-        vals = np.zeros(n, dtype=complex)
+        vals = np.zeros(n)
         k = 1
         while k * k < n:
             vals[k * k] = float(k * k) ** -0.875
@@ -91,7 +96,7 @@ class WeightSequence:
 
     @classmethod
     def from_moments(cls, ms: MomentSequence) -> "WeightSequence":
-        return cls(ms.values.astype(complex))
+        return cls(ms.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,11 +155,12 @@ def terraced_apply(op: TerracedOperator, x: np.ndarray) -> np.ndarray:
 
 
 def terraced_apply_adjoint(op: TerracedOperator, x: np.ndarray) -> np.ndarray:
-    """y_m = sum(conj(a_k) x_k for k >= m); one suffix-sum pass."""
+    """y_m = sum(a_k x_k for k >= m): the transpose of the real terraced
+    matrix, which is its adjoint; one suffix-sum pass, right to left."""
     x = np.asarray(x)
     if x.shape != (op.dim,):
         raise DimensionMismatchError(f"expected a vector of length {op.dim}, got {x.shape}")
-    return suffix_sums(np.conj(op.row_weights()) * x.astype(complex))
+    return suffix_sums(op.row_weights() * x.astype(complex))
 
 
 def hankel_apply(op: HankelMomentOperator, x: np.ndarray) -> np.ndarray:
@@ -232,34 +238,28 @@ def boundedness_report(weights: WeightSequence, n_terms: int) -> BoundednessRepo
     return BoundednessReport(sup_weight, None, norm_bound, VERDICT_BOUNDED)
 
 
-def benchmark_apply(kernel: str, dim: int, repeats: int = 5, seed: int = 0) -> dict:
+def benchmark_apply(kernel: str, dim: int, repeats: int = 5) -> dict:
     """Time one structured or dense apply; returns {dim, kernel, ns_per_apply}.
 
-    Kernels: terraced, terraced-dense, hankel, hankel-dense.  The dense
-    variants materialize the real matrix once and time only the multiply,
-    applied to the real and imaginary parts of x separately so that no
-    complex cast of the matrix is timed.
+    Kernels: terraced (Cesaro weights), hankel (Hilbert moments) and their
+    -dense variants, all applied to one fixed random complex x.  A -dense
+    variant builds the real matrix once with the operator's dense() and times
+    only its products with the real and imaginary parts of x: no cast is timed.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     xr, xi = x.real.copy(), x.imag.copy()
     if kernel in ("terraced", "terraced-dense"):
-        op = TerracedOperator(WeightSequence.cesaro(dim), dim)
-        if kernel == "terraced":
-            fn = lambda: terraced_apply(op, x)
-        else:
-            mat = np.tril(np.ones((dim, dim))) * (1.0 / (np.arange(dim) + 1.0))[:, None]
-            fn = lambda: mat @ xr + 1j * (mat @ xi)
+        op, apply = TerracedOperator(WeightSequence.cesaro(dim), dim), terraced_apply
     elif kernel in ("hankel", "hankel-dense"):
-        mu = 1.0 / (np.arange(2 * dim - 1) + 1.0)
-        op = HankelMomentOperator(mu, dim)
-        if kernel == "hankel":
-            fn = lambda: hankel_apply(op, x)
-        else:
-            mat = op.dense(limit=max(DENSE_LIMIT, dim))
-            fn = lambda: mat @ xr + 1j * (mat @ xi)
+        op, apply = HankelMomentOperator(1.0 / (np.arange(2 * dim - 1) + 1.0), dim), hankel_apply
     else:
         raise ValueError(f"unknown benchmark kernel {kernel!r}")
+    if kernel.endswith("-dense"):
+        mat = op.dense(limit=max(DENSE_LIMIT, dim))
+        fn = lambda: mat @ xr + 1j * (mat @ xi)
+    else:
+        fn = lambda: apply(op, x)
     fn()  # warm up
     start = time.perf_counter()
     for _ in range(repeats):

@@ -56,7 +56,6 @@ class HypothesesNotMetError(ValueError):
 
 @dataclass(frozen=True)
 class ClassificationVerdict:
-    eigenvalue_index: int
     verdict: str
     slope: float | None
     method: str
@@ -154,22 +153,22 @@ def classify_eigenvalue(ms: MomentSequence, growth: GrowthEstimate, k: int,
             # summable moments: the exponential factor is bounded and the
             # moment sequence itself is square-summable
             slope = _numeric_term_slope(ms, k, active)
-            return ClassificationVerdict(k, IN_L2, slope, ANALYTIC)
+            return ClassificationVerdict(IN_L2, slope, ANALYTIC)
         idx = _tail_window(ms.n_terms)
         idx = idx[idx < active]
         p, _, _ = fit_line(np.log(idx + 1.0), np.log(ms.values[idx]))
         exponent = p + growth.beta / float(ms.values[k])
         verdict = IN_L2 if exponent < -0.5 else NOT_IN_L2
-        return ClassificationVerdict(k, verdict, float(exponent), ANALYTIC)
+        return ClassificationVerdict(verdict, float(exponent), ANALYTIC)
 
     slope = _numeric_term_slope(ms, k, active)
     if slope is None:
-        return ClassificationVerdict(k, INCONCLUSIVE, None, NUMERIC_FIT)
+        return ClassificationVerdict(INCONCLUSIVE, None, NUMERIC_FIT)
     if slope < -0.5 - L2_MARGIN:
-        return ClassificationVerdict(k, IN_L2, float(slope), NUMERIC_FIT)
+        return ClassificationVerdict(IN_L2, float(slope), NUMERIC_FIT)
     if slope > -0.5 + L2_MARGIN:
-        return ClassificationVerdict(k, NOT_IN_L2, float(slope), NUMERIC_FIT)
-    return ClassificationVerdict(k, INCONCLUSIVE, float(slope), NUMERIC_FIT)
+        return ClassificationVerdict(NOT_IN_L2, float(slope), NUMERIC_FIT)
+    return ClassificationVerdict(INCONCLUSIVE, float(slope), NUMERIC_FIT)
 
 
 def eigenvector(ms: MomentSequence, k: int, dim: int) -> Eigenvector:
@@ -256,7 +255,7 @@ def adjoint_eigenvector(ms: MomentSequence, nu: complex, dim: int) -> np.ndarray
         raise ValueError("nu must be nonzero (eigenvalue 0 admits only the trivial solution)")
     if ms.values.size < dim:
         raise ValueError(f"need {dim} moments, have {ms.values.size}")
-    factors = 1.0 - ms.values[: dim - 1].astype(complex) * nu
+    factors = 1.0 - ms.values[: dim - 1] * nu
     x = np.ones(dim, dtype=complex)
     x[1:] = np.cumprod(factors)
     return x
@@ -291,19 +290,18 @@ def spectrum_region(weights: WeightSequence, report) -> SpectralRegion:
     weights converging to a limit L: the weights plus the closed disc
     |z - L| <= L; L = 0 degenerates to the weights plus {0}."""
     vals = weights.values
-    if np.any(vals.imag != 0.0) or np.any(vals.real <= 0.0):
+    if np.any(vals <= 0.0):
         raise HypothesesNotMetError("weights must be real and positive")
-    real = np.sort(vals.real)[::-1]
-    gaps = real[:-1] - real[1:]
-    if np.any(gaps <= DISTINCT_REL_GAP * real[:-1]):
+    desc = np.sort(vals)[::-1]
+    gaps = desc[:-1] - desc[1:]
+    if np.any(gaps <= DISTINCT_REL_GAP * desc[:-1]):
         raise HypothesesNotMetError("weights must be pairwise distinct")
     if report.limit_estimate is None:
         raise HypothesesNotMetError("no limit of (n+1) a_n was witnessed")
     if report.verdict == VERDICT_COMPACT:
-        points = np.concatenate([vals.astype(complex), [0.0 + 0.0j]])
-        return SpectralRegion(points=points)
+        return SpectralRegion(points=np.append(vals, 0.0))
     limit = float(report.limit_estimate)
-    return SpectralRegion(points=vals.astype(complex), disc_center=limit, disc_radius=limit)
+    return SpectralRegion(points=vals, disc_center=limit, disc_radius=limit)
 
 
 # --------------------------------------------------------------------------
@@ -347,7 +345,6 @@ def pseudospectrum_grid(op, window: tuple[float, float, float, float],
         lam = np.linalg.eigvalsh(matrix)
         shifted = lambda z: z - lam
     else:
-        matrix = matrix.astype(complex)
         identity = np.eye(dim, dtype=complex)
         shifted = lambda z: z * identity - matrix
     # one call per grid point on both paths: perfbench times sigma_min per point

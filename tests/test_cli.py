@@ -125,6 +125,14 @@ def test_fov_command_with_rhp_gate(tmp_path):
     assert header == "theta,re,im,h"
 
 
+def test_fov_hankel_reports_one_hermitian_minimum(tmp_path):
+    out = tmp_path / "fh"
+    assert main(["fov", "--kind", "hankel", "--measure", "lebesgue", "--dim", "64",
+                 "--out", str(out)]) == 0
+    payload = read_json(out / "fov.json")
+    assert payload["hermitian_min_eig"] == payload["min_real_part"]
+
+
 def test_contraction_command_and_negative_control(tmp_path):
     ok = main(["contraction", "--measure", "lebesgue", "--dim", "32",
                "--taus", "0.1,1,10", "--out", str(tmp_path / "k1")])
@@ -209,14 +217,21 @@ def test_eigensolver_failure_exits_two_with_one_line(tmp_path, capsys, monkeypat
     "args, side",
     [
         (["invariance", "--measure", "lebesgue", "--dim", "8193"], 8193),
-        # the Bernstein table of the Hilbert columns has side 2 (max-index + 1) - 1
-        (["hilbert", "--max-index", "8191"], 16383),
-        (["hilbert", "--max-index", "4096"], 8193),
     ],
 )
 def test_dense_limit_refused_before_allocating(tmp_path, capsys, args, side):
     assert main(args + ["--out", str(tmp_path / "d")]) == 1
     assert capsys.readouterr().err == f"input error: dim {side} exceeds dense limit 8192\n"
+
+
+@pytest.mark.parametrize("max_index", [4096, 8191])
+def test_hilbert_max_index_beyond_the_dense_limit_names_the_flag(tmp_path, capsys, max_index):
+    # the Bernstein table of the Hilbert columns has side 2 max-index + 1,
+    # so 4095 is the largest index whose table fits the dense limit 8192
+    assert main(["hilbert", "--max-index", str(max_index), "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: --max-index {max_index} exceeds 4095")
+    assert err.count("\n") == 1
 
 
 def test_unreachable_quadrature_tolerance_exits_two(tmp_path, capsys):
@@ -348,7 +363,7 @@ def test_manifest_written_last_and_lists_everything(tmp_path):
 # svg building blocks
 
 def test_heatmap_checkerboard_two_fill_levels():
-    svg = heatmap_svg(np.array([[0.0, 1.0], [1.0, 0.0]]), (0, 1, 0, 1), log_scale=False)
+    svg = heatmap_svg(np.array([[0.0, 1.0], [1.0, 0.0]]), (0, 1, 0, 1))
     fills = {
         line.split('fill="')[1].split('"')[0]
         for line in svg.splitlines()

@@ -117,7 +117,7 @@ def test_rhaly_adjoint_integral_cesaro_reduces_to_cesaro_check():
 
 
 def test_rhaly_adjoint_integral_zero_weights():
-    assert rhaly_adjoint_integral_check(WeightSequence(np.zeros(16, dtype=complex)), 16) == 0.0
+    assert rhaly_adjoint_integral_check(WeightSequence(np.zeros(16)), 16) == 0.0
 
 
 def test_rhaly_adjoint_integral_from_moments():

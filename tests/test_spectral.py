@@ -335,7 +335,7 @@ def test_spectrum_region_cesaro():
 
 
 def test_spectrum_region_dirac_weights_degenerate_to_points():
-    weights = WeightSequence(0.5 ** np.arange(128) + 0j)
+    weights = WeightSequence(0.5 ** np.arange(128))
     region = spectrum_region(weights, boundedness_report(weights, 128))
     assert region.disc_center is None
     assert 0.0 in region.points
@@ -351,7 +351,7 @@ def test_spectrum_region_rejects_leibowitz():
 
 def test_spectrum_region_requires_a_limit():
     n = np.arange(512)
-    weights = WeightSequence((2.0 + (-1.0) ** n) / (n + 1.0) + 0j)
+    weights = WeightSequence((2.0 + (-1.0) ** n) / (n + 1.0))
     report = boundedness_report(weights, 512)
     with pytest.raises(HypothesesNotMetError):
         spectrum_region(weights, report)
