@@ -2,10 +2,27 @@
 
 The numerical range of a matrix compression is sampled through its support
 function h(theta) = lambda_max(Re(e^{i theta} A)); the minimum real part of
-the range equals the smallest eigenvalue of the Hermitian part.  A matrix
-whose Hermitian part is positive semidefinite generates a contraction
-semigroup: ||exp(-tau A)|| <= 1 for all tau >= 0, checked with the exact
-spectral norm (the largest singular value).
+the range equals the smallest eigenvalue of the Hermitian part.  Each matrix
+takes one exact path:
+
+* A Hermitian matrix (the real symmetric Hankel moment matrix) is normal, so
+  its range is the segment [lambda_min, lambda_max]: one eigvalsh gives
+  h(theta) = cos(theta) lambda_max when cos(theta) >= 0 and
+  cos(theta) lambda_min otherwise.
+* Any other real matrix (terraced) has a range symmetric about the real
+  axis, so only the angles theta <= pi are solved; h(2 pi - theta) = h(theta)
+  and the boundary point there is the conjugate.  Each solved angle takes the
+  top eigenpair of cos(theta) S + sin(theta) iK, with S and K the symmetric
+  and skew parts of A, and every boundary point <A v, v> comes from one
+  product after the loop.
+
+A matrix whose Hermitian part is positive semidefinite generates a
+contraction semigroup: ||exp(-tau A)|| <= 1 for all tau >= 0, checked with
+the exact spectral norm (the largest singular value), or for a Hermitian
+matrix as exp(-tau lambda_min).
+
+scipy.linalg is imported inside the functions that call it, which keeps it
+out of the CLI's start-up.
 """
 
 from __future__ import annotations
@@ -13,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,6 +48,18 @@ class FovResult:
     dim: int
 
 
+def _is_hermitian(matrix: np.ndarray) -> bool:
+    """Exact test A == A*: the Hankel moment matrix passes, a terraced one does not."""
+    return np.array_equal(matrix, matrix.conj().T)
+
+
+def _square(matrix) -> np.ndarray:
+    m = np.asarray(matrix)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("expected a square matrix")
+    return m
+
+
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix)
     return 0.5 * (m + m.conj().T)
@@ -39,30 +67,48 @@ def hermitian_part(matrix: np.ndarray) -> np.ndarray:
 
 def hermitian_min_eig(matrix: np.ndarray) -> float:
     """Smallest eigenvalue of (A + A*)/2."""
-    m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
-    return float(np.linalg.eigvalsh(hermitian_part(m))[0])
+    return float(np.linalg.eigvalsh(hermitian_part(_square(matrix)))[0])
 
 
 def fov_boundary(matrix: np.ndarray, n_angles: int = 256) -> FovResult:
     """Sample h(theta) = lambda_max(Re(e^{i theta} A)) on a uniform angle grid
-    and collect the boundary points <A v, v> of the extreme eigenvectors."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
+    and collect the boundary points <A v, v> of the extreme eigenvectors.
+    A must be real (a complex dtype with a zero imaginary part is accepted)."""
+    m = _square(matrix)
     if n_angles < 4:
         raise ValueError("need at least 4 angles")
+    if np.iscomplexobj(m):
+        if np.any(m.imag):
+            raise ValueError("fov_boundary needs a real matrix, got a nonzero imaginary part")
+        m = m.real
+    m = m.astype(np.float64, copy=False)
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    support = np.empty(n_angles)
-    boundary = np.empty(n_angles, dtype=complex)
-    for j, theta in enumerate(angles):
-        rotated = hermitian_part(np.exp(1j * theta) * m)
-        eigvals, eigvecs = np.linalg.eigh(rotated)
-        support[j] = eigvals[-1]
-        v = eigvecs[:, -1]
-        boundary[j] = v.conj() @ (m @ v)
-    min_real = hermitian_min_eig(m)
+    if _is_hermitian(m):
+        lam = np.linalg.eigvalsh(m)
+        cos = np.cos(angles)
+        right = cos >= 0.0
+        support = np.where(right, cos * lam[-1], cos * lam[0])
+        boundary = np.where(right, lam[-1], lam[0]).astype(complex)
+        min_real = float(lam[0])
+    else:
+        import scipy.linalg
+
+        dim = m.shape[0]
+        sym, iskew = hermitian_part(m), 0.5j * (m - m.T)
+        half = n_angles // 2 + 1  # theta_j <= pi; the rest mirror them
+        support = np.empty(n_angles)
+        vectors = np.empty((dim, half), dtype=complex)
+        for j, theta in enumerate(angles[:half]):
+            eigval, eigvec = scipy.linalg.eigh(np.cos(theta) * sym + np.sin(theta) * iskew,
+                                               subset_by_index=[dim - 1, dim - 1])
+            support[j] = eigval[0]
+            vectors[:, j] = eigvec[:, 0]
+        boundary = np.empty(n_angles, dtype=complex)
+        boundary[:half] = np.einsum("ij,ij->j", vectors.conj(), m @ vectors)
+        mirror = n_angles - np.arange(half, n_angles)
+        support[half:] = support[mirror]
+        boundary[half:] = boundary[mirror].conj()
+        min_real = hermitian_min_eig(m)
     return FovResult(
         angles=angles,
         support_values=support,
@@ -85,20 +131,31 @@ class ContractionResult:
 
 
 def contraction_check(matrix: np.ndarray, taus) -> ContractionResult:
-    """||exp(-tau A)|| for each tau, via the scaling-and-squaring matrix
-    exponential and the exact spectral norm; reports the max."""
+    """||exp(-tau A)|| for each tau; reports the max.  A Hermitian A takes one
+    eigvalsh, ||exp(-tau A)|| = exp(-tau lambda_min); any other A takes the
+    scaling-and-squaring matrix exponential and the exact spectral norm."""
     taus = np.asarray(list(taus), dtype=float)
     if taus.size == 0:
         raise ValueError("need at least one tau")
     if np.any(taus <= 0.0):
         raise ValueError("taus must be positive")
     m = np.asarray(matrix)
-    norms = np.empty(taus.size)
-    for i, tau in enumerate(taus):
-        # an overflow is reported once, by the finiteness check below
-        with np.errstate(over="ignore", invalid="ignore"):
-            exp_m = scipy.linalg.expm(-tau * m)
-        if not np.all(np.isfinite(exp_m)):
-            raise OverflowError(f"matrix exponential overflowed at tau={tau}")
-        norms[i] = spectral_norm(exp_m)
+    if _is_hermitian(m):
+        # exp(-tau H) is Hermitian with eigenvalues exp(-tau lambda), largest at lambda_min
+        with np.errstate(over="ignore"):
+            norms = np.exp(-taus * np.linalg.eigvalsh(m)[0])
+    else:
+        import scipy.linalg
+
+        norms = np.full(taus.size, np.inf)
+        for i, tau in enumerate(taus):
+            # an overflow is reported once, by the finiteness check below
+            with np.errstate(over="ignore", invalid="ignore"):
+                exp_m = scipy.linalg.expm(-tau * m)
+            if not np.all(np.isfinite(exp_m)):
+                break
+            norms[i] = spectral_norm(exp_m)
+    overflowed = ~np.isfinite(norms)
+    if overflowed.any():
+        raise OverflowError(f"matrix exponential overflowed at tau={taus[overflowed.argmax()]}")
     return ContractionResult(taus=taus, norms=norms, max_norm=float(norms.max()))

@@ -147,11 +147,12 @@ class HankelMomentOperator:
 
 
 def terraced_apply(op: TerracedOperator, x: np.ndarray) -> np.ndarray:
-    """y_n = a_n * sum(x[:n+1]); one prefix-sum pass, left-to-right order."""
+    """y_n = a_n * sum(x[:n+1]); one prefix-sum pass, left-to-right order.
+    A real x gives a real result."""
     x = np.asarray(x)
     if x.shape != (op.dim,):
         raise DimensionMismatchError(f"expected a vector of length {op.dim}, got {x.shape}")
-    return op.row_weights() * prefix_sums(x.astype(complex))
+    return op.row_weights() * prefix_sums(x)
 
 
 def terraced_apply_adjoint(op: TerracedOperator, x: np.ndarray) -> np.ndarray:
@@ -160,7 +161,7 @@ def terraced_apply_adjoint(op: TerracedOperator, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.shape != (op.dim,):
         raise DimensionMismatchError(f"expected a vector of length {op.dim}, got {x.shape}")
-    return suffix_sums(op.row_weights() * x.astype(complex))
+    return suffix_sums(op.row_weights() * x)
 
 
 def hankel_apply(op: HankelMomentOperator, x: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import GrowthEstimate, MomentSequence, fit_line
+from .numrange import _is_hermitian
 from .operators import (
     VERDICT_COMPACT,
     TerracedOperator,
@@ -341,7 +342,7 @@ def pseudospectrum_grid(op, window: tuple[float, float, float, float],
     matrix = dense(op)
     if matrix.shape[0] != dim:
         raise ValueError(f"dim {dim} does not match the operator's dimension {matrix.shape[0]}")
-    if np.array_equal(matrix, matrix.conj().T):
+    if _is_hermitian(matrix):
         lam = np.linalg.eigvalsh(matrix)
         shifted = lambda z: z - lam
     else:

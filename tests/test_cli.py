@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+
+import momentspectra
 
 from helpers import parse_complex
 from momentspectra.cli import main
@@ -203,14 +209,42 @@ def test_numeric_failure_exits_two_with_one_line(tmp_path, capsys):
     assert err.startswith("numeric error: ") and err.count("\n") == 1
 
 
-def test_eigensolver_failure_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
-    def failing_eigh(*args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+def _failing_eigensolver(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+
+def test_eigensolver_failure_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
+    # the terraced fov path takes the top eigenpair from scipy.linalg.eigh
+    monkeypatch.setattr(scipy.linalg, "eigh", _failing_eigensolver)
     code = main(["fov", "--measure", "lebesgue", "--dim", "8", "--out", str(tmp_path / "f")])
     assert code == 2
     assert capsys.readouterr().err == "numeric error: Eigenvalues did not converge\n"
+
+
+def test_hankel_eigensolver_failure_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
+    # the Hankel fov path takes one np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", _failing_eigensolver)
+    code = main(["fov", "--kind", "hankel", "--measure", "lebesgue", "--dim", "8",
+                 "--out", str(tmp_path / "f")])
+    assert code == 2
+    assert capsys.readouterr().err == "numeric error: Eigenvalues did not converge\n"
+
+
+def test_hankel_contraction_overflow_exits_two_with_one_line(tmp_path, capsys):
+    # exp(-1e6 lambda_min(H - 5I)) overflows on the one-eigvalsh path as well
+    code = main(["contraction", "--kind", "hankel", "--measure", "lebesgue", "--dim", "64",
+                 "--taus", "1e6", "--shift", "5", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == "numeric error: matrix exponential overflowed at tau=1000000.0\n"
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    src = Path(momentspectra.__file__).resolve().parents[1]
+    probe = "import sys, momentspectra.cli; print('scipy.linalg' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 @pytest.mark.parametrize(

@@ -123,6 +123,53 @@ def test_equivalence_of_min_eig_and_fov_min_on_catalog():
         assert result.min_real_part == pytest.approx(hermitian_min_eig(matrix), abs=1e-10)
 
 
+EPS = np.finfo(float).eps
+
+
+def dense_support_oracle(matrix: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """h(theta) by a full complex eigh of Re(e^{i theta} A) at every angle."""
+    values = []
+    for theta in angles:
+        rotated = np.exp(1j * theta) * matrix.astype(complex)
+        values.append(np.linalg.eigvalsh(0.5 * (rotated + rotated.conj().T))[-1])
+    return np.array(values)
+
+
+@pytest.mark.parametrize("kind, measure, dim", [
+    ("terraced", "lebesgue", 128),
+    ("terraced", "power(2)", 64),
+    ("terraced", "dirac(0)+0.5*lebesgue", 96),
+    ("hankel", "lebesgue", 128),
+    ("hankel", "dirac(0.5)", 64),
+])
+@pytest.mark.parametrize("n_angles", [48, 37])
+def test_fov_paths_match_the_per_angle_dense_oracle(kind, measure, dim, n_angles):
+    build = terraced_from_measure if kind == "terraced" else hankel_from_measure
+    matrix = build(measure, dim).dense()
+    result = fov_boundary(matrix, n_angles=n_angles)
+    tol = 2 * dim * EPS * np.linalg.norm(matrix, 2)
+    oracle = dense_support_oracle(matrix, result.angles)
+    assert np.max(np.abs(result.support_values - oracle)) <= tol
+    # each boundary point attains the support value: Re(e^{i theta} <Av, v>) = h(theta)
+    attained = (np.exp(1j * result.angles) * result.boundary_points).real
+    assert np.max(np.abs(attained - result.support_values)) <= tol
+    assert result.min_real_part == pytest.approx(hermitian_min_eig(matrix), abs=tol)
+
+
+@pytest.mark.parametrize("n_angles", [16, 17, 512, 513])
+def test_terraced_support_is_mirrored_exactly(n_angles):
+    matrix = terraced_from_measure("dirac(0)+0.5*lebesgue", 24).dense()
+    result = fov_boundary(matrix, n_angles=n_angles)
+    j = np.arange(1, (n_angles + 1) // 2)  # theta_j < pi; pi itself is its own mirror
+    assert np.array_equal(result.support_values[n_angles - j], result.support_values[j])
+    assert np.array_equal(result.boundary_points[n_angles - j], result.boundary_points[j].conj())
+
+
+def test_fov_refuses_a_complex_matrix():
+    with pytest.raises(ValueError, match="real matrix"):
+        fov_boundary(np.array([[1.0, 1j], [0.0, 1.0]]), n_angles=8)
+
+
 # --------------------------------------------------------------------------
 # spectral norm
 
@@ -174,6 +221,18 @@ def test_dissipativity_implies_contraction_on_catalog():
     for matrix in rhp_catalog_matrices(32).values():
         if hermitian_min_eig(matrix) >= 0.0:
             assert contraction_check(matrix, [0.5, 2.0]).max_norm <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("measure, shift", [("lebesgue", 0.0), ("lebesgue", 0.1),
+                                            ("dirac(0.5)", 0.0), ("power(2)", 0.3)])
+def test_hankel_contraction_matches_expm_and_svd_norm(measure, shift):
+    dim = 48
+    matrix = hankel_from_measure(measure, dim).dense() - shift * np.eye(dim)
+    result = contraction_check(matrix, [0.1, 1.0, 10.0])
+    for tau, norm in zip(result.taus, result.norms):
+        exact = np.linalg.svd(scipy.linalg.expm(-tau * matrix), compute_uv=False)[0]
+        assert abs(norm - exact) <= 4 * dim * EPS * exact
+    assert (result.max_norm > 1.0 + 1e-9) == (shift > 0.0)
 
 
 def test_contraction_overflow_reported():

@@ -113,6 +113,16 @@ def test_terraced_apply_matches_dense_oracle():
         assert np.linalg.norm(fast - slow) <= 1e-12 * np.linalg.norm(slow)
 
 
+@pytest.mark.parametrize("apply", [terraced_apply, terraced_apply_adjoint])
+def test_real_terraced_apply_is_the_real_part_of_the_complex_apply(apply):
+    rng = np.random.default_rng(22)
+    op = terraced_from_measure("dirac(0)+0.5*lebesgue", 257)
+    x = random_complex(rng, 257)
+    real = apply(op, x.real)
+    assert real.dtype == np.float64
+    assert np.array_equal(real, apply(op, x).real)
+
+
 def test_terraced_apply_dimension_mismatch():
     op = TerracedOperator(WeightSequence.cesaro(8), 8)
     with pytest.raises(DimensionMismatchError):
