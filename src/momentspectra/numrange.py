@@ -18,8 +18,7 @@ takes one exact path:
 
 A matrix whose Hermitian part is positive semidefinite generates a
 contraction semigroup: ||exp(-tau A)|| <= 1 for all tau >= 0, checked with
-the exact spectral norm (the largest singular value), or for a Hermitian
-matrix as exp(-tau lambda_min).
+the exact spectral norm (the largest singular value).
 
 scipy.linalg is imported inside the functions that call it, which keeps it
 out of the CLI's start-up.
@@ -108,7 +107,7 @@ def fov_boundary(matrix: np.ndarray, n_angles: int = 256) -> FovResult:
         mirror = n_angles - np.arange(half, n_angles)
         support[half:] = support[mirror]
         boundary[half:] = boundary[mirror].conj()
-        min_real = hermitian_min_eig(m)
+        min_real = float(np.linalg.eigvalsh(sym)[0])
     return FovResult(
         angles=angles,
         support_values=support,
@@ -131,31 +130,22 @@ class ContractionResult:
 
 
 def contraction_check(matrix: np.ndarray, taus) -> ContractionResult:
-    """||exp(-tau A)|| for each tau; reports the max.  A Hermitian A takes one
-    eigvalsh, ||exp(-tau A)|| = exp(-tau lambda_min); any other A takes the
-    scaling-and-squaring matrix exponential and the exact spectral norm."""
+    """||exp(-tau A)|| for each tau, via the scaling-and-squaring matrix
+    exponential and the exact spectral norm; reports the max."""
     taus = np.asarray(list(taus), dtype=float)
     if taus.size == 0:
         raise ValueError("need at least one tau")
     if np.any(taus <= 0.0):
         raise ValueError("taus must be positive")
-    m = np.asarray(matrix)
-    if _is_hermitian(m):
-        # exp(-tau H) is Hermitian with eigenvalues exp(-tau lambda), largest at lambda_min
-        with np.errstate(over="ignore"):
-            norms = np.exp(-taus * np.linalg.eigvalsh(m)[0])
-    else:
-        import scipy.linalg
+    import scipy.linalg
 
-        norms = np.full(taus.size, np.inf)
-        for i, tau in enumerate(taus):
-            # an overflow is reported once, by the finiteness check below
-            with np.errstate(over="ignore", invalid="ignore"):
-                exp_m = scipy.linalg.expm(-tau * m)
-            if not np.all(np.isfinite(exp_m)):
-                break
-            norms[i] = spectral_norm(exp_m)
-    overflowed = ~np.isfinite(norms)
-    if overflowed.any():
-        raise OverflowError(f"matrix exponential overflowed at tau={taus[overflowed.argmax()]}")
+    m = np.asarray(matrix)
+    norms = np.empty(taus.size)
+    for i, tau in enumerate(taus):
+        # an overflow is reported once, by the finiteness check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            exp_m = scipy.linalg.expm(-tau * m)
+        if not np.all(np.isfinite(exp_m)):
+            raise OverflowError(f"matrix exponential overflowed at tau={tau}")
+        norms[i] = spectral_norm(exp_m)
     return ContractionResult(taus=taus, norms=norms, max_norm=float(norms.max()))

@@ -231,7 +231,7 @@ def test_hankel_eigensolver_failure_exits_two_with_one_line(tmp_path, capsys, mo
 
 
 def test_hankel_contraction_overflow_exits_two_with_one_line(tmp_path, capsys):
-    # exp(-1e6 lambda_min(H - 5I)) overflows on the one-eigvalsh path as well
+    # exp(-1e6 (H - 5I)) overflows for the symmetric Hankel matrix as for a terraced one
     code = main(["contraction", "--kind", "hankel", "--measure", "lebesgue", "--dim", "64",
                  "--taus", "1e6", "--shift", "5", "--out", str(tmp_path / "o")])
     assert code == 2
