@@ -4,6 +4,9 @@ plus a run manifest into an output directory.
 Exit codes: 0 when all checks pass, 2 when a numeric check fails its
 tolerance or a computation fails numerically (overflow, a degenerate
 recurrence, quadrature or eigensolver failure), 1 on usage or input errors.
+The manifest records the run's status: "ok" with the handler's exit code,
+or "error" with the exit code and message of a numeric or input error
+raised once --out is known.
 """
 
 from __future__ import annotations
@@ -109,9 +112,16 @@ class ArtifactWriter:
         (self.out / name).write_text(text)
         self.files.append(name)
 
-    def write_manifest(self, command: str, inputs: dict, tolerances: dict, wall_ms: int):
+    def write_manifest(self, command: str, inputs: dict, tolerances: dict, wall_ms: int,
+                       exit_code: int, error: str | None = None):
+        """status is "ok" when the handler returned (exit_code then says
+        whether its checks passed) and "error" with the one-line message when
+        it raised a numeric or input error."""
         manifest = {
             "command": command,
+            "status": "ok" if error is None else "error",
+            "exit_code": exit_code,
+            **({} if error is None else {"error": error}),
             "inputs": inputs,
             "tolerances": tolerances,
             "outputs": sorted(self.files) + ["manifest.json"],
@@ -496,12 +506,31 @@ def run(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     handler = _COMMANDS[args.command][0]
     writer = ArtifactWriter(args.out)
-    start = time.perf_counter()
-    code, tolerances = handler(args, writer)
-    wall_ms = int((time.perf_counter() - start) * 1000)
     inputs = {k: v for k, v in vars(args).items() if k not in ("command", "out", "config")}
-    writer.write_manifest(args.command, inputs, tolerances, wall_ms)
+    start = time.perf_counter()
+    try:
+        code, tolerances = handler(args, writer)
+    except _REPORTED as exc:
+        wall_ms = int((time.perf_counter() - start) * 1000)
+        writer.write_manifest(args.command, inputs, {}, wall_ms, *_failure(exc))
+        raise
+    wall_ms = int((time.perf_counter() - start) * 1000)
+    writer.write_manifest(args.command, inputs, tolerances, wall_ms, code)
     return code
+
+
+#: numeric and input errors: reported as one line and an exit code, not a traceback
+_REPORTED = (ArithmeticError, QuadratureError, ValueError, OSError)
+
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    """(exit code, one-line message) of an error in _REPORTED."""
+    if isinstance(exc, (MeasureSyntaxError, MeasureParameterError)):
+        return 1, f"measure error: {exc}"
+    # before ValueError: LinAlgError subclasses it
+    if isinstance(exc, (ArithmeticError, QuadratureError, np.linalg.LinAlgError)):
+        return 2, f"numeric error: {exc}"
+    return 1, f"input error: {exc}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -513,16 +542,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except (MeasureSyntaxError, MeasureParameterError) as exc:
-        print(f"measure error: {exc}", file=sys.stderr)
-        return 1
-    # before ValueError: LinAlgError subclasses it
-    except (ArithmeticError, QuadratureError, np.linalg.LinAlgError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
+    except _REPORTED as exc:
+        code, line = _failure(exc)
+        print(line, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -18,6 +18,9 @@ _ORDER = 15
 _NODES, _WEIGHTS = leggauss(_ORDER)
 # bisections per integral: bounds the work an unreachable tolerance can cost
 MAX_PANELS = 4096
+# a tol below this many eps times |first panel estimate| is under the
+# rounding of the panel sums themselves, so no bisection can certify it
+TOL_FLOOR_EPS = 4
 # bisection depth: keeps the recursion within Python's limit where the budget
 # alone would not (a slow decay such as power(0.001) near 0), and below
 # 2**-52 of the interval halving gains nothing in double precision
@@ -50,15 +53,24 @@ def integrate(f, a: float, b: float, tol: float = 1e-13) -> tuple[float, float]:
     the sum of its halves drops below the panel's share of the tolerance;
     accumulated discrepancies form the reported error bound.  Refinement
     stops after MAX_PANELS bisections, so an unreachable tol costs bounded
-    work.
+    work, and a tol below TOL_FLOOR_EPS eps |first panel estimate| is
+    refused before any bisection.
 
     Returns (value, error_bound).  Raises QuadratureError when the bound
     cannot be pushed below tol within that budget; the exception reports
-    the achieved bound.
+    the achieved bound (the rounding floor when tol is refused up front).
     """
     if b <= a:
         return 0.0, 0.0
-    value, bound = _refine(f, a, b, _panel(f, a, b), tol, _MAX_DEPTH, [0])
+    whole = _panel(f, a, b)
+    floor = TOL_FLOOR_EPS * np.finfo(float).eps * abs(whole)
+    if tol < floor:
+        raise QuadratureError(
+            f"adaptive quadrature stalled before refining: tol {tol:.3e} is below the "
+            f"rounding floor {floor:.3e} ({TOL_FLOOR_EPS} eps |value|)",
+            floor,
+        )
+    value, bound = _refine(f, a, b, whole, tol, _MAX_DEPTH, [0])
     if bound > tol:
         raise QuadratureError(
             f"adaptive quadrature stalled at error bound {bound:.3e} (tol {tol:.3e})",

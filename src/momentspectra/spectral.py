@@ -7,11 +7,20 @@ sums.  With s_n ~ beta*log n the test term behaves like mu_n * n^(beta/mu_k),
 so membership reduces to a power-law exponent threshold at -1/2; bounded
 partial sums make every moment an eigenvalue.  The adjoint's point spectrum
 contains the open disc centered at beta with radius beta.
+
+Pseudospectra sample sigma_min(zI - A) on a grid, one exact path per family.
+A Hermitian (Hankel) matrix costs one eigvalsh per grid.  A terraced zI - R
+is lower triangular, so sigma_min = 1 / ||(zI - R)^{-1}|| comes from inverse
+Lanczos: Golub-Kahan bidiagonalisation of the inverse, two triangular solves
+per step, stopped by the residual of the top Ritz triplet (Trefethen,
+"Computation of pseudospectra", Acta Numerica 8, 1999).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -241,7 +250,9 @@ def eigenvector_residual(ms: MomentSequence, k: int, dim: int,
     x[:dim] = vec.values
     op = TerracedOperator(WeightSequence.from_moments(ms), big)
     r = terraced_apply(op, x) - ms.values[k] * x
-    return float(np.linalg.norm(r) / np.linalg.norm(x))
+    # pairwise sums of squares: a BLAS dot over 32768 entries near 1 drops
+    # their low bits and put ||x|| 27 eps off an exactly summed norm
+    return math.sqrt(np.sum(r * r)) / math.sqrt(np.sum(x * x))
 
 
 def adjoint_eigenvector(ms: MomentSequence, nu: complex, dim: int) -> np.ndarray:
@@ -318,13 +329,126 @@ class PseudospectrumGrid:
     sigma_min: np.ndarray
 
 
+@lru_cache(maxsize=2)
+def _start_vector(n: int) -> np.ndarray:
+    """Fixed unit start vector of the bidiagonalisation: seeded, so repeated
+    runs are byte-identical."""
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    v.flags.writeable = False
+    return v
+
+
+#: absolute tolerance of the bisection: the smallest LAPACK recommends, for
+#: the highest relative accuracy
+_BISECTION_TOL = 2 * np.finfo(float).tiny
+
+
+def _top_ritz(alphas: np.ndarray, betas: np.ndarray) -> tuple[float, float]:
+    """(theta_1, |e_k^T y_1|) of the k x k upper bidiagonal with diagonal
+    alphas and superdiagonal betas: its largest singular value and the last
+    entry of its top left singular vector.
+
+    They come from the 2k x 2k Golub-Kahan tridiagonal, zero diagonal and
+    off-diagonal (alpha_1, beta_1, ..., alpha_k), whose eigenvalues are
+    +-theta_i and whose top eigenvector interleaves (z_1, y_1)/sqrt(2).
+    Bisection (dstebz) and inverse iteration (dstein) cost O(k), where a
+    dense SVD of the bidiagonal costs O(k^3), and bisection to the smallest
+    absolute tolerance gives theta_1 to high relative accuracy.
+    """
+    from scipy.linalg.lapack import dstebz, dstein
+
+    k = alphas.size
+    diagonal = np.zeros(2 * k)
+    off = np.empty(2 * k - 1)
+    off[0::2], off[1::2] = alphas, betas
+    # an exact power-of-two scale to order 1: the bisection squares entries
+    scale = 2.0 ** math.frexp(off.max())[1]
+    off /= scale
+    m, w, block, split, info = dstebz(diagonal, off, 2, 0.0, 0.0, 2 * k, 2 * k,
+                                      _BISECTION_TOL, "B")
+    if info == 0 and m == 1:
+        vector, info = dstein(diagonal, off, w[:1], block, split)
+    if info or m != 1:
+        raise np.linalg.LinAlgError(f"top singular triplet of the {k} x {k} bidiagonal "
+                                    f"did not converge")
+    return scale * float(w[0]), math.sqrt(2.0) * abs(vector[-1, 0])
+
+
+def _norm_of_inverse(t: np.ndarray) -> float:
+    """||T^{-1}|| of a nonsingular lower triangular T (complex, Fortran order)
+    by Golub-Kahan bidiagonalisation of T^{-1} (inverse Lanczos).
+
+    Step k applies T^{-1} and T^{-*} by one ztrsv each, reorthogonalises the
+    new vector against its whole basis, and takes the top singular triplet
+    (theta_1, y_1) of the k x k upper bidiagonal (`_top_ritz`).  Its residual
+    is beta_k |e_k^T y_1|, and some singular value of T^{-1} lies within it
+    of theta_1.  The run stops when the residual is at most 2 eps theta_1,
+    which also covers beta_k <= eps theta_1 (an invariant subspace).  A test
+    on residual^2 / (theta_1 - theta_2) stops sooner but is fooled by a pair
+    of close singular values that the Krylov space has not yet split, as
+    repeated weights give.  By step n the Krylov space is the whole space,
+    so a run that has not stopped by then, or whose solve overflows, raises
+    ArithmeticError: no unconverged estimate is returned.
+    """
+    from scipy.linalg.blas import dznrm2, ztrsv
+
+    n = t.shape[0]
+    eps = np.finfo(float).eps
+
+    def solve(x: np.ndarray, trans: int) -> np.ndarray:
+        y = ztrsv(t, x, lower=1, trans=trans)
+        if not math.isfinite(dznrm2(y)):
+            raise ArithmeticError("sigma_min below the float range: a triangular solve "
+                                  "overflowed")
+        return y
+
+    # row k of vs (us) is v_{k+1} (u_{k+1}); both grow by doubling, so a
+    # short run never allocates dim rows
+    vs = np.empty((min(n, 16), n), dtype=complex)
+    us = np.empty_like(vs)
+    alphas, betas = np.empty(n), np.empty(n)  # diagonal and superdiagonal
+    v = vs[0] = _start_vector(n)
+    p = solve(v, 0)
+    for k in range(1, n + 1):
+        alpha = alphas[k - 1] = dznrm2(p)
+        u = us[k - 1] = p / alpha
+        r = solve(u, 2) - alpha * v
+        r -= (vs[:k] @ r.conj()).conj() @ vs[:k]
+        beta = betas[k - 1] = dznrm2(r)
+        theta, last = _top_ritz(alphas[:k], betas[:k - 1])
+        if beta * last <= 2.0 * eps * theta:
+            return theta
+        if k == n:
+            break
+        if k == vs.shape[0]:
+            more = np.empty((min(k, n - k), n), dtype=complex)
+            vs, us = np.concatenate([vs, more]), np.concatenate([us, more])
+        v = vs[k] = r / beta
+        p = solve(v, 0) - beta * u
+        p -= (us[:k] @ p.conj()).conj() @ us[:k]
+    raise ArithmeticError(f"inverse Lanczos for sigma_min did not converge in {n} steps")
+
+
 def smallest_singular_value(matrix: np.ndarray) -> float:
-    """sigma_min of a square matrix by a full SVD, exact to rounding at every
-    dim.  A 1-D argument is read as the diagonal of a diagonal matrix, whose
+    """sigma_min of a square lower triangular matrix T, such as zI - R for a
+    terraced R, as 1 / ||T^{-1}|| by inverse Lanczos (`_norm_of_inverse`):
+    two triangular solves per step and no dense factorisation.  The result
+    is within about 2 eps relative of the exact sigma_min of the matrix the
+    solves see, so within the Weyl bound dim eps ||T|| of a dense SVD.  A
+    diagonal entry of exactly 0 gives 0.0; a matrix with a nonzero entry
+    above the diagonal is refused (ValueError).
+
+    A 1-D argument is read as the diagonal of a diagonal matrix, whose
     singular values are the moduli of its entries."""
     if matrix.ndim == 1:
         return float(np.min(np.abs(matrix)))
-    return float(np.linalg.svd(matrix, compute_uv=False)[-1])
+    if np.triu(matrix, 1).any():
+        raise ValueError("sigma_min needs a lower triangular matrix or a diagonal vector")
+    if not matrix.diagonal().all():
+        return 0.0
+    return 1.0 / _norm_of_inverse(np.asarray(matrix, dtype=complex, order="F"))
 
 
 def pseudospectrum_grid(op, window: tuple[float, float, float, float],
@@ -333,7 +457,10 @@ def pseudospectrum_grid(op, window: tuple[float, float, float, float],
     the window (re0, re1, im0, im1); rows follow im_axis, columns re_axis.
     dim must equal the side of A's dense matrix.
     A Hermitian A = Q diag(lam) Q* (Hankel) takes one eigvalsh per grid: the
-    unitary Q keeps sigma_min = min |z - lam|.  Others (terraced) take an SVD per point."""
+    unitary Q keeps sigma_min = min |z - lam|.  A lower triangular A
+    (terraced) takes one inverse Lanczos run per point on one complex buffer
+    holding -A, whose diagonal each point rewrites to z - a_n.  Any other
+    matrix is refused (ValueError)."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     re0, re1, im0, im1 = window
@@ -346,8 +473,12 @@ def pseudospectrum_grid(op, window: tuple[float, float, float, float],
         lam = np.linalg.eigvalsh(matrix)
         shifted = lambda z: z - lam
     else:
-        identity = np.eye(dim, dtype=complex)
-        shifted = lambda z: z * identity - matrix
+        weights = matrix.diagonal()
+        buffer = np.array(-matrix, dtype=complex, order="F")
+
+        def shifted(z):
+            np.fill_diagonal(buffer, z - weights)
+            return buffer
     # one call per grid point on both paths: perfbench times sigma_min per point
     values = [smallest_singular_value(shifted(complex(re, im)))
               for im in im_axis for re in re_axis]

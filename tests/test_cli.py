@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 import momentspectra
+from momentspectra import spectral
 
 from helpers import parse_complex
 from momentspectra.cli import main
@@ -391,6 +392,53 @@ def test_manifest_written_last_and_lists_everything(tmp_path):
     assert set(manifest["outputs"]) == on_disk
     assert manifest["tool_version"]
     assert isinstance(manifest["wall_time_ms"], int)
+    assert manifest["status"] == "ok" and manifest["exit_code"] == 0
+    assert "error" not in manifest
+
+
+def test_failed_check_is_status_ok_with_its_exit_code(tmp_path):
+    # the handler ran to the end; only its contraction gate failed
+    out = tmp_path / "neg"
+    assert main(["contraction", "--measure", "lebesgue", "--dim", "16", "--shift", "0.1",
+                 "--out", str(out)]) == 2
+    manifest = read_json(out / "manifest.json")
+    assert (manifest["status"], manifest["exit_code"]) == ("ok", 2)
+
+
+@pytest.mark.parametrize("args, code, line", [
+    (["contraction", "--measure", "lebesgue", "--dim", "64", "--taus", "1e6", "--shift", "5"],
+     2, "numeric error: matrix exponential overflowed at tau=1000000.0"),
+    (["moments", "--measure", "power(2.5)", "--quadrature", "--n", "8", "--tol", "1e-18"],
+     2, "numeric error: adaptive quadrature stalled before refining"),
+    (["moments", "--measure", "dirac(2)", "--n", "4"],
+     1, "measure error: "),
+    (["hilbert", "--max-index", "2", "--dims", ""], 1, "input error: empty"),
+])
+def test_failed_run_leaves_a_manifest_with_status_error(tmp_path, capsys, args, code, line):
+    out = tmp_path / "err"
+    assert main(args + ["--out", str(out)]) == code
+    printed = capsys.readouterr().err
+    manifest = read_json(out / "manifest.json")
+    assert manifest["status"] == "error" and manifest["exit_code"] == code
+    assert manifest["error"] == printed.rstrip("\n") and manifest["error"].startswith(line)
+    assert manifest["command"] == args[0] and manifest["tolerances"] == {}
+    assert set(manifest["outputs"]) == {p.name for p in out.iterdir()}
+
+
+def test_unconverged_sigma_min_exits_two_with_a_manifest(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(spectral, "_top_ritz", lambda alphas, betas: (1.0, np.inf))
+    out = tmp_path / "p"
+    assert main(["pseudo", "--weights", "cesaro", "--window=0.2,0.4,0.1,0.3", "--res", "2",
+                 "--dim", "16", "--out", str(out)]) == 2
+    line = "numeric error: inverse Lanczos for sigma_min did not converge in 16 steps"
+    assert capsys.readouterr().err == line + "\n"
+    assert read_json(out / "manifest.json")["error"] == line
+
+
+def test_usage_error_writes_no_manifest(tmp_path):
+    out = tmp_path / "usage"
+    assert main(["pseudo", "--measure", "lebesgue", "--res", "4", "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------------

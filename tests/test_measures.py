@@ -16,6 +16,7 @@ from momentspectra import (
     moments,
     parse_measure,
 )
+from momentspectra.quadrature import TOL_FLOOR_EPS, QuadratureError, integrate
 
 
 # --------------------------------------------------------------------------
@@ -167,6 +168,23 @@ def test_quadrature_matches_closed_forms(text):
     assert closed.error_bounds is None
     assert quad.error_bounds.shape == (32,)
     assert np.all(quad.error_bounds <= 1e-13)
+
+
+def test_tolerance_below_rounding_is_refused_before_refining():
+    calls = []
+
+    def f(t):
+        calls.append(t.size)
+        return t ** 2
+
+    with pytest.raises(QuadratureError, match="rounding floor") as info:
+        integrate(f, 0.0, 1.0, tol=1e-18)
+    assert len(calls) == 1  # the first panel only: no bisection was spent
+    floor = TOL_FLOOR_EPS * np.finfo(float).eps / 3.0
+    assert info.value.achieved_bound == pytest.approx(floor, rel=1e-15)
+    # at the floor itself the refinement runs and meets the tolerance
+    value, bound = integrate(lambda t: t ** 2, 0.0, 1.0, tol=info.value.achieved_bound)
+    assert abs(value - 1.0 / 3.0) <= 1e-16 and bound <= info.value.achieved_bound
 
 
 def test_pure_dirac_quadrature_stays_closed_form():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from momentspectra import (
     pseudospectrum_grid,
     smallest_singular_value,
     spectrum_region,
+    terraced_apply,
 )
 from momentspectra import spectral
 from momentspectra.measures import MomentSequence, moments
@@ -170,6 +173,20 @@ def test_embedded_residuals_decrease_for_square_summable_verdicts():
                          for dim in (200, 400, 800)]
             for before, after in zip(residuals, residuals[1:]):
                 assert after < before or before <= floor
+
+
+def test_embedded_residual_norm_matches_a_compensated_sum_at_dim_32768():
+    # the eigencheck-lebesgue job of the benchmark: k = 0, embed 2, where
+    # x is 32768 entries near 1 and a BLAS dot norm was 27 eps off
+    dim, k = 32768, 0
+    ms = measure_moments("lebesgue", 2 * dim)
+    x = np.zeros(2 * dim)
+    x[:dim] = eigenvector(ms, k, dim).values
+    r = terraced_apply(TerracedOperator(WeightSequence.from_moments(ms), 2 * dim), x) \
+        - ms.values[k] * x
+    compensated = math.sqrt(math.fsum(r * r)) / math.sqrt(math.fsum(x * x))
+    residual = eigenvector_residual(ms, k, dim, embed_factor=2)
+    assert abs(residual - compensated) <= 2 * np.finfo(float).eps * compensated
 
 
 def test_eigenvector_recurrence_guard():
@@ -423,7 +440,7 @@ def test_pseudospectrum_grid_rejects_a_dim_other_than_the_operators():
 
 
 def test_pseudospectrum_grid_terraced_above_dim_512_matches_svd():
-    # the terraced family takes a full SVD per point at every dim
+    # the terraced family takes one inverse Lanczos run per point at every dim
     op = terraced_from_measure("lebesgue", 544)
     grid = pseudospectrum_grid(op, (0.4, 0.6, 0.7, 0.8), 2, 544)
     z = complex(grid.re_axis[0], grid.im_axis[0])
@@ -432,18 +449,112 @@ def test_pseudospectrum_grid_terraced_above_dim_512_matches_svd():
     assert grid.sigma_min[0, 0] == pytest.approx(direct, rel=1e-13)
 
 
+EPS = np.finfo(float).eps
+CESARO_WINDOW = (-0.25, 2.25, -1.25, 1.25)
+
+
+def _weyl_tolerance(matrix: np.ndarray, z: complex) -> float:
+    # a backward-stable solver is off by at most about dim eps ||zI - A||
+    return matrix.shape[0] * EPS * (np.linalg.norm(matrix) + abs(z))
+
+
+def _assert_grid_matches_svd(grid, matrix: np.ndarray):
+    dim = matrix.shape[0]
+    for i, im in enumerate(grid.im_axis):
+        for j, re in enumerate(grid.re_axis):
+            z = complex(re, im)
+            direct = np.linalg.svd(z * np.eye(dim) - matrix, compute_uv=False)[-1]
+            assert abs(grid.sigma_min[i, j] - direct) <= _weyl_tolerance(matrix, z), z
+
+
+@pytest.mark.parametrize("op, window, res", [
+    (TerracedOperator(WeightSequence.cesaro(128), 128), CESARO_WINDOW, 9),
+    (terraced_from_measure("dirac(0)+0.5*lebesgue", 96), CESARO_WINDOW, 7),
+    # zero weights: those rows of zI - R are z e_n, and z = 0 is a grid point
+    (TerracedOperator(WeightSequence.leibowitz_squares(100), 100), (-0.5, 1.5, -1.0, 1.0), 9),
+], ids=["cesaro128", "atom-plus-lebesgue96", "leibowitz100"])
+def test_pseudospectrum_grid_terraced_matches_svd_at_every_point(op, window, res):
+    grid = pseudospectrum_grid(op, window, res, op.dim)
+    _assert_grid_matches_svd(grid, op.dense())
+
+
+def test_sigma_min_is_exactly_zero_where_z_is_a_weight():
+    op = TerracedOperator(WeightSequence.cesaro(64), 64)
+    grid = pseudospectrum_grid(op, (0.0, 2.0, -1.0, 1.0), 3, 64)  # centre z = 1 = a_0
+    assert grid.sigma_min[1, 1] == 0.0
+    assert np.all(np.delete(grid.sigma_min.ravel(), 4) > 0.0)
+    leibowitz = TerracedOperator(WeightSequence.leibowitz_squares(50), 50).dense()
+    assert smallest_singular_value(-leibowitz.astype(complex)) == 0.0  # z = 0 = a_0
+
+
+def test_sigma_min_refuses_a_non_triangular_matrix():
+    rng = np.random.default_rng(3)
+    matrix = np.tril(rng.standard_normal((12, 12))) + 0j
+    matrix[2, 7] = 1e-300  # one entry above the diagonal is enough
+    with pytest.raises(ValueError, match="lower triangular"):
+        smallest_singular_value(matrix)
+    with pytest.raises(ValueError, match="lower triangular"):
+        pseudospectrum_grid(rng.standard_normal((12, 12)), (0, 1, 0, 1), 2, 12)
+
+
+def test_sigma_min_overflow_raises_instead_of_returning_an_estimate():
+    # sigma_min is about 1e-600: the second solve entry overflows
+    matrix = np.array([[1e-300, 0.0], [1.0, 1e-300]], dtype=complex)
+    with pytest.raises(ArithmeticError, match="overflowed"):
+        smallest_singular_value(matrix)
+
+
+def test_sigma_min_work_is_bounded_by_dim_steps(monkeypatch):
+    # a Ritz residual that never falls: the run stops after dim steps and
+    # raises instead of returning its estimate
+    steps = []
+
+    def never_converged(alphas, betas):
+        steps.append(alphas.size)
+        return 1.0, math.inf
+
+    monkeypatch.setattr(spectral, "_top_ritz", never_converged)
+    matrix = 0.5j * np.eye(24) - TerracedOperator(WeightSequence.cesaro(24), 24).dense()
+    with pytest.raises(ArithmeticError, match="did not converge in 24 steps"):
+        smallest_singular_value(matrix)
+    assert steps == list(range(1, 25))
+
+
+def test_sigma_min_is_byte_identical_across_calls():
+    op = TerracedOperator(WeightSequence.cesaro(96), 96)
+    first = pseudospectrum_grid(op, CESARO_WINDOW, 4, 96).sigma_min
+    second = pseudospectrum_grid(op, CESARO_WINDOW, 4, 96).sigma_min
+    assert first.tobytes() == second.tobytes()
+    matrix = (0.3 + 0.4j) * np.eye(96) - op.dense()
+    assert smallest_singular_value(matrix) == smallest_singular_value(matrix.copy())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(1e-3, 2.0), min_size=2, max_size=200),
+       st.floats(-1.0, 3.0), st.floats(-2.0, 2.0))
+def test_sigma_min_matches_svd_for_random_positive_weights(weights, re, im):
+    dim = len(weights)
+    matrix = TerracedOperator(WeightSequence(np.array(weights)), dim).dense()
+    z = complex(re, im)
+    direct = np.linalg.svd(z * np.eye(dim) - matrix, compute_uv=False)[-1]
+    try:
+        sigma = smallest_singular_value(z * np.eye(dim) - matrix)
+    except ArithmeticError:
+        # a solve overflowed, so sigma_min is below the float range: the SVD
+        # must see zero to rounding there
+        sigma = 0.0
+    # both the engine and the LAPACK oracle are within the Weyl bound of the
+    # exact value, so they may differ by twice it (at dim 2 with weights
+    # 2^-4, 0.001 and z = 1.328125i they err by -1.6 and +1.4 ulp against a
+    # 40-digit SVD, 3 ulp apart where the bound is 2.8 ulp)
+    assert abs(sigma - direct) <= 2 * _weyl_tolerance(matrix, z)
+
+
 def test_pseudospectrum_grid_hankel_matches_svd_at_every_point():
     # the Hilbert matrix is real symmetric: one eigvalsh serves the grid
     op = hankel_from_measure("lebesgue", 128)
     grid = pseudospectrum_grid(op, (-0.5, 2.0, -1.0, 1.0), 8, 128)
-    matrix = op.dense()
-    for i, im in enumerate(grid.im_axis):
-        for j, re in enumerate(grid.re_axis):
-            z = complex(re, im)
-            direct = np.linalg.svd(z * np.eye(128) - matrix, compute_uv=False)[-1]
-            # Weyl: a backward-stable solver is off by at most about dim eps ||zI - H||
-            tol = 128 * np.finfo(float).eps * (np.linalg.norm(matrix) + abs(z))
-            assert abs(grid.sigma_min[i, j] - direct) <= tol
+    _assert_grid_matches_svd(grid, op.dense())
 
 
 @pytest.mark.parametrize("build", [terraced_from_measure, hankel_from_measure])
