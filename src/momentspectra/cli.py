@@ -45,6 +45,7 @@ from .operators import (
     WeightSequence,
     benchmark_apply,
     boundedness_report,
+    check_dense_limit,
     dense,
 )
 from .quadrature import QuadratureError
@@ -302,6 +303,9 @@ def _cmd_pseudo(args, writer: ArtifactWriter):
     window = _parse_floats(args.window)
     if len(window) != 4:
         raise ValueError("window must be re0,re1,im0,im1")
+    if args.dump_matrix:
+        # the terraced grid has no dense limit, but the dumped matrix has
+        check_dense_limit(args.dim)
     op = _build_operator(args, args.dim)
     grid = pseudospectrum_grid(op, tuple(window), args.res, args.dim)
     writer.write_text("pseudo.csv", grid_csv(grid))

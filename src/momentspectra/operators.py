@@ -123,12 +123,17 @@ class TerracedOperator:
 
 @dataclass(frozen=True, eq=False)
 class HankelMomentOperator:
-    """Truncation of the Hankel matrix (mu_{m+n}) of a moment sequence."""
+    """Truncation of the Hankel matrix (mu_{m+n}) of a moment sequence.  The
+    moments are one real float64 vector; a complex array is refused, not
+    cast, so the dense matrix is real symmetric."""
 
     moments: np.ndarray
     dim: int
 
     def __post_init__(self):
+        if np.iscomplexobj(self.moments):
+            raise ValueError("Hankel moments must be real, got a complex array")
+        object.__setattr__(self, "moments", np.asarray(self.moments, dtype=np.float64))
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
         if self.moments.ndim != 1 or self.moments.size < 2 * self.dim - 1:
@@ -138,12 +143,12 @@ class HankelMomentOperator:
 
     @classmethod
     def from_moments(cls, ms: MomentSequence, dim: int) -> "HankelMomentOperator":
-        return cls(np.asarray(ms.values, dtype=float), dim)
+        return cls(ms.values, dim)
 
     def dense(self, limit: int = DENSE_LIMIT) -> np.ndarray:
         check_dense_limit(self.dim, limit)
         idx = np.add.outer(np.arange(self.dim), np.arange(self.dim))
-        return np.asarray(self.moments)[idx]
+        return self.moments[idx]
 
 
 def terraced_apply(op: TerracedOperator, x: np.ndarray) -> np.ndarray:
@@ -170,7 +175,7 @@ def hankel_apply(op: HankelMomentOperator, x: np.ndarray) -> np.ndarray:
     n = op.dim
     if x.shape != (n,):
         raise DimensionMismatchError(f"expected a vector of length {n}, got {x.shape}")
-    mu = np.asarray(op.moments)[: 2 * n - 1]
+    mu = op.moments[: 2 * n - 1]
     xc = x.astype(complex)
     if n < FFT_THRESHOLD:
         windows = np.lib.stride_tricks.sliding_window_view(mu, n)
@@ -178,7 +183,7 @@ def hankel_apply(op: HankelMomentOperator, x: np.ndarray) -> np.ndarray:
     length = scipy.fft.next_fast_len(3 * n - 2)
     conv = scipy.fft.ifft(scipy.fft.fft(mu, length) * scipy.fft.fft(xc[::-1], length))
     y = conv[n - 1 : 2 * n - 1]
-    if np.isrealobj(mu) and np.isrealobj(x):
+    if np.isrealobj(x):
         return y.real.astype(complex)
     return y
 

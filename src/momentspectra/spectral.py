@@ -11,9 +11,10 @@ contains the open disc centered at beta with radius beta.
 Pseudospectra sample sigma_min(zI - A) on a grid, one exact path per family.
 A Hermitian (Hankel) matrix costs one eigvalsh per grid.  A terraced zI - R
 is lower triangular, so sigma_min = 1 / ||(zI - R)^{-1}|| comes from inverse
-Lanczos: Golub-Kahan bidiagonalisation of the inverse, two triangular solves
-per step, stopped by the residual of the top Ritz triplet (Trefethen,
-"Computation of pseudospectra", Acta Numerica 8, 1999).
+Lanczos: Golub-Kahan bidiagonalisation of the inverse, stopped by the
+residual of the top Ritz triplet (Trefethen, "Computation of pseudospectra",
+Acta Numerica 8, 1999).  Each step makes two O(n) banded solves on the
+weights, one with zI - R and one with its adjoint; no matrix is formed.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ from functools import lru_cache
 import numpy as np
 
 from .measures import GrowthEstimate, MomentSequence, fit_line
-from .numrange import _is_hermitian
 from .operators import (
     VERDICT_COMPACT,
+    HankelMomentOperator,
     TerracedOperator,
     WeightSequence,
-    dense,
     terraced_apply,
     terraced_apply_adjoint,
 )
@@ -376,12 +376,20 @@ def _top_ritz(alphas: np.ndarray, betas: np.ndarray) -> tuple[float, float]:
     return scale * float(w[0]), math.sqrt(2.0) * abs(vector[-1, 0])
 
 
-def _norm_of_inverse(t: np.ndarray) -> float:
-    """||T^{-1}|| of a nonsingular lower triangular T (complex, Fortran order)
+def _norm_of_inverse(diagonal: np.ndarray, weights: np.ndarray) -> float:
+    """||T^{-1}|| of the nonsingular lower triangular T = diag(d) - L(a),
+    where L(a) holds a_m at every (m, n) with n < m (T = zI - R for d = z - a),
     by Golub-Kahan bidiagonalisation of T^{-1} (inverse Lanczos).
 
-    Step k applies T^{-1} and T^{-*} by one ztrsv each, reorthogonalises the
-    new vector against its whole basis, and takes the top singular triplet
+    T is never formed.  With S_m = x_0 + ... + x_m, T x = b is the banded
+    lower triangular system d_m x_m - a_m S_{m-1} = b_m, S_m - S_{m-1} - x_m
+    = 0 in the unknowns interleaved as (x_0, S_0, x_1, S_1, ...), bandwidth 2.
+    One ztbsv solves it in O(n): b goes into the even slots and x comes back
+    from them.  The same band with trans=2 gives T^{-*} b exactly, since
+    T^{-1} = P M^{-1} P* for the band M and P* putting b into the even slots.
+
+    Step k applies T^{-1} and T^{-*} once each, reorthogonalises the new
+    vector against its whole basis, and takes the top singular triplet
     (theta_1, y_1) of the k x k upper bidiagonal (`_top_ritz`).  Its residual
     is beta_k |e_k^T y_1|, and some singular value of T^{-1} lies within it
     of theta_1.  The run stops when the residual is at most 2 eps theta_1,
@@ -392,20 +400,27 @@ def _norm_of_inverse(t: np.ndarray) -> float:
     so a run that has not stopped by then, or whose solve overflows, raises
     ArithmeticError: no unconverged estimate is returned.
     """
-    from scipy.linalg.blas import dznrm2, ztrsv
+    from scipy.linalg.blas import dznrm2, ztbsv
 
-    n = t.shape[0]
+    n = diagonal.size
     eps = np.finfo(float).eps
+    # Fortran order: f2py copies a C-ordered band on every call
+    band = np.zeros((3, 2 * n), dtype=complex, order="F")
+    band[0, 0::2], band[0, 1::2] = diagonal, 1.0
+    band[1, 0::2], band[1, 1:-1:2] = -1.0, -weights[1:]
+    band[2, 1:-1:2] = -1.0
+    rhs = np.empty(2 * n, dtype=complex)
 
-    def solve(x: np.ndarray, trans: int) -> np.ndarray:
-        y = ztrsv(t, x, lower=1, trans=trans)
+    def solve(b: np.ndarray, trans: int) -> np.ndarray:
+        rhs[0::2], rhs[1::2] = b, 0.0
+        y = ztbsv(2, band, rhs, lower=1, trans=trans)[0::2]
         if not math.isfinite(dznrm2(y)):
             raise ArithmeticError("sigma_min below the float range: a triangular solve "
                                   "overflowed")
         return y
 
     # row k of vs (us) is v_{k+1} (u_{k+1}); both grow by doubling, so a
-    # short run never allocates dim rows
+    # short run never allocates n rows
     vs = np.empty((min(n, 16), n), dtype=complex)
     us = np.empty_like(vs)
     alphas, betas = np.empty(n), np.empty(n)  # diagonal and superdiagonal
@@ -431,56 +446,59 @@ def _norm_of_inverse(t: np.ndarray) -> float:
     raise ArithmeticError(f"inverse Lanczos for sigma_min did not converge in {n} steps")
 
 
-def smallest_singular_value(matrix: np.ndarray) -> float:
-    """sigma_min of a square lower triangular matrix T, such as zI - R for a
-    terraced R, as 1 / ||T^{-1}|| by inverse Lanczos (`_norm_of_inverse`):
-    two triangular solves per step and no dense factorisation.  The result
-    is within about 2 eps relative of the exact sigma_min of the matrix the
-    solves see, so within the Weyl bound dim eps ||T|| of a dense SVD.  A
-    diagonal entry of exactly 0 gives 0.0; a matrix with a nonzero entry
-    above the diagonal is refused (ValueError).
+def smallest_singular_value(diagonal: np.ndarray, weights: np.ndarray | None = None) -> float:
+    """sigma_min of T = diag(d) - L(a), where L(a) holds the weight a_m at
+    every (m, n) with n < m; for d = z - a this is zI - R of a terraced R.
 
-    A 1-D argument is read as the diagonal of a diagonal matrix, whose
-    singular values are the moduli of its entries."""
-    if matrix.ndim == 1:
-        return float(np.min(np.abs(matrix)))
-    if np.triu(matrix, 1).any():
-        raise ValueError("sigma_min needs a lower triangular matrix or a diagonal vector")
-    if not matrix.diagonal().all():
+    Without weights T is the diagonal matrix diag(d), whose singular values
+    are the moduli of its entries.  With weights, a d_m of exactly 0 gives
+    0.0, and otherwise the result is 1 / ||T^{-1}|| by inverse Lanczos on
+    banded O(n) solves (`_norm_of_inverse`), with no matrix formed.  It is
+    within about 2 eps relative of the exact sigma_min of the system the
+    solves see, so within the Weyl bound dim eps ||T|| of a dense SVD.  A
+    diagonal that is not 1-D, or weights of another shape, are refused
+    (ValueError)."""
+    diagonal = np.asarray(diagonal)
+    if diagonal.ndim != 1:
+        raise ValueError(f"sigma_min needs a 1-D diagonal, got shape {diagonal.shape}")
+    if weights is None:
+        return float(np.min(np.abs(diagonal)))
+    if np.shape(weights) != diagonal.shape:
+        raise ValueError(f"weights of shape {np.shape(weights)} do not match the diagonal's "
+                         f"{diagonal.shape}")
+    if not diagonal.all():
         return 0.0
-    return 1.0 / _norm_of_inverse(np.asarray(matrix, dtype=complex, order="F"))
+    return 1.0 / _norm_of_inverse(diagonal, np.asarray(weights))
 
 
 def pseudospectrum_grid(op, window: tuple[float, float, float, float],
                         resolution: int, dim: int) -> PseudospectrumGrid:
     """Evaluate sigma_min(z I - A_dim) on a resolution x resolution grid over
     the window (re0, re1, im0, im1); rows follow im_axis, columns re_axis.
-    dim must equal the side of A's dense matrix.
-    A Hermitian A = Q diag(lam) Q* (Hankel) takes one eigvalsh per grid: the
-    unitary Q keeps sigma_min = min |z - lam|.  A lower triangular A
-    (terraced) takes one inverse Lanczos run per point on one complex buffer
-    holding -A, whose diagonal each point rewrites to z - a_n.  Any other
-    matrix is refused (ValueError)."""
+    dim must equal the operator's dim.
+    A terraced A = R takes one inverse Lanczos run per point on its weights
+    a: zI - R = diag(z - a) - L(a), solved banded with no matrix formed and
+    no dense limit.  A Hankel A = Q diag(lam) Q* takes one eigvalsh of its
+    dense matrix per grid: the unitary Q keeps sigma_min = min |z - lam|.
+    Any other operator is refused (ValueError)."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    if not isinstance(op, (TerracedOperator, HankelMomentOperator)):
+        raise ValueError(f"pseudospectra need a terraced or Hankel operator, "
+                         f"got {type(op).__name__}")
+    if op.dim != dim:
+        raise ValueError(f"dim {dim} does not match the operator's dimension {op.dim}")
     re0, re1, im0, im1 = window
     re_axis = np.linspace(re0, re1, resolution)
     im_axis = np.linspace(im0, im1, resolution)
-    matrix = dense(op)
-    if matrix.shape[0] != dim:
-        raise ValueError(f"dim {dim} does not match the operator's dimension {matrix.shape[0]}")
-    if _is_hermitian(matrix):
-        lam = np.linalg.eigvalsh(matrix)
-        shifted = lambda z: z - lam
+    if isinstance(op, TerracedOperator):
+        a = op.row_weights()
+        point = lambda z: (z - a, a)
     else:
-        weights = matrix.diagonal()
-        buffer = np.array(-matrix, dtype=complex, order="F")
-
-        def shifted(z):
-            np.fill_diagonal(buffer, z - weights)
-            return buffer
+        lam = np.linalg.eigvalsh(op.dense())
+        point = lambda z: (z - lam, None)
     # one call per grid point on both paths: perfbench times sigma_min per point
-    values = [smallest_singular_value(shifted(complex(re, im)))
+    values = [smallest_singular_value(*point(complex(re, im)))
               for im in im_axis for re in re_axis]
     grid = np.array(values).reshape(resolution, resolution)
     return PseudospectrumGrid(re_axis=re_axis, im_axis=im_axis, sigma_min=grid)

@@ -30,22 +30,29 @@ def _gray(level: float) -> str:
 
 
 def heatmap_svg(values: np.ndarray, extent: tuple[float, float, float, float]) -> str:
-    """Grid heatmap; cell brightness grows with the log of the value, floored
-    well above the subnormal range."""
+    """Grid heatmap; cell brightness grows with the log of the value, scaled
+    over the range of the positive values alone.  A zero (sigma_min at an
+    eigenvalue) draws black, so it cannot stretch the scale; positive values
+    that are all equal draw white."""
     grid = np.asarray(values, dtype=float)
     if grid.size == 0:
         raise ValueError("empty data")
-    grid = np.log10(np.maximum(grid, 1e-300))
-    lo = float(grid.min())
-    hi = float(grid.max())
-    span = hi - lo if hi > lo else 1.0
+    positive = grid > 0.0
+    logs = np.log10(np.where(positive, grid, 1.0))
+    lo = float(logs[positive].min()) if positive.any() else 0.0
+    hi = float(logs[positive].max()) if positive.any() else 0.0
     rows, cols = grid.shape
     cell_w = SIZE / cols
     cell_h = SIZE / rows
     body = []
     for i in range(rows):
         for j in range(cols):
-            level = (grid[i, j] - lo) / span
+            if not positive[i, j]:
+                level = 0.0
+            elif hi > lo:
+                level = (logs[i, j] - lo) / (hi - lo)
+            else:
+                level = 1.0
             # row 0 is the lowest imaginary value; draw it at the bottom
             y = SIZE - (i + 1) * cell_h
             body.append(

@@ -252,11 +252,18 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     "args, side",
     [
         (["invariance", "--measure", "lebesgue", "--dim", "8193"], 8193),
+        # a terraced grid has no dense limit, but the dumped matrix has
+        (["pseudo", "--weights", "cesaro", "--window=0,2,-1,1", "--res", "2", "--dim", "8193",
+          "--dump-matrix"], 8193),
+        # the Hankel grid's eigvalsh takes the dense matrix
+        (["pseudo", "--kind", "hankel", "--measure", "lebesgue", "--window=0,2,-1,1",
+          "--res", "2", "--dim", "8193"], 8193),
     ],
 )
 def test_dense_limit_refused_before_allocating(tmp_path, capsys, args, side):
     assert main(args + ["--out", str(tmp_path / "d")]) == 1
     assert capsys.readouterr().err == f"input error: dim {side} exceeds dense limit 8192\n"
+    assert sorted(path.name for path in (tmp_path / "d").iterdir()) == ["manifest.json"]
 
 
 @pytest.mark.parametrize("max_index", [4096, 8191])
@@ -452,6 +459,26 @@ def test_heatmap_checkerboard_two_fill_levels():
         if line.startswith("<rect")
     }
     assert len(fills) == 2
+
+
+def test_heatmap_draws_zeros_black_and_scales_over_the_positive_values(tmp_path):
+    # z = 0 is a Leibowitz weight, so sigma_min is exactly 0 there; floored
+    # at 1e-300 it once stretched the scale so far that 79 of 81 cells drew
+    # within two gray levels of white
+    out = tmp_path / "leib"
+    assert main(["pseudo", "--weights", "leibowitz", "--window=-0.5,1.5,-1,1", "--res", "9",
+                 "--dim", "100", "--out", str(out)]) == 0
+    values = [float(line.split(",")[2])
+              for line in (out / "pseudo.csv").read_text().splitlines()[1:]]
+    # the rects follow the CSV order: rows by imaginary part, real axis fastest
+    levels = [int(line.split('fill="#')[1][:2], 16)
+              for line in (out / "pseudo.svg").read_text().splitlines()
+              if line.startswith("<rect")]
+    assert len(levels) == len(values) == 81
+    assert values[4 * 9 + 2] == 0.0  # z = 0
+    assert all(level == 0 for value, level in zip(values, levels) if value == 0.0)
+    positive = [level for value, level in zip(values, levels) if value > 0.0]
+    assert min(positive) == 0 and max(positive) == 255
 
 
 def test_heatmap_rejects_empty():

@@ -190,6 +190,17 @@ def test_hankel_apply_matches_dense_both_paths():
         assert np.linalg.norm(fast - slow) <= 1e-11 * np.linalg.norm(slow)
 
 
+def test_hankel_operator_refuses_complex_moments_and_stores_float64():
+    # eigvalsh on the dense matrix reads one triangle, so a complex
+    # symmetric (not Hermitian) matrix would be silently misread
+    for values in (np.zeros(11, dtype=complex), 1.0 / (np.arange(11) + 1.0) + 0j):
+        with pytest.raises(ValueError, match="real"):
+            HankelMomentOperator(values, 6)
+    op = HankelMomentOperator(np.arange(11), 6)
+    assert op.moments.dtype == np.float64
+    assert op.dense().dtype == np.float64
+
+
 def test_hankel_needs_enough_moments():
     with pytest.raises(InsufficientMomentsError):
         HankelMomentOperator(np.ones(10), 6)

@@ -26,6 +26,7 @@ from momentspectra import (
     terraced_apply,
 )
 from momentspectra import spectral
+from momentspectra.cli import main
 from momentspectra.measures import MomentSequence, moments
 from momentspectra.operators import DENSE_LIMIT, DenseLimitError
 from momentspectra.spectral import ANALYTIC, IN_L2, INCONCLUSIVE, NOT_IN_L2, NUMERIC_FIT
@@ -378,29 +379,34 @@ def test_spectrum_region_requires_a_limit():
 # pseudospectrum
 
 def test_sigma_min_vanishes_at_diagonal_entries():
-    op = terraced_from_measure("lebesgue", 64)
-    matrix = op.dense().astype(complex)
-    sigma = smallest_singular_value(0.5 * np.eye(64) - matrix)  # 0.5 is a weight
+    a = terraced_from_measure("lebesgue", 64).row_weights()
+    sigma = smallest_singular_value(0.5 - a, a)  # 0.5 is a weight
     assert sigma <= 1e-12
 
 
 def test_sigma_min_large_far_outside():
-    op = terraced_from_measure("lebesgue", 128)
-    matrix = op.dense().astype(complex)
-    sigma = smallest_singular_value(10.0 * np.eye(128) - matrix)
+    a = terraced_from_measure("lebesgue", 128).row_weights()
+    sigma = smallest_singular_value(10.0 - a, a)
     assert sigma >= 8.0
 
 
 def test_resolvent_grows_at_interior_points():
     # surrogate for the filled-disc spectrum: sigma_min at non-eigenvalue
-    # interior points decreases as the truncation grows; oracle is a direct
-    # SVD at each size
+    # interior points decreases as the truncation grows.  R is lower
+    # triangular, so (zI - R_N)^{-1} is a section of (zI - R_M)^{-1} for
+    # N < M and sigma_min never increases in N; the oracle is a direct SVD
+    # at each size up to 512, and the engine runs on to 65536
+    weights = terraced_from_measure("lebesgue", 65536).row_weights()
     for z in (1.0 + 0.5j, 0.5 + 0.75j):
-        values = []
-        for n in (64, 128, 256, 512):
-            matrix = terraced_from_measure("lebesgue", n).dense().astype(complex)
-            values.append(np.linalg.svd(z * np.eye(n) - matrix, compute_uv=False)[-1])
-        assert all(a > b for a, b in zip(values, values[1:]))
+        direct, engine = [], []
+        for n in 2 ** np.arange(6, 17):
+            engine.append(smallest_singular_value(z - weights[:n], weights[:n]))
+            if n <= 512:
+                matrix = terraced_from_measure("lebesgue", n).dense().astype(complex)
+                direct.append(np.linalg.svd(z * np.eye(n) - matrix, compute_uv=False)[-1])
+                assert abs(engine[-1] - direct[-1]) <= _weyl_tolerance(matrix, z)
+        assert all(a > b for a, b in zip(direct, direct[1:]))
+        assert all(a > b for a, b in zip(engine, engine[1:]))
 
 
 def test_sigma_min_of_a_diagonal_given_as_a_vector():
@@ -425,14 +431,14 @@ def test_pseudospectrum_grid_validates_inputs():
     op = terraced_from_measure("lebesgue", 16)
     with pytest.raises(ValueError):
         pseudospectrum_grid(op, (0, 1, 0, 1), 1, 16)
-    # dense() refuses before it allocates, so the oversized operator is cheap
+    # the Hankel grid's eigvalsh needs the dense matrix, and dense() refuses
+    # before it allocates, so the oversized operator is cheap
     big = DENSE_LIMIT + 1
     with pytest.raises(DenseLimitError):
-        pseudospectrum_grid(terraced_from_measure("lebesgue", big), (0, 1, 0, 1), 4, big)
+        pseudospectrum_grid(hankel_from_measure("lebesgue", big), (0, 1, 0, 1), 4, big)
 
 
 def test_pseudospectrum_grid_rejects_a_dim_other_than_the_operators():
-    # z * eye(dim) - A with dim 1 would broadcast, subtracting every entry from z
     op = TerracedOperator(WeightSequence.cesaro(16), 16)
     for dim in (1, 8, 17):
         with pytest.raises(ValueError, match="does not match"):
@@ -483,25 +489,30 @@ def test_sigma_min_is_exactly_zero_where_z_is_a_weight():
     grid = pseudospectrum_grid(op, (0.0, 2.0, -1.0, 1.0), 3, 64)  # centre z = 1 = a_0
     assert grid.sigma_min[1, 1] == 0.0
     assert np.all(np.delete(grid.sigma_min.ravel(), 4) > 0.0)
-    leibowitz = TerracedOperator(WeightSequence.leibowitz_squares(50), 50).dense()
-    assert smallest_singular_value(-leibowitz.astype(complex)) == 0.0  # z = 0 = a_0
+    leibowitz = WeightSequence.leibowitz_squares(50).values
+    assert smallest_singular_value(0j - leibowitz, leibowitz) == 0.0  # z = 0 = a_0
 
 
-def test_sigma_min_refuses_a_non_triangular_matrix():
-    rng = np.random.default_rng(3)
-    matrix = np.tril(rng.standard_normal((12, 12))) + 0j
-    matrix[2, 7] = 1e-300  # one entry above the diagonal is enough
-    with pytest.raises(ValueError, match="lower triangular"):
-        smallest_singular_value(matrix)
-    with pytest.raises(ValueError, match="lower triangular"):
-        pseudospectrum_grid(rng.standard_normal((12, 12)), (0, 1, 0, 1), 2, 12)
+def test_sigma_min_refuses_a_matrix_or_weights_of_another_shape():
+    # a matrix is no longer an argument: read as a diagonal it would give
+    # min |entries| and pass a vanishing test vacuously
+    a = WeightSequence.cesaro(12).values
+    matrix = 0.5j * np.eye(12) - TerracedOperator(WeightSequence(a), 12).dense()
+    for weights in (None, a):
+        with pytest.raises(ValueError, match="1-D diagonal"):
+            smallest_singular_value(matrix, weights)
+    for weights in (a[:11], np.tril(np.ones((12, 12))) * a[:, None]):
+        with pytest.raises(ValueError, match="do not match"):
+            smallest_singular_value(0.5j - a, weights)
+    with pytest.raises(ValueError, match="terraced or Hankel"):
+        pseudospectrum_grid(matrix, (0, 1, 0, 1), 2, 12)
 
 
 def test_sigma_min_overflow_raises_instead_of_returning_an_estimate():
-    # sigma_min is about 1e-600: the second solve entry overflows
-    matrix = np.array([[1e-300, 0.0], [1.0, 1e-300]], dtype=complex)
+    # T = [[1e-300, 0], [1, 1e-300]] (weight a_1 = -1 below the diagonal):
+    # sigma_min is about 1e-600, and the second solve entry overflows
     with pytest.raises(ArithmeticError, match="overflowed"):
-        smallest_singular_value(matrix)
+        smallest_singular_value(np.full(2, 1e-300 + 0j), np.array([0.0, -1.0]))
 
 
 def test_sigma_min_work_is_bounded_by_dim_steps(monkeypatch):
@@ -514,9 +525,9 @@ def test_sigma_min_work_is_bounded_by_dim_steps(monkeypatch):
         return 1.0, math.inf
 
     monkeypatch.setattr(spectral, "_top_ritz", never_converged)
-    matrix = 0.5j * np.eye(24) - TerracedOperator(WeightSequence.cesaro(24), 24).dense()
+    a = WeightSequence.cesaro(24).values
     with pytest.raises(ArithmeticError, match="did not converge in 24 steps"):
-        smallest_singular_value(matrix)
+        smallest_singular_value(0.5j - a, a)
     assert steps == list(range(1, 25))
 
 
@@ -525,8 +536,10 @@ def test_sigma_min_is_byte_identical_across_calls():
     first = pseudospectrum_grid(op, CESARO_WINDOW, 4, 96).sigma_min
     second = pseudospectrum_grid(op, CESARO_WINDOW, 4, 96).sigma_min
     assert first.tobytes() == second.tobytes()
-    matrix = (0.3 + 0.4j) * np.eye(96) - op.dense()
-    assert smallest_singular_value(matrix) == smallest_singular_value(matrix.copy())
+    a = op.row_weights()
+    diagonal = (0.3 + 0.4j) - a
+    assert smallest_singular_value(diagonal, a) == smallest_singular_value(diagonal.copy(),
+                                                                           a.copy())
 
 
 @settings(max_examples=60, deadline=None)
@@ -534,11 +547,12 @@ def test_sigma_min_is_byte_identical_across_calls():
        st.floats(-1.0, 3.0), st.floats(-2.0, 2.0))
 def test_sigma_min_matches_svd_for_random_positive_weights(weights, re, im):
     dim = len(weights)
-    matrix = TerracedOperator(WeightSequence(np.array(weights)), dim).dense()
+    a = np.array(weights)
+    matrix = TerracedOperator(WeightSequence(a), dim).dense()
     z = complex(re, im)
     direct = np.linalg.svd(z * np.eye(dim) - matrix, compute_uv=False)[-1]
     try:
-        sigma = smallest_singular_value(z * np.eye(dim) - matrix)
+        sigma = smallest_singular_value(z - a, a)
     except ArithmeticError:
         # a solve overflowed, so sigma_min is below the float range: the SVD
         # must see zero to rounding there
@@ -557,15 +571,26 @@ def test_pseudospectrum_grid_hankel_matches_svd_at_every_point():
     _assert_grid_matches_svd(grid, op.dense())
 
 
+def test_terraced_pseudo_never_materialises_the_matrix(tmp_path, monkeypatch):
+    def refuse(self, limit=DENSE_LIMIT):
+        raise AssertionError("a terraced grid built the dense matrix")
+
+    monkeypatch.setattr(TerracedOperator, "dense", refuse)
+    grid = pseudospectrum_grid(terraced_from_measure("lebesgue", 64), CESARO_WINDOW, 3, 64)
+    assert grid.sigma_min.shape == (3, 3)
+    assert main(["pseudo", "--weights", "cesaro", f"--window={','.join(map(str, CESARO_WINDOW))}",
+                 "--res", "3", "--dim", "64", "--out", str(tmp_path / "p")]) == 0
+
+
 @pytest.mark.parametrize("build", [terraced_from_measure, hankel_from_measure])
 def test_pseudospectrum_grid_calls_sigma_min_once_per_point(build, monkeypatch):
     # the perfbench traced run reads per-point sigma_min timings from these
     # calls (spectral.smallest_singular_value.*.s_per_point), for both families
     calls = []
 
-    def counting(matrix):
-        calls.append(matrix.shape)
-        return original(matrix)
+    def counting(diagonal, weights=None):
+        calls.append(diagonal.shape)
+        return original(diagonal, weights)
 
     original = spectral.smallest_singular_value
     monkeypatch.setattr(spectral, "smallest_singular_value", counting)
