@@ -2,8 +2,11 @@
 
 A terraced matrix has constant rows below the diagonal, entry (m, n) = a_m
 for n <= m; applying it reduces to one prefix-sum pass.  A Hankel moment
-matrix has entry (m, n) = mu_{m+n}; applying it is a convolution, done via
-an FFT circulant embedding above a size threshold.
+matrix has entry (m, n) = mu_{m+n}; applying it is a convolution of the
+real moments with the reversed vector.  Above a size threshold that
+convolution is circular, on numpy's real FFT at the smallest 5-smooth
+length L >= 2N-1: the wrap-around lands only in entries the apply discards.
+A real vector gives a real result for both families.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .measures import MomentSequence
 
@@ -169,23 +171,44 @@ def terraced_apply_adjoint(op: TerracedOperator, x: np.ndarray) -> np.ndarray:
     return suffix_sums(op.row_weights() * x)
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n, for n >= 1: a length numpy's FFT
+    factors into radix-2, 3 and 5 passes."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # the least power-of-two multiple of odd that reaches n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def hankel_apply(op: HankelMomentOperator, x: np.ndarray) -> np.ndarray:
-    """y_m = sum(mu_{m+n} x_n); FFT convolution above the size threshold."""
+    """y_m = sum(mu_{m+n} x_n), m < N; a real x gives a float64 result, a
+    complex x a complex one.
+
+    Below FFT_THRESHOLD the product is direct.  Above it y is entries
+    N-1..2N-2 of the convolution of mu[:2N-1] with reversed x, taken
+    circularly by rfft/irfft at the length L = _fast_len(2N-1).  The linear
+    convolution has 3N-2 entries, so wrap-around adds entry j + L into entry
+    j only for j <= 3N-3-L <= N-2, below the entries kept.  A complex x is
+    split into its real and imaginary parts, transformed as one batch.
+    """
     x = np.asarray(x)
     n = op.dim
     if x.shape != (n,):
         raise DimensionMismatchError(f"expected a vector of length {n}, got {x.shape}")
     mu = op.moments[: 2 * n - 1]
-    xc = x.astype(complex)
     if n < FFT_THRESHOLD:
-        windows = np.lib.stride_tricks.sliding_window_view(mu, n)
-        return windows @ xc
-    length = scipy.fft.next_fast_len(3 * n - 2)
-    conv = scipy.fft.ifft(scipy.fft.fft(mu, length) * scipy.fft.fft(xc[::-1], length))
-    y = conv[n - 1 : 2 * n - 1]
-    if np.isrealobj(x):
-        return y.real.astype(complex)
-    return y
+        return np.lib.stride_tricks.sliding_window_view(mu, n) @ x
+    length = _fast_len(2 * n - 1)
+    parts = np.stack((x.real, x.imag)) if np.iscomplexobj(x) else x
+    spectrum = np.fft.rfft(mu, length) * np.fft.rfft(parts[..., ::-1], length)
+    y = np.fft.irfft(spectrum, length)[..., n - 1 : 2 * n - 1]
+    return y[0] + 1j * y[1] if y.ndim == 2 else y
 
 
 def dense(op, limit: int = DENSE_LIMIT) -> np.ndarray:

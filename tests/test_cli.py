@@ -239,13 +239,21 @@ def test_hankel_contraction_overflow_exits_two_with_one_line(tmp_path, capsys):
     assert capsys.readouterr().err == "numeric error: matrix exponential overflowed at tau=1000000.0\n"
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
+def test_import_loads_no_scipy():
+    # scipy is imported inside the few functions that use it, so start-up
+    # pays for numpy alone
     src = Path(momentspectra.__file__).resolve().parents[1]
-    probe = "import sys, momentspectra.cli; print('scipy.linalg' in sys.modules)"
+    probe = ("import sys\n"
+             "def scipy_modules():\n"
+             "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+             "import momentspectra\n"
+             "print(scipy_modules())\n"
+             "import momentspectra.cli\n"
+             "print(scipy_modules())\n")
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout == "False\n"
+    assert done.stdout == "[]\n[]\n"
 
 
 @pytest.mark.parametrize(

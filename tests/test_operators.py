@@ -26,6 +26,7 @@ from momentspectra.operators import (
     FFT_THRESHOLD,
     DimensionMismatchError,
     InsufficientMomentsError,
+    _fast_len,
     benchmark_apply,
     prefix_sums,
     suffix_sums,
@@ -178,16 +179,33 @@ def test_hankel_hilbert_two_by_two():
     assert np.allclose(y, [1.5, 1.0 / 2.0 + 1.0 / 3.0])
 
 
+def test_fast_len_is_the_smallest_five_smooth_length():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    lengths = [m for m in range(1, 5400) if smooth(m)]
+    for n in range(1, 5001):
+        assert _fast_len(n) == next(m for m in lengths if m >= n), n
+
+
 def test_hankel_apply_matches_dense_both_paths():
     rng = np.random.default_rng(24)
-    for n in (16, 256, 1024):  # 16 exercises the direct path, the others FFT
+    # 16 exercises the direct path, the others FFT.  At 68, 113 and 122,
+    # 2n - 1 (135, 225, 243) is 5-smooth: the circular convolution is not
+    # padded, and its wrap-around ends on entry n - 2, the last discarded
+    for n in (16, 68, 113, 122, 256, 1024):
         mu = 1.0 / (np.arange(2 * n - 1) + 1.0)
         op = HankelMomentOperator(mu, n)
         matrix = op.dense()
-        x = random_complex(rng, n)
-        fast = hankel_apply(op, x)
-        slow = matrix @ x
-        assert np.linalg.norm(fast - slow) <= 1e-11 * np.linalg.norm(slow)
+        for x in (rng.standard_normal(n), random_complex(rng, n)):
+            fast = hankel_apply(op, x)
+            # a real x gives a real result
+            assert fast.dtype == (np.complex128 if np.iscomplexobj(x) else np.float64)
+            slow = matrix @ x
+            assert np.linalg.norm(fast - slow) <= 1e-11 * np.linalg.norm(slow)
 
 
 def test_hankel_operator_refuses_complex_moments_and_stores_float64():
