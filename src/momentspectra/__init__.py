@@ -29,16 +29,12 @@ from .operators import (
     TerracedOperator,
     WeightSequence,
     boundedness_report,
-    dense,
     hankel_apply,
     terraced_apply,
     terraced_apply_adjoint,
 )
 from .spectral import (
     ClassificationVerdict,
-    DegenerateAtZeroError,
-    DuplicateMomentsError,
-    Eigenvector,
     HypothesesNotMetError,
     SpectralRegion,
     adjoint_disc,
@@ -56,7 +52,6 @@ from .numrange import (
     FovResult,
     contraction_check,
     fov_boundary,
-    hermitian_min_eig,
     spectral_norm,
 )
 from .invariance import (

@@ -46,7 +46,6 @@ from .operators import (
     benchmark_apply,
     boundedness_report,
     check_dense_limit,
-    dense,
 )
 from .quadrature import QuadratureError
 from .serialize import (
@@ -271,7 +270,7 @@ def _cmd_adjoint_disc(args, writer: ArtifactWriter):
           ("--n", dict(type=int, default=256)))
 def _cmd_region(args, writer: ArtifactWriter):
     weights = _build_weights(args, args.n)
-    report = boundedness_report(weights, args.n)
+    report = boundedness_report(weights)
     payload = {
         "sup_weight": report.sup_weight,
         "limit_estimate": report.limit_estimate,
@@ -311,7 +310,7 @@ def _cmd_pseudo(args, writer: ArtifactWriter):
     writer.write_text("pseudo.csv", grid_csv(grid))
     writer.write_text("pseudo.svg", heatmap_svg(grid.sigma_min, tuple(window)))
     if args.dump_matrix:
-        writer.write_text("matrix.csv", matrix_csv(dense(op)))
+        writer.write_text("matrix.csv", matrix_csv(op.dense()))
     return 0, {}
 
 
@@ -322,7 +321,7 @@ def _cmd_pseudo(args, writer: ArtifactWriter):
           ("--require-rhp", dict(type=float, default=None, nargs="?", const=1e-10,
                                  help="fail (exit 2) when min Re W drops below -TOL")))
 def _cmd_fov(args, writer: ArtifactWriter):
-    result = fov_boundary(dense(_build_operator(args, args.dim)), n_angles=args.angles)
+    result = fov_boundary(_build_operator(args, args.dim).dense(), n_angles=args.angles)
     writer.write_text("fov.csv", fov_csv(result))
     writer.write_text("fov.svg", boundary_svg(result.boundary_points))
     payload = {
@@ -346,7 +345,7 @@ def _cmd_fov(args, writer: ArtifactWriter):
                            help="check A - shift*I instead (negative control)")),
           ("--tol", dict(type=float, default=1e-9)))
 def _cmd_contraction(args, writer: ArtifactWriter):
-    matrix = dense(_build_operator(args, args.dim))
+    matrix = _build_operator(args, args.dim).dense()
     if args.shift:
         matrix = matrix - args.shift * np.eye(args.dim)
     result = contraction_check(matrix, _parse_floats(args.taus))
@@ -417,9 +416,14 @@ def _cmd_invariance(args, writer: ArtifactWriter):
           ("--dims", dict(default="64,128,256")),
           ("--tol", dict(type=float, default=1e-12)))
 def _cmd_hilbert(args, writer: ArtifactWriter):
-    largest = (operators_mod.DENSE_LIMIT - 1) // 2  # Bernstein table side 2 max-index + 1
+    limit = operators_mod.DENSE_LIMIT
+    largest = (limit - 1) // 2  # Bernstein table side 2 max-index + 1
     if args.max_index > largest:
         raise ValueError(f"--max-index {args.max_index} exceeds {largest} (dense limit)")
+    # nested sections: the norm check is an oracle only on increasing dims
+    dims = _parse_ints(args.dims)
+    if not (all(a < b for a, b in zip(dims, dims[1:])) and 1 <= dims[0] and dims[-1] <= limit):
+        raise ValueError(f"--dims {args.dims} must increase strictly, each entry in 1..{limit}")
     dim = args.max_index + 1
     columns = []
     ok = True
@@ -431,7 +435,7 @@ def _cmd_hilbert(args, writer: ArtifactWriter):
     norms = []
     previous = 0.0
     nondecreasing = True
-    for d in _parse_ints(args.dims):
+    for d in dims:
         ms = moments(parse_measure("lebesgue"), 2 * d - 1)
         matrix = HankelMomentOperator.from_moments(ms, d).dense()
         norm = spectral_norm(matrix)

@@ -52,12 +52,6 @@ class MeasureParameterError(ValueError):
     """Weight or atom parameter outside its admissible range."""
 
 
-def _number_text(x: float) -> str:
-    """Shortest digits that parse back to x, never repr's 1e-05 exponents;
-    abs drops the sign of -0.0, the one negative value an atom accepts."""
-    return np.format_float_positional(abs(x), trim="-")
-
-
 @dataclass(frozen=True)
 class Dirac:
     """Point mass at t, 0 <= t < 1."""
@@ -70,9 +64,6 @@ class Dirac:
 
     def closed_moments(self, ns: np.ndarray) -> np.ndarray:
         return np.power(self.t, ns.astype(float))
-
-    def text(self) -> str:
-        return f"dirac({_number_text(self.t)})"
 
 
 @dataclass(frozen=True)
@@ -92,9 +83,6 @@ class Lebesgue:
     def quadrature_moment(self, n: int, tol: float) -> tuple[float, float]:
         return integrate(lambda t: t**n, 0.0, self.r, tol)
 
-    def text(self) -> str:
-        return "lebesgue" if self.r == 1.0 else f"lebesgue({_number_text(self.r)})"
-
 
 @dataclass(frozen=True)
 class PowerDensity:
@@ -111,9 +99,6 @@ class PowerDensity:
 
     def quadrature_moment(self, n: int, tol: float) -> tuple[float, float]:
         return integrate(lambda t: t ** (n + self.alpha), 0.0, 1.0, tol)
-
-    def text(self) -> str:
-        return f"power({_number_text(self.alpha)})"
 
 
 @dataclass(frozen=True)
@@ -143,9 +128,6 @@ class LogPowerDensity:
         )
         return value, bound
 
-    def text(self) -> str:
-        return f"logpower({_number_text(self.s)})"
-
 
 Atom = Union[Dirac, Lebesgue, PowerDensity, LogPowerDensity]
 
@@ -162,13 +144,6 @@ class MeasureSpec:
         for weight, _ in self.terms:
             if not (weight > 0.0) or not math.isfinite(weight):
                 raise MeasureParameterError(f"term weights must be positive, got {weight}")
-
-    def text(self) -> str:
-        parts = []
-        for weight, atom in self.terms:
-            prefix = "" if weight == 1.0 else f"{_number_text(weight)}*"
-            parts.append(prefix + atom.text())
-        return "+".join(parts)
 
 
 # --------------------------------------------------------------------------

@@ -1,15 +1,16 @@
 """Field-of-values estimation and contraction-semigroup checks.
 
-The numerical range of a matrix compression is sampled through its support
-function h(theta) = lambda_max(Re(e^{i theta} A)); the minimum real part of
-the range equals the smallest eigenvalue of the Hermitian part.  Each matrix
-takes one exact path:
+The numerical range of a real square matrix A (every operator the package
+builds is real) is sampled through its support function
+h(theta) = lambda_max(Re(e^{i theta} A)); the minimum real part of the range
+equals the smallest eigenvalue of the symmetric part (A + A^T)/2.  Each
+matrix takes one exact path:
 
-* A Hermitian matrix (the real symmetric Hankel moment matrix) is normal, so
-  its range is the segment [lambda_min, lambda_max]: one eigvalsh gives
+* A symmetric matrix (the Hankel moment matrix) is normal, so its range is
+  the segment [lambda_min, lambda_max]: one eigvalsh gives
   h(theta) = cos(theta) lambda_max when cos(theta) >= 0 and
   cos(theta) lambda_min otherwise.
-* Any other real matrix (terraced) has a range symmetric about the real
+* Any other matrix (terraced) has a range symmetric about the real
   axis, so only the angles theta <= pi are solved; h(2 pi - theta) = h(theta)
   and the boundary point there is the conjugate.  Each solved angle takes the
   top eigenpair of cos(theta) S + sin(theta) iK, with S and K the symmetric
@@ -37,7 +38,7 @@ class FovResult:
 
     boundary_points[j] = <A v, v> for the extreme unit eigenvector v at
     angle theta_j; min_real_part equals -h(pi), the smallest eigenvalue of
-    the Hermitian part.
+    the symmetric part.
     """
 
     angles: np.ndarray
@@ -47,42 +48,22 @@ class FovResult:
     dim: int
 
 
-def _is_hermitian(matrix: np.ndarray) -> bool:
-    """Exact test A == A*: the Hankel moment matrix passes, a terraced one does not."""
-    return np.array_equal(matrix, matrix.conj().T)
-
-
-def _square(matrix) -> np.ndarray:
-    m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
-    return m
-
-
-def hermitian_part(matrix: np.ndarray) -> np.ndarray:
-    m = np.asarray(matrix)
-    return 0.5 * (m + m.conj().T)
-
-
-def hermitian_min_eig(matrix: np.ndarray) -> float:
-    """Smallest eigenvalue of (A + A*)/2."""
-    return float(np.linalg.eigvalsh(hermitian_part(_square(matrix)))[0])
-
-
 def fov_boundary(matrix: np.ndarray, n_angles: int = 256) -> FovResult:
     """Sample h(theta) = lambda_max(Re(e^{i theta} A)) on a uniform angle grid
     and collect the boundary points <A v, v> of the extreme eigenvectors.
-    A must be real (a complex dtype with a zero imaginary part is accepted)."""
-    m = _square(matrix)
+    A must be a real square matrix: any complex array is refused."""
+    m = np.asarray(matrix)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("expected a square matrix")
     if n_angles < 4:
         raise ValueError("need at least 4 angles")
     if np.iscomplexobj(m):
-        if np.any(m.imag):
-            raise ValueError("fov_boundary needs a real matrix, got a nonzero imaginary part")
-        m = m.real
+        raise ValueError("fov_boundary needs a real matrix, got a complex array")
     m = m.astype(np.float64, copy=False)
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    if _is_hermitian(m):
+    dim = m.shape[0]
+    # exact test A == A^T: the Hankel moment matrix passes, a terraced one does not
+    if np.array_equal(m, m.T):
         lam = np.linalg.eigvalsh(m)
         cos = np.cos(angles)
         right = cos >= 0.0
@@ -92,8 +73,7 @@ def fov_boundary(matrix: np.ndarray, n_angles: int = 256) -> FovResult:
     else:
         import scipy.linalg
 
-        dim = m.shape[0]
-        sym, iskew = hermitian_part(m), 0.5j * (m - m.T)
+        sym, iskew = 0.5 * (m + m.T), 0.5j * (m - m.T)
         half = n_angles // 2 + 1  # theta_j <= pi; the rest mirror them
         support = np.empty(n_angles)
         vectors = np.empty((dim, half), dtype=complex)
@@ -113,7 +93,7 @@ def fov_boundary(matrix: np.ndarray, n_angles: int = 256) -> FovResult:
         support_values=support,
         boundary_points=boundary,
         min_real_part=min_real,
-        dim=m.shape[0],
+        dim=dim,
     )
 
 

@@ -31,22 +31,10 @@ VERDICT_INAPPLICABLE = "TestInapplicable"
 LIMIT_OSCILLATION_TOL = 1e-3
 
 
-class DimensionMismatchError(ValueError):
-    pass
-
-
-class InsufficientMomentsError(ValueError):
-    pass
-
-
-class DenseLimitError(ValueError):
-    pass
-
-
 def check_dense_limit(side: int, limit: int = DENSE_LIMIT) -> None:
     """Refuse a side x side dense matrix above the limit, before allocating it."""
     if side > limit:
-        raise DenseLimitError(f"dim {side} exceeds dense limit {limit}")
+        raise ValueError(f"dim {side} exceeds dense limit {limit}")
 
 
 def prefix_sums(x: np.ndarray) -> np.ndarray:
@@ -139,9 +127,7 @@ class HankelMomentOperator:
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
         if self.moments.ndim != 1 or self.moments.size < 2 * self.dim - 1:
-            raise InsufficientMomentsError(
-                f"need at least {2 * self.dim - 1} moments for dim {self.dim}"
-            )
+            raise ValueError(f"need at least {2 * self.dim - 1} moments for dim {self.dim}")
 
     @classmethod
     def from_moments(cls, ms: MomentSequence, dim: int) -> "HankelMomentOperator":
@@ -158,7 +144,7 @@ def terraced_apply(op: TerracedOperator, x: np.ndarray) -> np.ndarray:
     A real x gives a real result."""
     x = np.asarray(x)
     if x.shape != (op.dim,):
-        raise DimensionMismatchError(f"expected a vector of length {op.dim}, got {x.shape}")
+        raise ValueError(f"expected a vector of length {op.dim}, got {x.shape}")
     return op.row_weights() * prefix_sums(x)
 
 
@@ -167,7 +153,7 @@ def terraced_apply_adjoint(op: TerracedOperator, x: np.ndarray) -> np.ndarray:
     matrix, which is its adjoint; one suffix-sum pass, right to left."""
     x = np.asarray(x)
     if x.shape != (op.dim,):
-        raise DimensionMismatchError(f"expected a vector of length {op.dim}, got {x.shape}")
+        raise ValueError(f"expected a vector of length {op.dim}, got {x.shape}")
     return suffix_sums(op.row_weights() * x)
 
 
@@ -200,7 +186,7 @@ def hankel_apply(op: HankelMomentOperator, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     n = op.dim
     if x.shape != (n,):
-        raise DimensionMismatchError(f"expected a vector of length {n}, got {x.shape}")
+        raise ValueError(f"expected a vector of length {n}, got {x.shape}")
     mu = op.moments[: 2 * n - 1]
     if n < FFT_THRESHOLD:
         return np.lib.stride_tricks.sliding_window_view(mu, n) @ x
@@ -209,17 +195,6 @@ def hankel_apply(op: HankelMomentOperator, x: np.ndarray) -> np.ndarray:
     spectrum = np.fft.rfft(mu, length) * np.fft.rfft(parts[..., ::-1], length)
     y = np.fft.irfft(spectrum, length)[..., n - 1 : 2 * n - 1]
     return y[0] + 1j * y[1] if y.ndim == 2 else y
-
-
-def dense(op, limit: int = DENSE_LIMIT) -> np.ndarray:
-    """Dense materialization of a structured operator (or a matrix as-is)."""
-    if isinstance(op, (TerracedOperator, HankelMomentOperator)):
-        return op.dense(limit)
-    m = np.asarray(op)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
-    check_dense_limit(m.shape[0], limit)
-    return m
 
 
 @dataclass(frozen=True)
@@ -241,12 +216,13 @@ class BoundednessReport:
     verdict: str
 
 
-def boundedness_report(weights: WeightSequence, n_terms: int) -> BoundednessReport:
+def boundedness_report(weights: WeightSequence) -> BoundednessReport:
+    """The (n+1)|a_n| test over every weight of the sequence; the tail
+    window is its second half."""
+    a = weights.values
+    n_terms = a.size
     if n_terms < 64:
         raise ValueError("boundedness test needs at least 64 weights")
-    a = weights.values[:n_terms]
-    if a.size < n_terms:
-        raise ValueError("weight sequence shorter than n_terms")
     n = np.arange(n_terms)
     w = (n + 1.0) * np.abs(a)
     sup_weight = float(w.max())

@@ -52,14 +52,6 @@ RECURRENCE_GAP_FLOOR = 1e-14
 OVERFLOW_GUARD = 1e150
 
 
-class DuplicateMomentsError(ValueError):
-    """Moments are not pairwise distinct; the eigenvector recurrence degenerates."""
-
-
-class DegenerateAtZeroError(ValueError):
-    """All mass sits at 0: every moment past the first vanishes."""
-
-
 class HypothesesNotMetError(ValueError):
     """Weights are not positive/distinct or no weight limit exists."""
 
@@ -80,14 +72,6 @@ class SpectralRegion:
     disc_radius: float | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class Eigenvector:
-    """Truncated eigenvector; values may carry a factored-out log scale."""
-
-    values: np.ndarray
-    log_scale: float = 0.0
-
-
 def _active_length(values: np.ndarray) -> int:
     """Length of the strictly positive prefix; the rest must be an all-zero
     underflow tail."""
@@ -104,9 +88,7 @@ def _active_length(values: np.ndarray) -> int:
 
 def _validate_moments(ms: MomentSequence) -> int:
     if ms.degenerate:
-        raise DegenerateAtZeroError(
-            "measure concentrated at 0: moments vanish past index 0"
-        )
+        raise ValueError("measure concentrated at 0: moments vanish past index 0")
     active = _active_length(ms.values)
     if active < 2:
         raise ValueError("need at least two positive moments")
@@ -114,7 +96,7 @@ def _validate_moments(ms: MomentSequence) -> int:
     gaps = vals[:-1] - vals[1:]
     if np.any(gaps <= DISTINCT_REL_GAP * vals[:-1]):
         bad = int(np.argmax(gaps <= DISTINCT_REL_GAP * vals[:-1]))
-        raise DuplicateMomentsError(
+        raise ValueError(
             f"moments {bad} and {bad + 1} coincide within relative gap {DISTINCT_REL_GAP}"
         )
     return active
@@ -181,12 +163,12 @@ def classify_eigenvalue(ms: MomentSequence, growth: GrowthEstimate, k: int,
     return ClassificationVerdict(INCONCLUSIVE, float(slope), NUMERIC_FIT)
 
 
-def eigenvector(ms: MomentSequence, k: int, dim: int) -> Eigenvector:
-    """Eigenvector for the k-th moment: zeros below k, x_k = 1, then
-    x_{n+1} = mu_{n+1} mu_k / (mu_n (mu_k - mu_{n+1})) x_n.
+def eigenvector(ms: MomentSequence, k: int, dim: int) -> np.ndarray:
+    """Eigenvector for the k-th moment as a float64 array: zeros below k,
+    x_k = 1, then x_{n+1} = mu_{n+1} mu_k / (mu_n (mu_k - mu_{n+1})) x_n.
 
-    Renormalizes when entries exceed the overflow guard, accumulating the
-    factored scale in log_scale.
+    Whenever an entry exceeds OVERFLOW_GUARD, the entries so far are divided
+    by its modulus, so the vector is the eigenvector up to a positive scale.
     """
     active = _validate_moments(ms)
     if not 0 <= k < dim:
@@ -209,7 +191,6 @@ def eigenvector(ms: MomentSequence, k: int, dim: int) -> Eigenvector:
     ratio = mu[k + 1:] * mu_k / (mu[k:-1] * gap)
     x = np.zeros(dim)
     x[k] = 1.0
-    log_scale = 0.0
     start = k
     while start < dim - 1:
         # x[start] is exactly 1 or -1 (x_k, or an entry divided by its own
@@ -225,11 +206,9 @@ def eigenvector(ms: MomentSequence, k: int, dim: int) -> Eigenvector:
             break
         end = start + 1 + int(above[0])
         x[start + 1:end + 1] = segment[:above[0] + 1]
-        factor = abs(x[end])
-        x[:end + 1] /= factor
-        log_scale += float(np.log(factor))
+        x[:end + 1] /= abs(x[end])
         start = end
-    return Eigenvector(values=x, log_scale=log_scale)
+    return x
 
 
 def eigenvector_residual(ms: MomentSequence, k: int, dim: int,
@@ -245,9 +224,8 @@ def eigenvector_residual(ms: MomentSequence, k: int, dim: int,
     big = embed_factor * dim
     if ms.values.size < big:
         raise ValueError(f"need {big} moments for the embedded residual")
-    vec = eigenvector(ms, k, dim)
     x = np.zeros(big)
-    x[:dim] = vec.values
+    x[:dim] = eigenvector(ms, k, dim)
     op = TerracedOperator(WeightSequence.from_moments(ms), big)
     r = terraced_apply(op, x) - ms.values[k] * x
     # pairwise sums of squares: a BLAS dot over 32768 entries near 1 drops

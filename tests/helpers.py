@@ -68,6 +68,12 @@ def rhp_catalog_matrices(dim: int) -> dict[str, np.ndarray]:
     return matrices
 
 
+def symmetric_min_eig(matrix: np.ndarray) -> float:
+    """The smallest eigenvalue of the symmetric part (A + A^T)/2 of a real
+    matrix: the minimum real part of its numerical range."""
+    return float(np.linalg.eigvalsh(0.5 * (matrix + matrix.T))[0])
+
+
 def random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
@@ -82,3 +88,25 @@ def parse_complex(text: str) -> complex:
     if split <= 0:
         raise ValueError(f"not a complex entry: {text!r}")
     return complex(float(body[:split]), float(body[split:]))
+
+
+def _number_text(x: float) -> str:
+    """Shortest digits that parse back to x, never repr's 1e-05 exponents;
+    abs drops the sign of -0.0, the one negative value an atom accepts."""
+    return np.format_float_positional(abs(x), trim="-")
+
+
+def _atom_text(atom) -> str:
+    if isinstance(atom, Dirac):
+        return f"dirac({_number_text(atom.t)})"
+    if isinstance(atom, Lebesgue):
+        return "lebesgue" if atom.r == 1.0 else f"lebesgue({_number_text(atom.r)})"
+    if isinstance(atom, PowerDensity):
+        return f"power({_number_text(atom.alpha)})"
+    return f"logpower({_number_text(atom.s)})"
+
+
+def measure_text(spec: MeasureSpec) -> str:
+    """Inverse of parse_measure: the mini-language text of a MeasureSpec."""
+    return "+".join(("" if weight == 1.0 else f"{_number_text(weight)}*") + _atom_text(atom)
+                    for weight, atom in spec.terms)

@@ -11,6 +11,7 @@ from helpers import (
     measure_moments,
     random_complex,
     rhp_catalog_matrices,
+    symmetric_min_eig,
     terraced_from_measure,
 )
 from momentspectra import (
@@ -22,7 +23,6 @@ from momentspectra import (
     eigenvector_residual,
     growth_exponent,
     hankel_apply,
-    hermitian_min_eig,
     hilbert_column_check,
     monomial_invariance_check,
     rhaly_adjoint_integral_check,
@@ -89,7 +89,7 @@ def test_04_adjoint_discs():
 def test_05_numerical_range_in_right_half_plane():
     worst = {}
     for name, matrix in rhp_catalog_matrices(256).items():
-        worst[name] = hermitian_min_eig(matrix)
+        worst[name] = symmetric_min_eig(matrix)
         assert worst[name] >= -1e-10, name
     _report(5, "min Hermitian eigenvalue at N=256 over catalog = "
                f"{min(worst.values()):.2e}")

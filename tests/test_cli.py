@@ -428,6 +428,11 @@ def test_failed_check_is_status_ok_with_its_exit_code(tmp_path):
     (["moments", "--measure", "dirac(2)", "--n", "4"],
      1, "measure error: "),
     (["hilbert", "--max-index", "2", "--dims", ""], 1, "input error: empty"),
+    # nested sections: only increasing dims make the norm check an oracle
+    (["hilbert", "--max-index", "4", "--dims", "256,64"], 1, "input error: --dims 256,64 "),
+    (["hilbert", "--max-index", "4", "--dims", "0,64"], 1, "input error: --dims 0,64 "),
+    # refused before the column checks build their 8191 x 8191 table
+    (["hilbert", "--max-index", "4095", "--dims", "64,8193"], 1, "input error: --dims 64,8193 "),
 ])
 def test_failed_run_leaves_a_manifest_with_status_error(tmp_path, capsys, args, code, line):
     out = tmp_path / "err"

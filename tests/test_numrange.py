@@ -2,17 +2,22 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import hankel_from_measure, random_complex, rhp_catalog_matrices, terraced_from_measure
+from helpers import (
+    hankel_from_measure,
+    random_complex,
+    rhp_catalog_matrices,
+    symmetric_min_eig,
+    terraced_from_measure,
+)
 from momentspectra import (
     contraction_check,
     fov_boundary,
-    hermitian_min_eig,
     spectral_norm,
 )
 
 
 # --------------------------------------------------------------------------
-# hermitian part
+# symmetric part
 
 def test_cesaro_two_by_two_closed_form():
     matrix = terraced_from_measure("lebesgue", 2).dense()
@@ -21,37 +26,37 @@ def test_cesaro_two_by_two_closed_form():
     trace = 1.5
     det = 0.5 - 0.0625
     expected = (trace - np.sqrt(trace**2 - 4 * det)) / 2
-    assert hermitian_min_eig(matrix) == pytest.approx(expected, abs=1e-14)
+    assert fov_boundary(matrix).min_real_part == pytest.approx(expected, abs=1e-14)
     assert expected == pytest.approx(0.39645, abs=1e-5)
 
 
 def test_hilbert_one_by_one():
-    assert hermitian_min_eig(np.array([[1.0]])) == 1.0
+    assert fov_boundary(np.array([[1.0]])).min_real_part == 1.0
 
 
 @pytest.mark.parametrize("dim", [4, 32])
 def test_rank_one_hankel_is_positive(dim):
     matrix = hankel_from_measure("dirac(0.5)", dim).dense()
-    assert hermitian_min_eig(matrix) >= -1e-12
+    assert fov_boundary(matrix).min_real_part >= -1e-12
 
 
-def test_hermitian_min_eig_rejects_non_square():
+def test_fov_rejects_non_square():
     with pytest.raises(ValueError):
-        hermitian_min_eig(np.ones((2, 3)))
+        fov_boundary(np.ones((2, 3)))
 
 
 # --------------------------------------------------------------------------
 # field of values
 
 def test_fov_identity_degenerates_to_a_point():
-    result = fov_boundary(np.eye(8, dtype=complex), n_angles=16)
+    result = fov_boundary(np.eye(8), n_angles=16)
     assert np.allclose(result.boundary_points, 1.0, atol=1e-12)
     assert result.min_real_part == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fov_nilpotent_shift_is_the_half_disc():
     # classical example: W([[0,1],[0,0]]) is the closed disc of radius 1/2
-    matrix = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    matrix = np.array([[0.0, 1.0], [0.0, 0.0]])
     result = fov_boundary(matrix, n_angles=32)
     assert np.allclose(result.support_values, 0.5, atol=1e-12)
     assert np.allclose(np.abs(result.boundary_points), 0.5, atol=1e-10)
@@ -71,7 +76,7 @@ def test_fov_cesaro_stays_in_right_half_plane():
     matrix = terraced_from_measure("lebesgue", 64).dense()
     result = fov_boundary(matrix, n_angles=64)
     assert result.min_real_part >= -1e-10
-    assert result.min_real_part == pytest.approx(hermitian_min_eig(matrix), abs=1e-12)
+    assert result.min_real_part == pytest.approx(symmetric_min_eig(matrix), abs=1e-12)
 
 
 def test_fov_boundary_points_inside_norm_disc():
@@ -108,7 +113,7 @@ def test_support_function_monotone_under_compression(name):
 
 
 def test_quadratic_forms_respect_the_support_minimum():
-    matrix = terraced_from_measure("dirac(0)+0.5*lebesgue", 48).dense().astype(complex)
+    matrix = terraced_from_measure("dirac(0)+0.5*lebesgue", 48).dense()
     result = fov_boundary(matrix, n_angles=32)
     rng = np.random.default_rng(6)
     for _ in range(200):
@@ -120,7 +125,7 @@ def test_quadratic_forms_respect_the_support_minimum():
 def test_equivalence_of_min_eig_and_fov_min_on_catalog():
     for matrix in rhp_catalog_matrices(64).values():
         result = fov_boundary(matrix, n_angles=16)
-        assert result.min_real_part == pytest.approx(hermitian_min_eig(matrix), abs=1e-10)
+        assert result.min_real_part == pytest.approx(symmetric_min_eig(matrix), abs=1e-10)
 
 
 EPS = np.finfo(float).eps
@@ -153,7 +158,7 @@ def test_fov_paths_match_the_per_angle_dense_oracle(kind, measure, dim, n_angles
     # each boundary point attains the support value: Re(e^{i theta} <Av, v>) = h(theta)
     attained = (np.exp(1j * result.angles) * result.boundary_points).real
     assert np.max(np.abs(attained - result.support_values)) <= tol
-    assert result.min_real_part == pytest.approx(hermitian_min_eig(matrix), abs=tol)
+    assert result.min_real_part == pytest.approx(symmetric_min_eig(matrix), abs=tol)
 
 
 @pytest.mark.parametrize("n_angles", [16, 17, 512, 513])
@@ -212,14 +217,14 @@ def test_catalog_generators_are_contractive(name):
 
 def test_shifted_matrix_violates_contraction_and_dissipativity():
     matrix = terraced_from_measure("lebesgue", 64).dense() - 0.1 * np.eye(64)
-    assert hermitian_min_eig(matrix) < 0.0
+    assert symmetric_min_eig(matrix) < 0.0
     result = contraction_check(matrix, [0.1, 1.0, 10.0])
     assert result.max_norm > 1.0 + 1e-9
 
 
 def test_dissipativity_implies_contraction_on_catalog():
     for matrix in rhp_catalog_matrices(32).values():
-        if hermitian_min_eig(matrix) >= 0.0:
+        if symmetric_min_eig(matrix) >= 0.0:
             assert contraction_check(matrix, [0.5, 2.0]).max_norm <= 1.0 + 1e-9
 
 

@@ -11,7 +11,6 @@ from momentspectra import (
     TerracedOperator,
     WeightSequence,
     boundedness_report,
-    dense,
     hankel_apply,
     moments,
     parse_measure,
@@ -22,10 +21,7 @@ from momentspectra.operators import (
     VERDICT_BOUNDED,
     VERDICT_COMPACT,
     VERDICT_INAPPLICABLE,
-    DenseLimitError,
     FFT_THRESHOLD,
-    DimensionMismatchError,
-    InsufficientMomentsError,
     _fast_len,
     benchmark_apply,
     prefix_sums,
@@ -126,9 +122,9 @@ def test_real_terraced_apply_is_the_real_part_of_the_complex_apply(apply):
 
 def test_terraced_apply_dimension_mismatch():
     op = TerracedOperator(WeightSequence.cesaro(8), 8)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match="expected a vector of length 8"):
         terraced_apply(op, np.zeros(9))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match="expected a vector of length 8"):
         terraced_apply_adjoint(op, np.zeros(7))
 
 
@@ -220,10 +216,10 @@ def test_hankel_operator_refuses_complex_moments_and_stores_float64():
 
 
 def test_hankel_needs_enough_moments():
-    with pytest.raises(InsufficientMomentsError):
+    with pytest.raises(ValueError, match="need at least 11 moments for dim 6"):
         HankelMomentOperator(np.ones(10), 6)
     op = HankelMomentOperator(np.ones(11), 6)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError, match="expected a vector of length 6"):
         hankel_apply(op, np.zeros(5))
 
 
@@ -295,15 +291,8 @@ def test_dense_zero_weights_is_zero_matrix():
 
 
 def test_dense_respects_limit():
-    with pytest.raises(DenseLimitError):
+    with pytest.raises(ValueError, match="dim 64 exceeds dense limit 32"):
         TerracedOperator(WeightSequence.cesaro(64), 64).dense(limit=32)
-    with pytest.raises(DenseLimitError):
-        dense(np.eye(8), limit=4)
-
-
-def test_dense_passes_matrices_through():
-    m = np.arange(9.0).reshape(3, 3)
-    assert np.array_equal(dense(m), m)
 
 
 def test_hankel_dense_is_exactly_symmetric():
@@ -354,7 +343,7 @@ def test_factorization_identity_leibowitz():
 
 
 def test_boundedness_cesaro():
-    report = boundedness_report(WeightSequence.cesaro(256), 256)
+    report = boundedness_report(WeightSequence.cesaro(256))
     assert report.sup_weight == 1.0
     assert report.limit_estimate == pytest.approx(1.0, abs=1e-12)
     assert report.rhaly_norm_bound < 2.0
@@ -362,13 +351,13 @@ def test_boundedness_cesaro():
 
 
 def test_boundedness_power_law_indicates_compact():
-    report = boundedness_report(WeightSequence.power_law(2.0, 4096), 4096)
+    report = boundedness_report(WeightSequence.power_law(2.0, 4096))
     assert report.limit_estimate == pytest.approx(0.0, abs=1e-3)
     assert report.verdict == VERDICT_COMPACT
 
 
 def test_boundedness_leibowitz_inapplicable():
-    report = boundedness_report(WeightSequence.leibowitz_squares(4096), 4096)
+    report = boundedness_report(WeightSequence.leibowitz_squares(4096))
     assert report.verdict == VERDICT_INAPPLICABLE
     assert report.limit_estimate is None
     assert report.rhaly_norm_bound is None
@@ -377,14 +366,14 @@ def test_boundedness_leibowitz_inapplicable():
 def test_boundedness_oscillating_but_bounded():
     n = np.arange(512)
     values = (2.0 + (-1.0) ** n) / (n + 1.0)
-    report = boundedness_report(WeightSequence(values), 512)
+    report = boundedness_report(WeightSequence(values))
     assert report.verdict == VERDICT_BOUNDED
     assert report.limit_estimate is None
     assert report.rhaly_norm_bound is not None
 
 
 def test_boundedness_zero_weights():
-    report = boundedness_report(WeightSequence(np.zeros(64)), 64)
+    report = boundedness_report(WeightSequence(np.zeros(64)))
     assert report.verdict == VERDICT_COMPACT
     assert report.limit_estimate == 0.0
 

@@ -27,7 +27,12 @@ from tracing import HOOKS  # noqa: E402
 def test_hooks_name_public_functions_of_the_package():
     for name in HOOKS:
         layer, attr = name.split(".")
-        assert callable(getattr(importlib.import_module(f"momentspectra.{layer}"), attr))
+        module = importlib.import_module(f"momentspectra.{layer}")
+        # the tracer puts the operators.dense hook on each operator class's dense()
+        holders = ((module.TerracedOperator, module.HankelMomentOperator)
+                   if name == "operators.dense" else (module,))
+        for holder in holders:
+            assert callable(getattr(holder, attr))
 
 
 def test_moments_hook_counts_entries():
