@@ -93,6 +93,13 @@ def _parse_floats(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
+def _fit_length(n: int) -> int:
+    # classify, adjoint-disc and region fit a tail window of --n terms
+    if n < 64:
+        raise ValueError(f"--n {n} is below 64, the fewest terms the tail fits use")
+    return n
+
+
 def _parse_ints(text: str) -> list[int]:
     ints = [int(part) for part in text.split(",") if part.strip()]
     if not ints:
@@ -183,7 +190,7 @@ _OPERATOR = _SOURCE + (("--kind", dict(choices=("terraced", "hankel"), default="
           _MEASURE,
           ("--n", dict(type=int, required=True)),
           ("--quadrature", dict(action="store_true", help="force the adaptive-quadrature path")),
-          ("--tol", dict(type=float, default=1e-13)))
+          ("--tol", dict(type=float, default=measures_mod.MOMENT_TOL)))
 def _cmd_moments(args, writer: ArtifactWriter):
     spec = parse_measure(args.measure)
     method = "quadrature" if args.quadrature else "closed"
@@ -198,8 +205,7 @@ def _cmd_moments(args, writer: ArtifactWriter):
           ("--n", dict(type=int, default=4096)),
           ("--method", dict(choices=("auto", "analytic", "numeric"), default="auto")))
 def _cmd_classify(args, writer: ArtifactWriter):
-    spec = parse_measure(args.measure)
-    ms = moments(spec, args.n)
+    ms = moments(parse_measure(args.measure), _fit_length(args.n))
     growth = growth_exponent(ms)
     rows = []
     for k in _parse_index_range(args.k):
@@ -246,8 +252,7 @@ def _cmd_eigencheck(args, writer: ArtifactWriter):
           _MEASURE,
           ("--n", dict(type=int, default=4096)))
 def _cmd_adjoint_disc(args, writer: ArtifactWriter):
-    spec = parse_measure(args.measure)
-    ms = moments(spec, args.n)
+    ms = moments(parse_measure(args.measure), _fit_length(args.n))
     growth = growth_exponent(ms)
     region = adjoint_disc(growth)
     payload = {
@@ -269,7 +274,7 @@ def _cmd_adjoint_disc(args, writer: ArtifactWriter):
           *_SOURCE,
           ("--n", dict(type=int, default=256)))
 def _cmd_region(args, writer: ArtifactWriter):
-    weights = _build_weights(args, args.n)
+    weights = _build_weights(args, _fit_length(args.n))
     report = boundedness_report(weights)
     payload = {
         "sup_weight": report.sup_weight,

@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Legendre integration on finite intervals."""
+"""Adaptive Gauss-Legendre integration: one bisection tree for a family of integrands."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ class QuadratureError(RuntimeError):
 
 _ORDER = 15
 _NODES, _WEIGHTS = leggauss(_ORDER)
-# bisections per integral: bounds the work an unreachable tolerance can cost
+# bisections per integrate call: bounds the work an unreachable tolerance can cost
 MAX_PANELS = 4096
 # a tol below this many eps times |first panel estimate| is under the
 # rounding of the panel sums themselves, so no bisection can certify it
@@ -27,10 +27,10 @@ TOL_FLOOR_EPS = 4
 _MAX_DEPTH = 52
 
 
-def _panel(f, a: float, b: float) -> float:
+def _panel(f, a: float, b: float):
     mid = 0.5 * (a + b)
     rad = 0.5 * (b - a)
-    return rad * float(np.sum(_WEIGHTS * f(mid + rad * _NODES)))
+    return rad * (f(mid + rad * _NODES) @ _WEIGHTS)
 
 
 def _refine(f, a, b, whole, tol, depth, splits):
@@ -38,44 +38,39 @@ def _refine(f, a, b, whole, tol, depth, splits):
     left = _panel(f, a, mid)
     right = _panel(f, mid, b)
     splits[0] += 1
-    err = abs(whole - left - right)
-    if err <= tol or depth <= 0 or splits[0] >= MAX_PANELS:
+    err = np.abs(whole - left - right)
+    if np.all(err <= tol) or depth <= 0 or splits[0] >= MAX_PANELS:
         return left + right, err
     lv, lb = _refine(f, a, mid, left, 0.5 * tol, depth - 1, splits)
     rv, rb = _refine(f, mid, b, right, 0.5 * tol, depth - 1, splits)
     return lv + rv, lb + rb
 
 
-def integrate(f, a: float, b: float, tol: float = 1e-13) -> tuple[float, float]:
-    """Integrate a vectorized callable over [a, b] to absolute tolerance tol.
+def integrate(f, a: float, b: float, tol: float):
+    """Integrate each row of a vectorized integrand over [a, b] to absolute
+    tolerance tol.
 
-    Panels are bisected until the discrepancy between a panel estimate and
-    the sum of its halves drops below the panel's share of the tolerance;
-    accumulated discrepancies form the reported error bound.  Refinement
-    stops after MAX_PANELS bisections, so an unreachable tol costs bounded
-    work, and a tol below TOL_FLOOR_EPS eps |first panel estimate| is
-    refused before any bisection.
-
-    Returns (value, error_bound).  Raises QuadratureError when the bound
-    cannot be pushed below tol within that budget; the exception reports
-    the achieved bound (the rounding floor when tol is refused up front).
+    f maps the nodes to one row of values per component (last axis over the
+    nodes); a scalar integrand is one row.  All rows share one bisection
+    tree: a panel is bisected while any row's discrepancy between the panel
+    and the sum of its halves exceeds the panel's share of tol, and each
+    row's summed discrepancies are its error bound.  Refinement stops after
+    MAX_PANELS bisections; a tol below TOL_FLOOR_EPS eps times the largest
+    |first panel estimate| is refused before any.  Returns (value,
+    error_bound), one entry per row.  Raises QuadratureError, carrying the
+    worst bound (the rounding floor when tol is refused), above tol.
     """
-    if b <= a:
-        return 0.0, 0.0
     whole = _panel(f, a, b)
-    floor = TOL_FLOOR_EPS * np.finfo(float).eps * abs(whole)
+    floor = TOL_FLOOR_EPS * np.finfo(float).eps * np.max(np.abs(whole))
     if tol < floor:
-        raise QuadratureError(
-            f"adaptive quadrature stalled before refining: tol {tol:.3e} is below the "
-            f"rounding floor {floor:.3e} ({TOL_FLOOR_EPS} eps |value|)",
-            floor,
-        )
+        raise QuadratureError(f"adaptive quadrature stalled before refining: tol {tol:.3e} is "
+                              f"below the rounding floor {floor:.3e} ({TOL_FLOOR_EPS} eps |value|)",
+                              floor)
     value, bound = _refine(f, a, b, whole, tol, _MAX_DEPTH, [0])
-    if bound > tol:
+    worst = np.max(bound)
+    if worst > tol:
         raise QuadratureError(
-            f"adaptive quadrature stalled at error bound {bound:.3e} (tol {tol:.3e})",
-            bound,
-        )
+            f"adaptive quadrature stalled at error bound {worst:.3e} (tol {tol:.3e})", worst)
     return value, bound
 
 

@@ -433,6 +433,15 @@ def test_failed_check_is_status_ok_with_its_exit_code(tmp_path):
     (["hilbert", "--max-index", "4", "--dims", "0,64"], 1, "input error: --dims 0,64 "),
     # refused before the column checks build their 8191 x 8191 table
     (["hilbert", "--max-index", "4095", "--dims", "64,8193"], 1, "input error: --dims 64,8193 "),
+    # the growth fit and the boundedness test need 64 terms: the flag is named
+    (["region", "--weights", "cesaro", "--n", "32"], 1, "input error: --n 32 is below 64"),
+    (["classify", "--measure", "dirac(0.5)", "--k", "0..5", "--n", "32"],
+     1, "input error: --n 32 is below 64"),
+    (["adjoint-disc", "--measure", "dirac(0.5)", "--n", "32"],
+     1, "input error: --n 32 is below 64"),
+    # above the rounding floor of the first panel, below the rounding of the value
+    (["moments", "--measure", "power(1000)", "--quadrature", "--n", "8", "--tol", "1e-18"],
+     2, "numeric error: adaptive quadrature stalled at error bound"),
 ])
 def test_failed_run_leaves_a_manifest_with_status_error(tmp_path, capsys, args, code, line):
     out = tmp_path / "err"

@@ -13,6 +13,7 @@ from momentspectra import (
     MeasureSyntaxError,
     PowerDensity,
     growth_exponent,
+    measures,
     moments,
     parse_measure,
 )
@@ -185,6 +186,48 @@ def test_tolerance_below_rounding_is_refused_before_refining():
     # at the floor itself the refinement runs and meets the tolerance
     value, bound = integrate(lambda t: t ** 2, 0.0, 1.0, tol=info.value.achieved_bound)
     assert abs(value - 1.0 / 3.0) <= 1e-16 and bound <= info.value.achieved_bound
+
+
+def test_vector_integrand_returns_arrays_within_their_bounds():
+    n = np.arange(64)
+    value, bound = integrate(lambda t: np.power(t, n[:, None]), 0.0, 1.0, 1e-13)
+    assert value.shape == bound.shape == (64,)
+    # rounding adds the argument rounding of t^n (n eps) and the rule's sum
+    exact = 1.0 / (n + 1.0)
+    assert np.all(np.abs(value - exact) <= bound + (n + 15) * np.finfo(float).eps * exact)
+    assert np.all(bound <= 1e-13)
+
+
+def test_moments_integrate_once_per_density_term(monkeypatch):
+    calls = []
+
+    def counting(f, a, b, tol):
+        calls.append((a, b))
+        return integrate(f, a, b, tol)
+
+    monkeypatch.setattr(measures, "integrate", counting)
+    quad = moments(parse_measure("dirac(0.3)+0.25*power(2)+lebesgue(0.9)+logpower(2)"), 512,
+                   method="quadrature")
+    assert quad.values.shape == quad.error_bounds.shape == (512,)
+    assert calls == [(0.0, 1.0), (0.0, 0.9), (0.0, 1.0)]  # the atom stays closed
+
+
+@pytest.mark.parametrize("text, n", [
+    # the last entries hold their mass within about 5/n of t = 1, where no
+    # node of the first panels lies
+    ("lebesgue", 8339),
+    ("power(2.5)", 8339),
+    # each entry keeps its own logpower interval, mapped onto [0, 1]
+    ("logpower(5)", 4096),
+    ("logpower(3)+0.25*lebesgue(0.9)", 2048),
+])
+def test_long_quadrature_sequences_within_the_oracle_bound(text, n):
+    spec = parse_measure(text)
+    closed = moments(spec, n).values
+    quad = moments(spec, n, method="quadrature")
+    # the benchmark oracle's rule: the bound printed to 4 digits, plus rounding
+    allowance = (np.arange(n) + 267) * np.finfo(float).eps * np.abs(closed)
+    assert np.all(np.abs(quad.values - closed) <= quad.error_bounds * (1 + 1e-3) + allowance)
 
 
 def test_pure_dirac_quadrature_stays_closed_form():
