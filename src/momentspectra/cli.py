@@ -55,7 +55,7 @@ from .serialize import (
     matrix_csv,
     moments_csv,
     region_payload,
-    to_json,
+    write_json,
 )
 from .spectral import (
     HypothesesNotMetError,
@@ -117,6 +117,10 @@ class ArtifactWriter:
 
     def write_text(self, name: str, text: str):
         (self.out / name).write_text(text)
+        self.files.append(name)
+
+    def write_json(self, name: str, payload):
+        write_json(self.out / name, payload)
         self.files.append(name)
 
     def write_manifest(self, command: str, inputs: dict, tolerances: dict, wall_ms: int,
@@ -219,7 +223,7 @@ def _cmd_classify(args, writer: ArtifactWriter):
                 "method": verdict.method,
             }
         )
-    writer.write_text("verdicts.json", to_json(rows))
+    writer.write_json("verdicts.json", rows)
     return 0, {
         "l2_margin": spectral_mod.L2_MARGIN,
         "distinct_rel_gap": spectral_mod.DISTINCT_REL_GAP,
@@ -244,7 +248,7 @@ def _cmd_eigencheck(args, writer: ArtifactWriter):
         worst = max(worst, residual)
         rows.append({"k": k, "mu_k": float(ms.values[k]), "residual": residual,
                      "pass": residual <= args.tol})
-    writer.write_text("eigencheck.json", to_json(rows))
+    writer.write_json("eigencheck.json", rows)
     return (0 if worst <= args.tol else 2), {"residual_tol": args.tol}
 
 
@@ -263,7 +267,7 @@ def _cmd_adjoint_disc(args, writer: ArtifactWriter):
         if region is None
         else {"center": region.disc_center, "radius": region.disc_radius},
     }
-    writer.write_text("adjoint_disc.json", to_json(payload))
+    writer.write_json("adjoint_disc.json", payload)
     return 0, {
         "bounded_slope": measures_mod.BOUNDED_SLOPE,
         "bounded_residual": measures_mod.BOUNDED_RESIDUAL,
@@ -284,16 +288,15 @@ def _cmd_region(args, writer: ArtifactWriter):
     }
     try:
         region = spectrum_region(weights, report)
+        # written first, so that the SVG text and the payload's point lists never coexist
+        writer.write_text("region.svg",
+                          region_svg(region.points, region.disc_center, region.disc_radius))
         payload["hypotheses_met"] = True
         payload["region"] = region_payload(region)
-        writer.write_text(
-            "region.svg",
-            region_svg(region.points, region.disc_center, region.disc_radius),
-        )
     except HypothesesNotMetError as exc:
         payload["hypotheses_met"] = False
         payload["reason"] = str(exc)
-    writer.write_text("region.json", to_json(payload))
+    writer.write_json("region.json", payload)
     return 0, {"limit_oscillation_tol": operators_mod.LIMIT_OSCILLATION_TOL}
 
 
@@ -335,7 +338,7 @@ def _cmd_fov(args, writer: ArtifactWriter):
         "min_real_part": result.min_real_part,
         "hermitian_min_eig": result.min_real_part,
     }
-    writer.write_text("fov.json", to_json(payload))
+    writer.write_json("fov.json", payload)
     code = 0
     if args.require_rhp is not None and result.min_real_part < -args.require_rhp:
         code = 2
@@ -354,7 +357,7 @@ def _cmd_contraction(args, writer: ArtifactWriter):
     if args.shift:
         matrix = matrix - args.shift * np.eye(args.dim)
     result = contraction_check(matrix, _parse_floats(args.taus))
-    writer.write_text("contraction.json", to_json(contraction_payload(result)))
+    writer.write_json("contraction.json", contraction_payload(result))
     code = 0 if result.max_norm <= 1.0 + args.tol else 2
     return code, {"contraction_tol": args.tol}
 
@@ -411,7 +414,7 @@ def _cmd_invariance(args, writer: ArtifactWriter):
     record("kernel-span-rank", {"locations": locations, "dim": args.dim},
            float(rank), float(len(locations)), rank == len(locations))
 
-    writer.write_text("invariance.json", to_json(checks))
+    writer.write_json("invariance.json", checks)
     code = 0 if all(c["pass"] for c in checks) else 2
     return code, {"integral_tol": args.tol}
 
@@ -455,7 +458,7 @@ def _cmd_hilbert(args, writer: ArtifactWriter):
         "norms_nondecreasing": nondecreasing,
         "norms_within_bound": within_bound,
     }
-    writer.write_text("hilbert.json", to_json(payload))
+    writer.write_json("hilbert.json", payload)
     code = 0 if ok and nondecreasing and within_bound else 2
     return code, {"column_tol": args.tol}
 
@@ -470,7 +473,7 @@ def _cmd_bench(args, writer: ArtifactWriter):
         for kernel in args.kernels.split(",")
         if kernel.strip()
     ]
-    writer.write_text("bench.json", to_json(rows))
+    writer.write_json("bench.json", rows)
     return 0, {}
 
 

@@ -7,11 +7,7 @@ from numpy.polynomial.legendre import leggauss
 
 
 class QuadratureError(RuntimeError):
-    """Requested tolerance was not reached; carries the achieved bound."""
-
-    def __init__(self, message: str, achieved_bound: float):
-        super().__init__(message)
-        self.achieved_bound = achieved_bound
+    """Requested tolerance was not reached, or the integrand was not finite."""
 
 
 _ORDER = 15
@@ -21,8 +17,7 @@ MAX_PANELS = 4096
 # a tol below this many eps times |first panel estimate| is under the
 # rounding of the panel sums themselves, so no bisection can certify it
 TOL_FLOOR_EPS = 4
-# bisection depth: keeps the recursion within Python's limit where the budget
-# alone would not (a slow decay such as power(0.001) near 0), and below
+# bisection depth: keeps the recursion within Python's limit, and below
 # 2**-52 of the interval halving gains nothing in double precision
 _MAX_DEPTH = 52
 
@@ -30,7 +25,12 @@ _MAX_DEPTH = 52
 def _panel(f, a: float, b: float):
     mid = 0.5 * (a + b)
     rad = 0.5 * (b - a)
-    return rad * (f(mid + rad * _NODES) @ _WEIGHTS)
+    # an overflow (inf, or inf * 0 = nan) is refused here rather than summed
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = f(mid + rad * _NODES)
+    if not np.all(np.isfinite(values)):
+        raise QuadratureError("adaptive quadrature integrand is not finite")
+    return rad * (values @ _WEIGHTS)
 
 
 def _refine(f, a, b, whole, tol, depth, splits):
@@ -46,9 +46,8 @@ def _refine(f, a, b, whole, tol, depth, splits):
     return lv + rv, lb + rb
 
 
-def integrate(f, a: float, b: float, tol: float):
-    """Integrate each row of a vectorized integrand over [a, b] to absolute
-    tolerance tol.
+def integrate(f, tol: float):
+    """Integrate each row of a vectorized integrand over [0, 1] to absolute tolerance tol.
 
     f maps the nodes to one row of values per component (last axis over the
     nodes); a scalar integrand is one row.  All rows share one bisection
@@ -57,20 +56,19 @@ def integrate(f, a: float, b: float, tol: float):
     row's summed discrepancies are its error bound.  Refinement stops after
     MAX_PANELS bisections; a tol below TOL_FLOOR_EPS eps times the largest
     |first panel estimate| is refused before any.  Returns (value,
-    error_bound), one entry per row.  Raises QuadratureError, carrying the
-    worst bound (the rounding floor when tol is refused), above tol.
+    error_bound), one entry per row.  Raises QuadratureError on a worst bound
+    above tol, or on any value of f that is not finite.
     """
-    whole = _panel(f, a, b)
+    whole = _panel(f, 0.0, 1.0)
     floor = TOL_FLOOR_EPS * np.finfo(float).eps * np.max(np.abs(whole))
     if tol < floor:
         raise QuadratureError(f"adaptive quadrature stalled before refining: tol {tol:.3e} is "
-                              f"below the rounding floor {floor:.3e} ({TOL_FLOOR_EPS} eps |value|)",
-                              floor)
-    value, bound = _refine(f, a, b, whole, tol, _MAX_DEPTH, [0])
+                              f"below the rounding floor {floor:.3e} ({TOL_FLOOR_EPS} eps |value|)")
+    value, bound = _refine(f, 0.0, 1.0, whole, tol, _MAX_DEPTH, [0])
     worst = np.max(bound)
     if worst > tol:
         raise QuadratureError(
-            f"adaptive quadrature stalled at error bound {worst:.3e} (tol {tol:.3e})", worst)
+            f"adaptive quadrature stalled at error bound {worst:.3e} (tol {tol:.3e})")
     return value, bound
 
 

@@ -84,5 +84,8 @@ def _coerce_scalar(obj):
     raise TypeError(f"not JSON serializable: {obj!r}")
 
 
-def to_json(payload) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False, default=_coerce_scalar) + "\n"
+def write_json(path, payload):
+    """Indented JSON and a final newline, streamed rather than built as one string."""
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, allow_nan=False, default=_coerce_scalar)
+        handle.write("\n")

@@ -108,16 +108,10 @@ def region_svg(points: np.ndarray, disc_center: float | None,
     pts = np.asarray(points, dtype=complex)
     if pts.size == 0 and disc_center is None:
         raise ValueError("empty data")
-    anchors = list(pts)
-    if disc_center is not None and disc_radius is not None:
-        anchors.extend(
-            [
-                complex(disc_center - disc_radius, -disc_radius),
-                complex(disc_center + disc_radius, disc_radius),
-            ]
-        )
-    all_pts = np.asarray(anchors, dtype=complex)
-    to_xy, scale = _plane_mapper(all_pts)
+    corners = ([complex(disc_center - disc_radius, -disc_radius),
+                complex(disc_center + disc_radius, disc_radius)]
+               if disc_center is not None and disc_radius is not None else [])
+    to_xy, scale = _plane_mapper(np.append(pts, corners))
     body = []
     if disc_center is not None and disc_radius is not None:
         cx, cy = to_xy(complex(disc_center, 0.0))
