@@ -38,7 +38,7 @@ from .measures import (
     moments,
     parse_measure,
 )
-from .numrange import contraction_check, fov_boundary, spectral_norm
+from .numrange import contraction_check, fov_boundary
 from .operators import (
     HankelMomentOperator,
     TerracedOperator,
@@ -288,7 +288,7 @@ def _cmd_region(args, writer: ArtifactWriter):
     }
     try:
         region = spectrum_region(weights, report)
-        # written first, so that the SVG text and the payload's point lists never coexist
+        # written first, so that the SVG text is freed before the JSON is written
         writer.write_text("region.svg",
                           region_svg(region.points, region.disc_center, region.disc_radius))
         payload["hypotheses_met"] = True
@@ -445,8 +445,9 @@ def _cmd_hilbert(args, writer: ArtifactWriter):
     nondecreasing = True
     for d in dims:
         ms = moments(parse_measure("lebesgue"), 2 * d - 1)
-        matrix = HankelMomentOperator.from_moments(ms, d).dense()
-        norm = spectral_norm(matrix)
+        # the Hankel matrix is symmetric: its norm is its largest |eigenvalue|
+        eigenvalues = np.linalg.eigvalsh(HankelMomentOperator.from_moments(ms, d).dense())
+        norm = float(max(-eigenvalues[0], eigenvalues[-1]))
         nondecreasing = nondecreasing and norm >= previous
         previous = norm
         norms.append({"dim": d, "norm": norm})

@@ -1,6 +1,8 @@
 """Self-contained SVG renderings: grid heatmaps, boundary polylines, region
 scatter plots.  No external references and no timestamps, so output bytes
-depend only on the data."""
+depend only on the data.  Every coordinate is written as `%.4f`; the shapes
+of a drawing are formatted a chunk of rows at a time by
+`serialize._format_rows`, not one Python call per shape."""
 
 from __future__ import annotations
 
@@ -8,25 +10,19 @@ import math
 
 import numpy as np
 
+from .serialize import _format_rows
+
 SIZE = 480  # side of every drawing, in pixels
 MARGIN = 24.0  # blank border of the plane plots, in pixels
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.4f}"
-
-
 def _document(body: list[str]) -> str:
+    """The SVG document around `body`, pieces that end in a newline when joined."""
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
-        f'viewBox="0 0 {SIZE} {SIZE}">'
+        f'viewBox="0 0 {SIZE} {SIZE}">\n'
     )
-    return "\n".join([head, *body, "</svg>"]) + "\n"
-
-
-def _gray(level: float) -> str:
-    v = int(round(255 * min(max(level, 0.0), 1.0)))
-    return f"#{v:02x}{v:02x}{v:02x}"
+    return "".join([head, *body, "</svg>\n"])
 
 
 def heatmap_svg(values: np.ndarray, extent: tuple[float, float, float, float]) -> str:
@@ -41,31 +37,24 @@ def heatmap_svg(values: np.ndarray, extent: tuple[float, float, float, float]) -
     logs = np.log10(np.where(positive, grid, 1.0))
     lo = float(logs[positive].min()) if positive.any() else 0.0
     hi = float(logs[positive].max()) if positive.any() else 0.0
+    level = np.where(positive, (logs - lo) / (hi - lo) if hi > lo else 1.0, 0.0)
+    gray = np.rint(255 * np.clip(level, 0.0, 1.0))  # round half to even, as round()
+    if np.isnan(gray).any():
+        raise ValueError("non-finite data")
     rows, cols = grid.shape
     cell_w = SIZE / cols
     cell_h = SIZE / rows
-    body = []
-    for i in range(rows):
-        for j in range(cols):
-            if not positive[i, j]:
-                level = 0.0
-            elif hi > lo:
-                level = (logs[i, j] - lo) / (hi - lo)
-            else:
-                level = 1.0
-            # row 0 is the lowest imaginary value; draw it at the bottom
-            y = SIZE - (i + 1) * cell_h
-            body.append(
-                f'<rect x="{_fmt(j * cell_w)}" y="{_fmt(y)}" '
-                f'width="{_fmt(cell_w + 0.5)}" height="{_fmt(cell_h + 0.5)}" '
-                f'fill="{_gray(level)}"/>'
-            )
+    gray = gray.astype(int).ravel()
+    rect = (f'<rect x="%.4f" y="%.4f" width="{cell_w + 0.5:.4f}" '
+            f'height="{cell_h + 0.5:.4f}" fill="#%02x%02x%02x"/>\n')
+    # row 0 is the lowest imaginary value; draw it at the bottom
+    cells = _format_rows(rect, np.tile(np.arange(cols) * cell_w, rows),
+                         np.repeat(SIZE - np.arange(1, rows + 1) * cell_h, cols),
+                         gray, gray, gray)
     re0, re1, im0, im1 = extent
-    body.append(
-        f'<text x="4" y="{SIZE - 6}" font-size="12" fill="#c03020">'
-        f"re:[{_fmt(re0)},{_fmt(re1)}] im:[{_fmt(im0)},{_fmt(im1)}]</text>"
-    )
-    return _document(body)
+    legend = (f'<text x="4" y="{SIZE - 6}" font-size="12" fill="#c03020">'
+              f"re:[{re0:.4f},{re1:.4f}] im:[{im0:.4f},{im1:.4f}]</text>\n")
+    return _document([*cells, legend])
 
 
 def _plane_mapper(points: np.ndarray):
@@ -78,7 +67,8 @@ def _plane_mapper(points: np.ndarray):
     span = hi - lo if hi > lo else 1.0
     scale = (SIZE - 2 * MARGIN) / span
 
-    def to_xy(z: complex) -> tuple[float, float]:
+    def to_xy(z):
+        """Pixel coordinates of a complex number or of each entry of an array."""
         return MARGIN + (z.real - lo) * scale, SIZE - MARGIN - (z.imag - lo) * scale
 
     return to_xy, scale
@@ -91,15 +81,14 @@ def boundary_svg(points: np.ndarray) -> str:
     if pts.size == 0:
         raise ValueError("empty data")
     to_xy, _ = _plane_mapper(pts)
-    coords = [to_xy(z) for z in pts]
-    coords.append(coords[0])
-    path = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in coords)
-    x0, y0 = coords[0]
-    body = [
-        f'<polyline points="{path}" fill="none" stroke="#2050c0" stroke-width="1.5"/>',
-        f'<circle cx="{_fmt(x0)}" cy="{_fmt(y0)}" r="2" fill="#2050c0"/>',
-    ]
-    return _document(body)
+    x, y = to_xy(pts)
+    # the polyline closes on its first point, which ends the list of pairs
+    start = f"{x[0]:.4f},{y[0]:.4f}"
+    return _document([
+        '<polyline points="', *_format_rows("%.4f,%.4f ", x, y),
+        f'{start}" fill="none" stroke="#2050c0" stroke-width="1.5"/>\n',
+        f'<circle cx="{x[0]:.4f}" cy="{y[0]:.4f}" r="2" fill="#2050c0"/>\n',
+    ])
 
 
 def region_svg(points: np.ndarray, disc_center: float | None,
@@ -116,10 +105,9 @@ def region_svg(points: np.ndarray, disc_center: float | None,
     if disc_center is not None and disc_radius is not None:
         cx, cy = to_xy(complex(disc_center, 0.0))
         body.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(disc_radius * scale)}" '
-            f'fill="none" stroke="#c03020" stroke-width="1.5"/>'
+            f'<circle cx="{cx:.4f}" cy="{cy:.4f}" r="{disc_radius * scale:.4f}" '
+            f'fill="none" stroke="#c03020" stroke-width="1.5"/>\n'
         )
-    for z in pts:
-        x, y = to_xy(z)
-        body.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.5" fill="#2050c0"/>')
+    body += _format_rows('<circle cx="%.4f" cy="%.4f" r="2.5" fill="#2050c0"/>\n',
+                         *to_xy(pts))
     return _document(body)

@@ -78,8 +78,30 @@ def random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+def format_float(x: float) -> str:
+    """Reference renderer of a CSV or JSON number: the shortest round-trip repr."""
+    return repr(float(x))
+
+
+def format_complex(z: complex) -> str:
+    """Reference renderer of a matrix.csv entry: 're+imi', e.g. '1.5+0.25i'
+    or '0.5-2.0i'; a -0.0 or nan imaginary part writes '+'."""
+    z = complex(z)
+    sign = "+" if z.imag >= 0 or np.isnan(z.imag) else "-"
+    return f"{format_float(z.real)}{sign}{format_float(abs(z.imag))}i"
+
+
+def region_payload_lists(region) -> dict:
+    """Reference form of serialize.region_payload: one [re, im] list per point."""
+    return {
+        "points": [[float(p.real), float(p.imag)] for p in region.points],
+        "disc_center": region.disc_center,
+        "disc_radius": region.disc_radius,
+    }
+
+
 def parse_complex(text: str) -> complex:
-    """Inverse of serialize.format_complex: 're+imi' back to a complex."""
+    """Inverse of format_complex: 're+imi' back to a complex."""
     body = text.strip()
     if not body.endswith("i"):
         raise ValueError(f"not a complex entry: {text!r}")

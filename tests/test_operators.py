@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import MEASURE_SPECS, parse_complex, random_complex, terraced_from_measure
+from helpers import (
+    MEASURE_SPECS,
+    format_complex,
+    parse_complex,
+    random_complex,
+    terraced_from_measure,
+)
 from momentspectra import (
     HankelMomentOperator,
     TerracedOperator,
@@ -27,7 +33,7 @@ from momentspectra.operators import (
     prefix_sums,
     suffix_sums,
 )
-from momentspectra.serialize import format_complex, matrix_csv
+from momentspectra.serialize import matrix_csv
 
 
 # --------------------------------------------------------------------------
