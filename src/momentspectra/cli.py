@@ -3,10 +3,11 @@ plus a run manifest into an output directory.
 
 Exit codes: 0 when all checks pass, 2 when a numeric check fails its
 tolerance or a computation fails numerically (overflow, a degenerate
-recurrence, quadrature or eigensolver failure), 1 on usage or input errors.
-The manifest records the run's status: "ok" with the handler's exit code,
-or "error" with the exit code and message of a numeric or input error
-raised once --out is known.
+recurrence, quadrature or eigensolver failure) or cannot allocate its
+memory (MemoryError), 1 on usage or input errors.  The manifest records
+the run's status: "ok" with the handler's exit code, or "error" with the
+exit code and message of a numeric, allocation or input error raised once
+--out is known.
 """
 
 from __future__ import annotations
@@ -536,8 +537,9 @@ def run(argv: list[str]) -> int:
     return code
 
 
-#: numeric and input errors: reported as one line and an exit code, not a traceback
-_REPORTED = (ArithmeticError, QuadratureError, ValueError, OSError)
+#: numeric, allocation and input errors: reported as one line and an exit
+#: code, not a traceback
+_REPORTED = (ArithmeticError, QuadratureError, MemoryError, ValueError, OSError)
 
 
 def _failure(exc: Exception) -> tuple[int, str]:
@@ -547,6 +549,8 @@ def _failure(exc: Exception) -> tuple[int, str]:
     # before ValueError: LinAlgError subclasses it
     if isinstance(exc, (ArithmeticError, QuadratureError, np.linalg.LinAlgError)):
         return 2, f"numeric error: {exc}"
+    if isinstance(exc, MemoryError):
+        return 2, f"memory error: {str(exc) or 'out of memory'}"
     return 1, f"input error: {exc}"
 
 

@@ -2,20 +2,25 @@
 
 The numerical range of a real square matrix A (every operator the package
 builds is real) is sampled through its support function
-h(theta) = lambda_max(Re(e^{i theta} A)); the minimum real part of the range
-equals the smallest eigenvalue of the symmetric part (A + A^T)/2.  Each
-matrix takes one exact path:
+h(theta) = lambda_max(Re(e^{i theta} A)) on N angles theta_j = 2 pi j / N;
+the minimum real part of the range equals the smallest eigenvalue of the
+symmetric part (A + A^T)/2.  Each matrix takes one exact path:
 
 * A symmetric matrix (the Hankel moment matrix) is normal, so its range is
   the segment [lambda_min, lambda_max]: one eigvalsh gives
   h(theta) = cos(theta) lambda_max when cos(theta) >= 0 and
   cos(theta) lambda_min otherwise.
-* Any other matrix (terraced) has a range symmetric about the real
-  axis, so only the angles theta <= pi are solved; h(2 pi - theta) = h(theta)
-  and the boundary point there is the conjugate.  Each solved angle takes the
-  top eigenpair of cos(theta) S + sin(theta) iK, with S and K the symmetric
-  and skew parts of A, and every boundary point <A v, v> comes from one
-  product after the loop.
+* Any other matrix (terraced) has a range symmetric about the real axis:
+  H(-theta) = conj H(theta) for H(theta) = Re(e^{i theta} A) =
+  cos(theta) S + sin(theta) iK, with S and K the symmetric and skew parts
+  of A, so h(2 pi - theta) = h(theta) and the boundary point there is the
+  conjugate.  Also H(theta + pi) = -H(theta), so one Hermitian
+  tridiagonalisation at theta gives h(theta) from its top eigenpair and
+  h(pi - theta) from its bottom one.  An even N pairs theta_j with
+  theta_{N/2 - j} and makes N//4 + 1 solves, over the angles up to pi/2; an
+  odd N has no antipode on the grid and makes N//2 + 1, over the angles up
+  to pi.  min_real_part is the bottom eigenvalue at theta = 0.  Every
+  boundary point <A v, v> comes from one product after the loop.
 
 A matrix whose Hermitian part is positive semidefinite generates a
 contraction semigroup: ||exp(-tau A)|| <= 1 for all tau >= 0, checked with
@@ -27,6 +32,7 @@ out of the CLI's start-up.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +43,8 @@ class FovResult:
     """Support-function samples of the numerical range at dimension dim.
 
     boundary_points[j] = <A v, v> for the extreme unit eigenvector v at
-    angle theta_j; min_real_part equals -h(pi), the smallest eigenvalue of
-    the symmetric part.
+    angle theta_j; min_real_part is the smallest eigenvalue of the symmetric
+    part, -h(pi).
     """
 
     angles: np.ndarray
@@ -71,23 +77,13 @@ def fov_boundary(matrix: np.ndarray, n_angles: int = 256) -> FovResult:
         boundary = np.where(right, lam[-1], lam[0]).astype(complex)
         min_real = float(lam[0])
     else:
-        import scipy.linalg
-
-        sym, iskew = 0.5 * (m + m.T), 0.5j * (m - m.T)
-        half = n_angles // 2 + 1  # theta_j <= pi; the rest mirror them
-        support = np.empty(n_angles)
-        vectors = np.empty((dim, half), dtype=complex)
-        for j, theta in enumerate(angles[:half]):
-            eigval, eigvec = scipy.linalg.eigh(np.cos(theta) * sym + np.sin(theta) * iskew,
-                                               subset_by_index=[dim - 1, dim - 1])
-            support[j] = eigval[0]
-            vectors[:, j] = eigvec[:, 0]
+        support, vectors, min_real = _terraced_support(m, angles)
+        half = vectors.shape[1]
         boundary = np.empty(n_angles, dtype=complex)
         boundary[:half] = np.einsum("ij,ij->j", vectors.conj(), m @ vectors)
         mirror = n_angles - np.arange(half, n_angles)
         support[half:] = support[mirror]
         boundary[half:] = boundary[mirror].conj()
-        min_real = float(np.linalg.eigvalsh(sym)[0])
     return FovResult(
         angles=angles,
         support_values=support,
@@ -95,6 +91,62 @@ def fov_boundary(matrix: np.ndarray, n_angles: int = 256) -> FovResult:
         min_real_part=min_real,
         dim=dim,
     )
+
+
+def _terraced_support(m: np.ndarray, angles: np.ndarray):
+    """(support, vectors, min_real) of a real non-symmetric A: support[j] =
+    h(theta_j) and vectors[:, j] the top unit eigenvector of H(theta_j) for
+    each theta_j <= pi, and min_real = lambda_min(S).
+
+    The bottom eigenpair (lambda, v) of H(theta) is the top eigenpair
+    (-lambda, conj v) of H(pi - theta) (see the module docstring).  Each
+    zhetrd's real tridiagonal gives its extreme eigenvalues by bisection
+    (dstebz) and their vectors by inverse iteration (dstein); zunmqr applies
+    the Householder reflectors to those vectors.
+    """
+    from scipy.linalg.lapack import dstebz, dstein, zhetrd, zhetrd_lwork, zunmqr
+
+    n_angles, dim = angles.size, m.shape[0]
+    peak = float(np.abs(m).max())
+    if not math.isfinite(peak):
+        raise ValueError("fov_boundary needs a finite matrix")
+    # an exact power-of-two scale to order 1: the bisection squares entries
+    exponent = math.frexp(peak)[1]
+    scaled = np.ldexp(m, -exponent)
+    sym, skew = 0.5 * (scaled + scaled.T), 0.5 * (scaled - scaled.T)
+    even, half = n_angles % 2 == 0, n_angles // 2 + 1
+    support = np.empty(n_angles)
+    vectors = np.empty((dim, half), dtype=complex)
+    h = np.empty((dim, dim), dtype=complex, order="F")  # each zhetrd overwrites it
+    lwork = int(zhetrd_lwork(dim, lower=1)[0].real)
+    tol = 2 * np.finfo(float).tiny  # the smallest: high relative accuracy
+    for j in range(n_angles // 4 + 1 if even else half):
+        theta = angles[j]
+        np.multiply(sym, math.cos(theta), out=h.real)
+        np.multiply(skew, math.sin(theta), out=h.imag)
+        reflectors, d, e, tau, info = zhetrd(h, lower=1, lwork=lwork, overwrite_a=1)
+        antipode = n_angles // 2 - j  # a grid index when N is even
+        # (top, bottom) eigenvalue indices; pi/2 is its own antipode
+        indices = (dim, 1) if j == 0 or (even and antipode != j) else (dim,)
+        w = np.empty(len(indices))
+        z = np.empty((dim, len(indices)), dtype=complex, order="F")
+        for k, index in enumerate(indices):
+            if info == 0:
+                _, value, block, split, info = dstebz(d, e, 2, 0.0, 0.0, index, index, tol, "B")
+            if info == 0:
+                column, info = dstein(d, e, value[:1], block, split)
+                w[k], z[:, k] = math.ldexp(value[0], exponent), column[:, 0]
+        if info == 0:
+            z[1:], _, info = zunmqr("L", "N", reflectors[1:, :-1], tau, z[1:], len(indices))
+        if info:
+            raise np.linalg.LinAlgError(f"extreme eigenpairs of Re(e^(i theta) A) failed "
+                                        f"at theta = {theta:.6g} (LAPACK info {info})")
+        support[j], vectors[:, j] = w[0], z[:, 0]
+        if j == 0:
+            min_real = float(w[1])
+        if even and len(indices) == 2:
+            support[antipode], vectors[:, antipode] = -w[1], z[:, 1].conj()
+    return support, vectors, min_real
 
 
 def spectral_norm(matrix: np.ndarray) -> float:

@@ -6,8 +6,6 @@ of a drawing are formatted a chunk of rows at a time by
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .serialize import _format_rows
@@ -58,12 +56,13 @@ def heatmap_svg(values: np.ndarray, extent: tuple[float, float, float, float]) -
 
 
 def _plane_mapper(points: np.ndarray):
+    # every part: Python's min and max below keep a nan only when it comes first
+    if not np.isfinite(points).all():
+        raise ValueError("non-finite data")
     re = points.real
     im = points.imag
     lo = min(re.min(), im.min())
     hi = max(re.max(), im.max())
-    if not math.isfinite(lo) or not math.isfinite(hi):
-        raise ValueError("non-finite data")
     span = hi - lo if hi > lo else 1.0
     scale = (SIZE - 2 * MARGIN) / span
 

@@ -103,10 +103,10 @@ def reference_heatmap_svg(values, extent):
 
 
 def _reference_mapper(points):
+    if not all(math.isfinite(part) for z in points for part in (z.real, z.imag)):
+        raise ValueError("non-finite data")
     lo = min(points.real.min(), points.imag.min())
     hi = max(points.real.max(), points.imag.max())
-    if not math.isfinite(lo) or not math.isfinite(hi):
-        raise ValueError("non-finite data")
     scale = (SIZE - 2 * MARGIN) / (hi - lo if hi > lo else 1.0)
 
     def to_xy(z):

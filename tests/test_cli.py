@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 import momentspectra
-from momentspectra import spectral
+from momentspectra import cli, spectral
 
 from helpers import parse_complex
 from momentspectra.cli import main
@@ -214,12 +214,19 @@ def _failing_eigensolver(*args, **kwargs):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
+def _failing_bisection(d, e, *args):
+    # dstebz's outputs (m, w, iblock, isplit) with info 3: not every eigenvalue found
+    n = d.size
+    return 0, np.zeros(n), np.zeros(n, np.int32), np.zeros(n, np.int32), 3
+
+
 def test_eigensolver_failure_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
-    # the terraced fov path takes the top eigenpair from scipy.linalg.eigh
-    monkeypatch.setattr(scipy.linalg, "eigh", _failing_eigensolver)
+    # the terraced fov path bisects each tridiagonal with LAPACK dstebz
+    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", _failing_bisection)
     code = main(["fov", "--measure", "lebesgue", "--dim", "8", "--out", str(tmp_path / "f")])
     assert code == 2
-    assert capsys.readouterr().err == "numeric error: Eigenvalues did not converge\n"
+    assert capsys.readouterr().err == ("numeric error: extreme eigenpairs of Re(e^(i theta) A) "
+                                       "failed at theta = 0 (LAPACK info 3)\n")
 
 
 def test_hankel_eigensolver_failure_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
@@ -454,6 +461,22 @@ def test_failed_run_leaves_a_manifest_with_status_error(tmp_path, capsys, args, 
     assert set(manifest["outputs"]) == {p.name for p in out.iterdir()}
 
 
+def test_allocation_failure_exits_two_with_a_manifest(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 1.00 TiB for an array with shape (2**35, 2**2)")
+
+    # the name the pseudo handler calls
+    monkeypatch.setattr(cli, "pseudospectrum_grid", out_of_memory)
+    out = tmp_path / "m"
+    assert main(["pseudo", "--weights", "cesaro", "--window=0.2,0.4,0.1,0.3", "--res", "2",
+                 "--dim", "16", "--out", str(out)]) == 2
+    line = "memory error: Unable to allocate 1.00 TiB for an array with shape (2**35, 2**2)"
+    assert capsys.readouterr().err == line + "\n"
+    manifest = read_json(out / "manifest.json")
+    assert manifest["status"] == "error" and manifest["exit_code"] == 2
+    assert manifest["error"] == line
+
+
 def test_unconverged_sigma_min_exits_two_with_a_manifest(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(spectral, "_top_ritz", lambda alphas, betas: (1.0, np.inf))
     out = tmp_path / "p"
@@ -513,6 +536,13 @@ def test_boundary_svg_degenerate_point():
     assert "polyline" in svg and svg.startswith("<svg")
     with pytest.raises(ValueError):
         boundary_svg(np.array([], dtype=complex))
+
+
+@pytest.mark.parametrize("render", [boundary_svg, lambda pts: region_svg(pts, None, None)])
+def test_plane_plots_refuse_a_nan_imaginary_part_after_the_first_point(render):
+    # a nan that is not first escapes Python's min and max, so each part is checked
+    with pytest.raises(ValueError, match="non-finite data"):
+        render(np.array([2 + 1j, complex(1, np.nan), 0.5 + 0.2j]))
 
 
 def test_region_svg_disc_and_points():

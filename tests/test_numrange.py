@@ -96,7 +96,8 @@ def test_fov_support_at_pi_matches_min_real_part():
     result = fov_boundary(matrix, n_angles=16)  # even count puts pi on the grid
     pi_index = 8
     assert result.angles[pi_index] == pytest.approx(np.pi)
-    assert result.support_values[pi_index] == pytest.approx(-result.min_real_part, abs=1e-12)
+    # both are the bottom eigenvalue of the symmetric part, from one solve at theta = 0
+    assert result.support_values[pi_index] == -result.min_real_part
 
 
 @pytest.mark.parametrize("name", ["lebesgue", "hilbert"])
@@ -147,7 +148,7 @@ def dense_support_oracle(matrix: np.ndarray, angles: np.ndarray) -> np.ndarray:
     ("hankel", "lebesgue", 128),
     ("hankel", "dirac(0.5)", 64),
 ])
-@pytest.mark.parametrize("n_angles", [48, 37])
+@pytest.mark.parametrize("n_angles", [48, 50, 37])
 def test_fov_paths_match_the_per_angle_dense_oracle(kind, measure, dim, n_angles):
     build = terraced_from_measure if kind == "terraced" else hankel_from_measure
     matrix = build(measure, dim).dense()
@@ -161,13 +162,44 @@ def test_fov_paths_match_the_per_angle_dense_oracle(kind, measure, dim, n_angles
     assert result.min_real_part == pytest.approx(symmetric_min_eig(matrix), abs=tol)
 
 
-@pytest.mark.parametrize("n_angles", [16, 17, 512, 513])
+@pytest.mark.parametrize("n_angles", [16, 17, 18, 50, 512, 513])
 def test_terraced_support_is_mirrored_exactly(n_angles):
     matrix = terraced_from_measure("dirac(0)+0.5*lebesgue", 24).dense()
     result = fov_boundary(matrix, n_angles=n_angles)
     j = np.arange(1, (n_angles + 1) // 2)  # theta_j < pi; pi itself is its own mirror
     assert np.array_equal(result.support_values[n_angles - j], result.support_values[j])
     assert np.array_equal(result.boundary_points[n_angles - j], result.boundary_points[j].conj())
+
+
+@pytest.mark.parametrize("n_angles, solves", [(512, 129), (16, 5), (18, 5), (17, 9)])
+def test_terraced_fov_tridiagonalises_once_per_antipodal_pair(monkeypatch, n_angles, solves):
+    # an even count pairs theta with pi - theta: N//4 + 1 solves; an odd one N//2 + 1
+    calls = []
+    zhetrd = scipy.linalg.lapack.zhetrd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return zhetrd(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "zhetrd", counted)
+    fov_boundary(terraced_from_measure("lebesgue", 16).dense(), n_angles=n_angles)
+    assert len(calls) == solves
+
+
+@pytest.mark.parametrize("exponent", [600, -600])
+def test_terraced_support_scales_exactly_by_a_power_of_two(exponent):
+    matrix = terraced_from_measure("dirac(0)+0.5*lebesgue", 32).dense()
+    base = fov_boundary(matrix, n_angles=18)
+    scaled = fov_boundary(np.ldexp(matrix, exponent), n_angles=18)
+    assert np.array_equal(scaled.support_values, np.ldexp(base.support_values, exponent))
+    assert scaled.min_real_part == np.ldexp(base.min_real_part, exponent)
+
+
+def test_terraced_fov_refuses_a_non_finite_matrix():
+    matrix = terraced_from_measure("lebesgue", 8).dense()
+    matrix[5, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        fov_boundary(matrix, n_angles=8)
 
 
 def test_fov_refuses_a_complex_matrix():
