@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -90,8 +91,41 @@ def _parse_index_range(text: str) -> list[int]:
     return [int(text)]
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+def _finite_float(text: str) -> float:
+    """float(text), refusing nan and inf: the argparse type of every float option."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _at_least(minimum: int):
+    """The argparse type of an integer option that nothing below minimum can run."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{value} is below {minimum}")
+        return value
+    return parse
+
+
+def _flag_float(flag: str, text: str) -> float:
+    """_finite_float of a number inside an option's value: a refusal is an
+    input error that names the flag."""
+    try:
+        return _finite_float(text)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
+def _parse_floats(flag: str, text: str) -> list[float]:
+    return [_flag_float(flag, part) for part in text.split(",") if part.strip()]
 
 
 def _fit_length(n: int) -> int:
@@ -148,7 +182,7 @@ def _weights_from_family(family: str, n_terms: int) -> WeightSequence:
     if name == "cesaro":
         return WeightSequence.cesaro(n_terms)
     if name == "power":
-        return WeightSequence.power_law(float(param or 2.0), n_terms)
+        return WeightSequence.power_law(_flag_float("--weights", param or "2.0"), n_terms)
     if name == "leibowitz":
         return WeightSequence.leibowitz_squares(n_terms)
     raise ValueError(f"unknown weight family {family!r} (use cesaro, power:<s>, leibowitz)")
@@ -193,9 +227,9 @@ _OPERATOR = _SOURCE + (("--kind", dict(choices=("terraced", "hankel"), default="
 
 @_command("moments", "moment sequence CSV for a measure",
           _MEASURE,
-          ("--n", dict(type=int, required=True)),
+          ("--n", dict(type=_at_least(1), required=True)),
           ("--quadrature", dict(action="store_true", help="force the adaptive-quadrature path")),
-          ("--tol", dict(type=float, default=measures_mod.MOMENT_TOL)))
+          ("--tol", dict(type=_finite_float, default=measures_mod.MOMENT_TOL)))
 def _cmd_moments(args, writer: ArtifactWriter):
     spec = parse_measure(args.measure)
     method = "quadrature" if args.quadrature else "closed"
@@ -236,9 +270,9 @@ def _cmd_classify(args, writer: ArtifactWriter):
 @_command("eigencheck", "eigenvector residuals",
           _MEASURE,
           ("--k", dict(required=True)),
-          ("--dim", dict(type=int, default=400)),
-          ("--embed", dict(type=int, default=1)),
-          ("--tol", dict(type=float, default=1e-8)))
+          ("--dim", dict(type=_at_least(1), default=400)),
+          ("--embed", dict(type=_at_least(1), default=1)),
+          ("--tol", dict(type=_finite_float, default=1e-8)))
 def _cmd_eigencheck(args, writer: ArtifactWriter):
     spec = parse_measure(args.measure)
     ms = moments(spec, args.embed * args.dim)
@@ -304,11 +338,11 @@ def _cmd_region(args, writer: ArtifactWriter):
 @_command("pseudo", "sigma_min grid over a complex window",
           *_OPERATOR,
           ("--window", dict(required=True, help="re0,re1,im0,im1")),
-          ("--res", dict(type=int, default=64)),
-          ("--dim", dict(type=int, default=256)),
+          ("--res", dict(type=_at_least(2), default=64)),
+          ("--dim", dict(type=_at_least(1), default=256)),
           ("--dump-matrix", dict(action="store_true")))
 def _cmd_pseudo(args, writer: ArtifactWriter):
-    window = _parse_floats(args.window)
+    window = _parse_floats("--window", args.window)
     if len(window) != 4:
         raise ValueError("window must be re0,re1,im0,im1")
     if args.dump_matrix:
@@ -325,9 +359,9 @@ def _cmd_pseudo(args, writer: ArtifactWriter):
 
 @_command("fov", "field-of-values boundary and right-half-plane check",
           *_OPERATOR,
-          ("--dim", dict(type=int, default=64)),
-          ("--angles", dict(type=int, default=256)),
-          ("--require-rhp", dict(type=float, default=None, nargs="?", const=1e-10,
+          ("--dim", dict(type=_at_least(1), default=64)),
+          ("--angles", dict(type=_at_least(4), default=256)),
+          ("--require-rhp", dict(type=_finite_float, default=None, nargs="?", const=1e-10,
                                  help="fail (exit 2) when min Re W drops below -TOL")))
 def _cmd_fov(args, writer: ArtifactWriter):
     result = fov_boundary(_build_operator(args, args.dim).dense(), n_angles=args.angles)
@@ -348,16 +382,16 @@ def _cmd_fov(args, writer: ArtifactWriter):
 
 @_command("contraction", "semigroup contraction norms",
           *_OPERATOR,
-          ("--dim", dict(type=int, default=64)),
+          ("--dim", dict(type=_at_least(1), default=64)),
           ("--taus", dict(default="0.1,1,10")),
-          ("--shift", dict(type=float, default=0.0,
+          ("--shift", dict(type=_finite_float, default=0.0,
                            help="check A - shift*I instead (negative control)")),
-          ("--tol", dict(type=float, default=1e-9)))
+          ("--tol", dict(type=_finite_float, default=1e-9)))
 def _cmd_contraction(args, writer: ArtifactWriter):
     matrix = _build_operator(args, args.dim).dense()
     if args.shift:
         matrix = matrix - args.shift * np.eye(args.dim)
-    result = contraction_check(matrix, _parse_floats(args.taus))
+    result = contraction_check(matrix, _parse_floats("--taus", args.taus))
     writer.write_json("contraction.json", contraction_payload(result))
     code = 0 if result.max_norm <= 1.0 + args.tol else 2
     return code, {"contraction_tol": args.tol}
@@ -365,9 +399,9 @@ def _cmd_contraction(args, writer: ArtifactWriter):
 
 @_command("invariance", "integral representations and monomial defects",
           _MEASURE,
-          ("--dim", dict(type=int, default=32)),
-          ("--k-max", dict(type=int, default=8)),
-          ("--tol", dict(type=float, default=1e-11)))
+          ("--dim", dict(type=_at_least(1), default=32)),
+          ("--k-max", dict(type=_at_least(0), default=8)),
+          ("--tol", dict(type=_finite_float, default=1e-11)))
 def _cmd_invariance(args, writer: ArtifactWriter):
     spec = parse_measure(args.measure)
     checks = []
@@ -421,9 +455,9 @@ def _cmd_invariance(args, writer: ArtifactWriter):
 
 
 @_command("hilbert", "Hilbert-matrix column identities and norm growth",
-          ("--max-index", dict(type=int, default=16)),
+          ("--max-index", dict(type=_at_least(0), default=16)),
           ("--dims", dict(default="64,128,256")),
-          ("--tol", dict(type=float, default=1e-12)))
+          ("--tol", dict(type=_finite_float, default=1e-12)))
 def _cmd_hilbert(args, writer: ArtifactWriter):
     limit = operators_mod.DENSE_LIMIT
     largest = (limit - 1) // 2  # Bernstein table side 2 max-index + 1
@@ -466,9 +500,9 @@ def _cmd_hilbert(args, writer: ArtifactWriter):
 
 
 @_command("bench", "kernel timing harness",
-          ("--dim", dict(type=int, default=8192)),
+          ("--dim", dict(type=_at_least(1), default=8192)),
           ("--kernels", dict(default="terraced,terraced-dense,hankel,hankel-dense")),
-          ("--repeats", dict(type=int, default=3)))
+          ("--repeats", dict(type=_at_least(1), default=3)))
 def _cmd_bench(args, writer: ArtifactWriter):
     rows = [
         benchmark_apply(kernel.strip(), args.dim, repeats=args.repeats)

@@ -240,18 +240,20 @@ def _density_moments(c: float, s: float, x0: float, ns: np.ndarray, tol: float):
     """Quadrature moments of the density with Laplace triple (c, s, x0).
 
     Entry n's [x0, x0 + (120+20s)/(n+c)] is mapped onto [0, 1], cutting a tail
-    Q(s, 120+20s) <= e^{-120} of the entry (Chernoff).  Every row is then
-    u^{s-1} e^{-(120+20s)u} times its own scale, so one tree settles all; the
-    check tests closed_moments against the triple and Gamma(s), not t^n in t.
+    Q(s, 120+20s) <= e^{-120} of the entry (Chernoff).  Every entry is then
+    u^{s-1} e^{-(120+20s)u} times its own scale, so entry 0 alone is
+    integrated and entry n is its value and bound times (c/(n+c))^s e^{-n x0}
+    <= 1; the check tests closed_moments against the triple and Gamma(s).
     """
-    nc = ns[:, None] + c
-    width = (120.0 + 20.0 * s) / nc
-    scale = width * np.exp(-nc * x0) / math.gamma(s)
+    width = (120.0 + 20.0 * s) / c
+    scale = width * math.exp(-c * x0) / math.gamma(s)
 
     def f(u):
         y = width * u
-        return scale * np.exp(-nc * y) * np.power(y, s - 1.0)
-    return integrate(f, tol)
+        return scale * np.exp(-c * y) * np.power(y, s - 1.0)
+    value, bound = integrate(f, tol)
+    ratio = np.power((ns + c) / c, -s) * np.exp(-ns * x0)
+    return ratio * value, ratio * bound
 
 
 @dataclass(eq=False)

@@ -37,6 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectral import _tridiagonal_eigenpairs
+
 
 @dataclass(frozen=True, eq=False)
 class FovResult:
@@ -100,11 +102,11 @@ def _terraced_support(m: np.ndarray, angles: np.ndarray):
 
     The bottom eigenpair (lambda, v) of H(theta) is the top eigenpair
     (-lambda, conj v) of H(pi - theta) (see the module docstring).  Each
-    zhetrd's real tridiagonal gives its extreme eigenvalues by bisection
-    (dstebz) and their vectors by inverse iteration (dstein); zunmqr applies
-    the Householder reflectors to those vectors.
+    zhetrd's real tridiagonal gives its extreme eigenpairs by bisection and
+    inverse iteration; zunmqr applies the Householder reflectors to those
+    vectors.
     """
-    from scipy.linalg.lapack import dstebz, dstein, zhetrd, zhetrd_lwork, zunmqr
+    from scipy.linalg.lapack import zhetrd, zhetrd_lwork, zunmqr
 
     n_angles, dim = angles.size, m.shape[0]
     peak = float(np.abs(m).max())
@@ -119,7 +121,6 @@ def _terraced_support(m: np.ndarray, angles: np.ndarray):
     vectors = np.empty((dim, half), dtype=complex)
     h = np.empty((dim, dim), dtype=complex, order="F")  # each zhetrd overwrites it
     lwork = int(zhetrd_lwork(dim, lower=1)[0].real)
-    tol = 2 * np.finfo(float).tiny  # the smallest: high relative accuracy
     for j in range(n_angles // 4 + 1 if even else half):
         theta = angles[j]
         np.multiply(sym, math.cos(theta), out=h.real)
@@ -128,15 +129,10 @@ def _terraced_support(m: np.ndarray, angles: np.ndarray):
         antipode = n_angles // 2 - j  # a grid index when N is even
         # (top, bottom) eigenvalue indices; pi/2 is its own antipode
         indices = (dim, 1) if j == 0 or (even and antipode != j) else (dim,)
-        w = np.empty(len(indices))
-        z = np.empty((dim, len(indices)), dtype=complex, order="F")
-        for k, index in enumerate(indices):
-            if info == 0:
-                _, value, block, split, info = dstebz(d, e, 2, 0.0, 0.0, index, index, tol, "B")
-            if info == 0:
-                column, info = dstein(d, e, value[:1], block, split)
-                w[k], z[:, k] = math.ldexp(value[0], exponent), column[:, 0]
         if info == 0:
+            w, z, info = _tridiagonal_eigenpairs(d, e, indices)
+        if info == 0:
+            w, z = np.ldexp(w, exponent), z.astype(complex, order="F")
             z[1:], _, info = zunmqr("L", "N", reflectors[1:, :-1], tau, z[1:], len(indices))
         if info:
             raise np.linalg.LinAlgError(f"extreme eigenpairs of Re(e^(i theta) A) failed "
@@ -167,8 +163,8 @@ def contraction_check(matrix: np.ndarray, taus) -> ContractionResult:
     taus = np.asarray(list(taus), dtype=float)
     if taus.size == 0:
         raise ValueError("need at least one tau")
-    if np.any(taus <= 0.0):
-        raise ValueError("taus must be positive")
+    if not np.all((taus > 0.0) & np.isfinite(taus)):
+        raise ValueError("taus must be positive and finite")
     import scipy.linalg
 
     m = np.asarray(matrix)

@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Legendre integration: one bisection tree for a family of integrands."""
+"""Adaptive Gauss-Legendre integration of a vectorized scalar integrand over [0, 1]."""
 
 from __future__ import annotations
 
@@ -38,8 +38,8 @@ def _refine(f, a, b, whole, tol, depth, splits):
     left = _panel(f, a, mid)
     right = _panel(f, mid, b)
     splits[0] += 1
-    err = np.abs(whole - left - right)
-    if np.all(err <= tol) or depth <= 0 or splits[0] >= MAX_PANELS:
+    err = abs(whole - left - right)
+    if err <= tol or depth <= 0 or splits[0] >= MAX_PANELS:
         return left + right, err
     lv, lb = _refine(f, a, mid, left, 0.5 * tol, depth - 1, splits)
     rv, rb = _refine(f, mid, b, right, 0.5 * tol, depth - 1, splits)
@@ -47,28 +47,25 @@ def _refine(f, a, b, whole, tol, depth, splits):
 
 
 def integrate(f, tol: float):
-    """Integrate each row of a vectorized integrand over [0, 1] to absolute tolerance tol.
+    """Integrate a vectorized integrand over [0, 1] to absolute tolerance tol.
 
-    f maps the nodes to one row of values per component (last axis over the
-    nodes); a scalar integrand is one row.  All rows share one bisection
-    tree: a panel is bisected while any row's discrepancy between the panel
-    and the sum of its halves exceeds the panel's share of tol, and each
-    row's summed discrepancies are its error bound.  Refinement stops after
-    MAX_PANELS bisections; a tol below TOL_FLOOR_EPS eps times the largest
-    |first panel estimate| is refused before any.  Returns (value,
-    error_bound), one entry per row.  Raises QuadratureError on a worst bound
-    above tol, or on any value of f that is not finite.
+    f maps an array of nodes to its values.  A panel is bisected while the
+    discrepancy between it and the sum of its halves exceeds the panel's
+    share of tol, and the summed discrepancies are the error bound.
+    Refinement stops after MAX_PANELS bisections; a tol below TOL_FLOOR_EPS
+    eps times |first panel estimate| is refused before any.  Returns (value,
+    error_bound).  Raises QuadratureError on a bound above tol, or on any
+    value of f that is not finite.
     """
     whole = _panel(f, 0.0, 1.0)
-    floor = TOL_FLOOR_EPS * np.finfo(float).eps * np.max(np.abs(whole))
+    floor = TOL_FLOOR_EPS * np.finfo(float).eps * abs(whole)
     if tol < floor:
         raise QuadratureError(f"adaptive quadrature stalled before refining: tol {tol:.3e} is "
                               f"below the rounding floor {floor:.3e} ({TOL_FLOOR_EPS} eps |value|)")
     value, bound = _refine(f, 0.0, 1.0, whole, tol, _MAX_DEPTH, [0])
-    worst = np.max(bound)
-    if worst > tol:
+    if bound > tol:
         raise QuadratureError(
-            f"adaptive quadrature stalled at error bound {worst:.3e} (tol {tol:.3e})")
+            f"adaptive quadrature stalled at error bound {bound:.3e} (tol {tol:.3e})")
     return value, bound
 
 

@@ -10,6 +10,7 @@ each artifact is joined once.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -153,9 +154,15 @@ def write_json(path, payload):
     """The bytes of json.dump(payload, indent=2, allow_nan=False) and a final
     newline, streamed to `path`.  numpy scalars are written as Python ones,
     and an ndarray as its tolist() would be, its rows formatted in bulk; a
-    nan or inf raises json's ValueError."""
+    nan or inf raises json's ValueError, and the file is removed rather than
+    left truncated."""
     encoder = json.JSONEncoder(indent=2, allow_nan=False, default=_coerce_scalar)
     with open(path, "w") as handle:
-        for chunk in _json_chunks(payload, 0, encoder):
-            handle.write(chunk)
-        handle.write("\n")
+        try:
+            for chunk in _json_chunks(payload, 0, encoder):
+                handle.write(chunk)
+            handle.write("\n")
+        except BaseException:
+            handle.close()
+            os.remove(path)
+            raise

@@ -323,6 +323,32 @@ def _start_vector(n: int) -> np.ndarray:
 _BISECTION_TOL = 2 * np.finfo(float).tiny
 
 
+def _tridiagonal_eigenpairs(d: np.ndarray, e: np.ndarray, indices):
+    """(values, vectors, info) of the real symmetric tridiagonal with
+    diagonal d and off-diagonal e: values[j] is its indices[j]-th smallest
+    eigenvalue (from 1) and vectors[:, j] a unit eigenvector for it.
+
+    Each pair costs O(len(d)): bisection (dstebz) to _BISECTION_TOL, then
+    inverse iteration (dstein).  The bisection squares the entries, so the
+    caller scales them to order 1.  info is LAPACK's, 0 on success; after a
+    failure the remaining pairs are left unset.
+    """
+    from scipy.linalg.lapack import dstebz, dstein
+
+    values = np.empty(len(indices))
+    vectors = np.empty((d.size, len(indices)))
+    info = 0
+    for j, index in enumerate(indices):
+        # info 0 means exactly the one eigenvalue asked for was found
+        _, w, block, split, info = dstebz(d, e, 2, 0.0, 0.0, index, index, _BISECTION_TOL, "B")
+        if info == 0:
+            vector, info = dstein(d, e, w[:1], block, split)
+        if info:
+            break
+        values[j], vectors[:, j] = w[0], vector[:, 0]
+    return values, vectors, info
+
+
 def _top_ritz(alphas: np.ndarray, betas: np.ndarray) -> tuple[float, float]:
     """(theta_1, |e_k^T y_1|) of the k x k upper bidiagonal with diagonal
     alphas and superdiagonal betas: its largest singular value and the last
@@ -331,12 +357,10 @@ def _top_ritz(alphas: np.ndarray, betas: np.ndarray) -> tuple[float, float]:
     They come from the 2k x 2k Golub-Kahan tridiagonal, zero diagonal and
     off-diagonal (alpha_1, beta_1, ..., alpha_k), whose eigenvalues are
     +-theta_i and whose top eigenvector interleaves (z_1, y_1)/sqrt(2).
-    Bisection (dstebz) and inverse iteration (dstein) cost O(k), where a
-    dense SVD of the bidiagonal costs O(k^3), and bisection to the smallest
-    absolute tolerance gives theta_1 to high relative accuracy.
+    Its top eigenpair costs O(k), where a dense SVD of the bidiagonal costs
+    O(k^3), and bisection to the smallest absolute tolerance gives theta_1
+    to high relative accuracy.
     """
-    from scipy.linalg.lapack import dstebz, dstein
-
     k = alphas.size
     diagonal = np.zeros(2 * k)
     off = np.empty(2 * k - 1)
@@ -344,14 +368,11 @@ def _top_ritz(alphas: np.ndarray, betas: np.ndarray) -> tuple[float, float]:
     # an exact power-of-two scale to order 1: the bisection squares entries
     scale = 2.0 ** math.frexp(off.max())[1]
     off /= scale
-    m, w, block, split, info = dstebz(diagonal, off, 2, 0.0, 0.0, 2 * k, 2 * k,
-                                      _BISECTION_TOL, "B")
-    if info == 0 and m == 1:
-        vector, info = dstein(diagonal, off, w[:1], block, split)
-    if info or m != 1:
+    w, vectors, info = _tridiagonal_eigenpairs(diagonal, off, (2 * k,))
+    if info:
         raise np.linalg.LinAlgError(f"top singular triplet of the {k} x {k} bidiagonal "
                                     f"did not converge")
-    return scale * float(w[0]), math.sqrt(2.0) * abs(vector[-1, 0])
+    return scale * float(w[0]), math.sqrt(2.0) * abs(vectors[-1, 0])
 
 
 def _norm_of_inverse(diagonal: np.ndarray, weights: np.ndarray) -> float:

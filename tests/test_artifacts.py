@@ -349,6 +349,14 @@ def test_write_json_refuses_nan_and_inf_in_an_array(data):
     assert str(raised.value) == str(expected.value)
 
 
+def test_write_json_leaves_no_truncated_file(tmp_path):
+    # the array is written before json refuses the nan that follows it
+    path = tmp_path / "partial.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(path, {"points": np.arange(4.0), "limit": math.nan})
+    assert not path.exists()
+
+
 # --------------------------------------------------------------------------
 # memory
 

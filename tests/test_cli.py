@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -459,6 +460,51 @@ def test_failed_run_leaves_a_manifest_with_status_error(tmp_path, capsys, args, 
     assert manifest["error"] == printed.rstrip("\n") and manifest["error"].startswith(line)
     assert manifest["command"] == args[0] and manifest["tolerances"] == {}
     assert set(manifest["outputs"]) == {p.name for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("args, line", [
+    (["moments", "--measure", "lebesgue", "--n", "8", "--quadrature", "--tol", "nan"],
+     "usage error: argument --tol: expected a finite number, got 'nan'"),
+    (["fov", "--measure", "lebesgue", "--dim", "8", "--require-rhp", "nan"],
+     "usage error: argument --require-rhp: expected a finite number, got 'nan'"),
+    (["fov", "--measure", "lebesgue", "--dim", "8", "--require-rhp", "inf"],
+     "usage error: argument --require-rhp: expected a finite number, got 'inf'"),
+    (["eigencheck", "--measure", "dirac(0.5)", "--k", "0", "--dim", "8", "--tol", "nan"],
+     "usage error: argument --tol: expected a finite number, got 'nan'"),
+    (["contraction", "--measure", "lebesgue", "--dim", "8", "--tol", "nan"],
+     "usage error: argument --tol: expected a finite number, got 'nan'"),
+    (["hilbert", "--max-index", "2", "--dims", "8", "--tol", "nan"],
+     "usage error: argument --tol: expected a finite number, got 'nan'"),
+    (["contraction", "--measure", "lebesgue", "--dim", "8", "--taus", "0.1,inf"],
+     "input error: --taus: expected a finite number, got 'inf'"),
+    (["contraction", "--measure", "lebesgue", "--dim", "8", "--shift", "nan"],
+     "usage error: argument --shift: expected a finite number, got 'nan'"),
+    (["pseudo", "--measure", "lebesgue", "--window=0,1,0,nan", "--res", "2", "--dim", "8"],
+     "input error: --window: expected a finite number, got 'nan'"),
+    (["region", "--weights", "power:nan", "--n", "64"],
+     "input error: --weights: expected a finite number, got 'nan'"),
+    (["hilbert", "--max-index", "-1", "--dims", "8"],
+     "usage error: argument --max-index: -1 is below 0"),
+    (["invariance", "--measure", "lebesgue", "--dim", "8", "--k-max", "-3"],
+     "usage error: argument --k-max: -3 is below 0"),
+    (["eigencheck", "--measure", "dirac(0.5)", "--k", "0", "--dim", "8", "--embed", "0"],
+     "usage error: argument --embed: 0 is below 1"),
+])
+def test_non_finite_or_out_of_range_number_is_an_input_error(tmp_path, capsys, args, line):
+    assert main(args + ["--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == line + "\n"
+
+
+def test_readme_commands_parse():
+    # every command of the README's CLI block, parsed but not run
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("momentspectra ")]
+    assert {argv[0] for argv in commands} == set(cli._COMMANDS)
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_allocation_failure_exits_two_with_a_manifest(tmp_path, capsys, monkeypatch):

@@ -228,6 +228,12 @@ def test_spectral_norm_diagonal_and_zero():
 # --------------------------------------------------------------------------
 # contraction semigroup
 
+@pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
+def test_contraction_check_refuses_a_tau_that_is_not_positive_and_finite(tau):
+    with pytest.raises(ValueError, match="taus must be positive and finite"):
+        contraction_check(np.eye(2), [0.5, tau])
+
+
 def test_zero_generator_gives_the_identity_semigroup():
     result = contraction_check(np.zeros((8, 8)), [0.1, 1.0, 10.0])
     assert np.allclose(result.norms, 1.0, atol=1e-12)
