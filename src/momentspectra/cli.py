@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,6 @@ from .operators import (
     boundedness_report,
     check_dense_limit,
 )
-from .quadrature import QuadratureError
 from .serialize import (
     contraction_payload,
     fov_csv,
@@ -92,13 +92,21 @@ def _parse_index_range(text: str) -> list[int]:
 
 
 def _finite_float(text: str) -> float:
-    """float(text), refusing nan and inf: the argparse type of every float option."""
+    """float(text), refusing nan and inf: the argparse type of every signed float option."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """_finite_float refusing negatives too: the argparse type of every tolerance option."""
+    value = _finite_float(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative tolerance, got {text!r}")
     return value
 
 
@@ -130,8 +138,9 @@ def _parse_floats(flag: str, text: str) -> list[float]:
 
 def _fit_length(n: int) -> int:
     # classify, adjoint-disc and region fit a tail window of --n terms
-    if n < 64:
-        raise ValueError(f"--n {n} is below 64, the fewest terms the tail fits use")
+    if n < measures_mod.MIN_FIT_TERMS:
+        raise ValueError(f"--n {n} is below {measures_mod.MIN_FIT_TERMS}, "
+                         f"the fewest terms the tail fits use")
     return n
 
 
@@ -229,7 +238,7 @@ _OPERATOR = _SOURCE + (("--kind", dict(choices=("terraced", "hankel"), default="
           _MEASURE,
           ("--n", dict(type=_at_least(1), required=True)),
           ("--quadrature", dict(action="store_true", help="force the adaptive-quadrature path")),
-          ("--tol", dict(type=_finite_float, default=measures_mod.MOMENT_TOL)))
+          ("--tol", dict(type=_tolerance, default=measures_mod.MOMENT_TOL)))
 def _cmd_moments(args, writer: ArtifactWriter):
     spec = parse_measure(args.measure)
     method = "quadrature" if args.quadrature else "closed"
@@ -245,19 +254,11 @@ def _cmd_moments(args, writer: ArtifactWriter):
           ("--method", dict(choices=("auto", "analytic", "numeric"), default="auto")))
 def _cmd_classify(args, writer: ArtifactWriter):
     ms = moments(parse_measure(args.measure), _fit_length(args.n))
-    growth = growth_exponent(ms)
-    rows = []
-    for k in _parse_index_range(args.k):
-        verdict = classify_eigenvalue(ms, growth, k, method=args.method)
-        rows.append(
-            {
-                "k": k,
-                "mu_k": float(ms.values[k]),
-                "verdict": verdict.verdict,
-                "slope": verdict.slope,
-                "method": verdict.method,
-            }
-        )
+    ks = _parse_index_range(args.k)
+    verdicts = classify_eigenvalue(ms, growth_exponent(ms), ks, method=args.method)
+    # each row is {k, mu_k, verdict, slope, method}
+    rows = [{"k": k, "mu_k": float(ms.values[k]), **asdict(verdict)}
+            for k, verdict in zip(ks, verdicts)]
     writer.write_json("verdicts.json", rows)
     return 0, {
         "l2_margin": spectral_mod.L2_MARGIN,
@@ -272,7 +273,7 @@ def _cmd_classify(args, writer: ArtifactWriter):
           ("--k", dict(required=True)),
           ("--dim", dict(type=_at_least(1), default=400)),
           ("--embed", dict(type=_at_least(1), default=1)),
-          ("--tol", dict(type=_finite_float, default=1e-8)))
+          ("--tol", dict(type=_tolerance, default=1e-8)))
 def _cmd_eigencheck(args, writer: ArtifactWriter):
     spec = parse_measure(args.measure)
     ms = moments(spec, args.embed * args.dim)
@@ -361,7 +362,7 @@ def _cmd_pseudo(args, writer: ArtifactWriter):
           *_OPERATOR,
           ("--dim", dict(type=_at_least(1), default=64)),
           ("--angles", dict(type=_at_least(4), default=256)),
-          ("--require-rhp", dict(type=_finite_float, default=None, nargs="?", const=1e-10,
+          ("--require-rhp", dict(type=_tolerance, default=None, nargs="?", const=1e-10,
                                  help="fail (exit 2) when min Re W drops below -TOL")))
 def _cmd_fov(args, writer: ArtifactWriter):
     result = fov_boundary(_build_operator(args, args.dim).dense(), n_angles=args.angles)
@@ -386,7 +387,7 @@ def _cmd_fov(args, writer: ArtifactWriter):
           ("--taus", dict(default="0.1,1,10")),
           ("--shift", dict(type=_finite_float, default=0.0,
                            help="check A - shift*I instead (negative control)")),
-          ("--tol", dict(type=_finite_float, default=1e-9)))
+          ("--tol", dict(type=_tolerance, default=1e-9)))
 def _cmd_contraction(args, writer: ArtifactWriter):
     matrix = _build_operator(args, args.dim).dense()
     if args.shift:
@@ -401,7 +402,7 @@ def _cmd_contraction(args, writer: ArtifactWriter):
           _MEASURE,
           ("--dim", dict(type=_at_least(1), default=32)),
           ("--k-max", dict(type=_at_least(0), default=8)),
-          ("--tol", dict(type=_finite_float, default=1e-11)))
+          ("--tol", dict(type=_tolerance, default=1e-11)))
 def _cmd_invariance(args, writer: ArtifactWriter):
     spec = parse_measure(args.measure)
     checks = []
@@ -457,7 +458,7 @@ def _cmd_invariance(args, writer: ArtifactWriter):
 @_command("hilbert", "Hilbert-matrix column identities and norm growth",
           ("--max-index", dict(type=_at_least(0), default=16)),
           ("--dims", dict(default="64,128,256")),
-          ("--tol", dict(type=_finite_float, default=1e-12)))
+          ("--tol", dict(type=_tolerance, default=1e-12)))
 def _cmd_hilbert(args, writer: ArtifactWriter):
     limit = operators_mod.DENSE_LIMIT
     largest = (limit - 1) // 2  # Bernstein table side 2 max-index + 1
@@ -573,7 +574,7 @@ def run(argv: list[str]) -> int:
 
 #: numeric, allocation and input errors: reported as one line and an exit
 #: code, not a traceback
-_REPORTED = (ArithmeticError, QuadratureError, MemoryError, ValueError, OSError)
+_REPORTED = (ArithmeticError, MemoryError, ValueError, OSError)
 
 
 def _failure(exc: Exception) -> tuple[int, str]:
@@ -581,7 +582,7 @@ def _failure(exc: Exception) -> tuple[int, str]:
     if isinstance(exc, (MeasureSyntaxError, MeasureParameterError)):
         return 1, f"measure error: {exc}"
     # before ValueError: LinAlgError subclasses it
-    if isinstance(exc, (ArithmeticError, QuadratureError, np.linalg.LinAlgError)):
+    if isinstance(exc, (ArithmeticError, np.linalg.LinAlgError)):
         return 2, f"numeric error: {exc}"
     if isinstance(exc, MemoryError):
         return 2, f"memory error: {str(exc) or 'out of memory'}"

@@ -39,6 +39,8 @@ MOMENT_TOL = 1e-13
 #: fitted log-slope below this (with a good fit) declares bounded partial sums
 BOUNDED_SLOPE = 0.02
 BOUNDED_RESIDUAL = 1e-3
+#: fewest terms a tail fit over the window [n/2, n) accepts
+MIN_FIT_TERMS = 64
 
 
 class MeasureSyntaxError(ValueError):
@@ -346,8 +348,8 @@ def growth_exponent(ms: MomentSequence) -> GrowthEstimate:
     beta is the fitted slope and fit_residual reports the fit quality.
     """
     n = ms.n_terms
-    if n < 64:
-        raise ValueError("growth fit needs at least 64 moments")
+    if n < MIN_FIT_TERMS:
+        raise ValueError(f"growth fit needs at least {MIN_FIT_TERMS} moments")
     idx = np.arange(n // 2, n)
     x = np.log(idx + 1.0)
     y = ms.partial_sums[idx]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import MomentSequence
+from .measures import MIN_FIT_TERMS, MomentSequence
 
 #: largest dimension materialized as a dense matrix
 DENSE_LIMIT = 8192
@@ -221,8 +221,8 @@ def boundedness_report(weights: WeightSequence) -> BoundednessReport:
     window is its second half."""
     a = weights.values
     n_terms = a.size
-    if n_terms < 64:
-        raise ValueError("boundedness test needs at least 64 weights")
+    if n_terms < MIN_FIT_TERMS:
+        raise ValueError(f"boundedness test needs at least {MIN_FIT_TERMS} weights")
     n = np.arange(n_terms)
     w = (n + 1.0) * np.abs(a)
     sup_weight = float(w.max())

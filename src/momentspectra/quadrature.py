@@ -6,7 +6,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(ArithmeticError):
     """Requested tolerance was not reached, or the integrand was not finite."""
 
 

@@ -5,8 +5,11 @@ on [0,1), the k-th moment is an eigenvalue exactly when the sequence
 mu_n * exp(s_n / mu_k) is square-summable, where s_n are the moment partial
 sums.  With s_n ~ beta*log n the test term behaves like mu_n * n^(beta/mu_k),
 so membership reduces to a power-law exponent threshold at -1/2; bounded
-partial sums make every moment an eigenvalue.  The adjoint's point spectrum
-contains the open disc centered at beta with radius beta.
+partial sums make every moment an eigenvalue.  All indices share one pair of
+tail fits: with p and q the least-squares slopes of log mu_n and s_n against
+log(n+1), the test term's fitted slope is slope_k = p + q/mu_k.  The
+adjoint's point spectrum contains the open disc centered at beta with
+radius beta.
 
 Pseudospectra sample sigma_min(zI - A) on a grid, one exact path per family.
 A Hermitian (Hankel) matrix costs one eigvalsh per grid.  A terraced zI - R
@@ -102,65 +105,55 @@ def _validate_moments(ms: MomentSequence) -> int:
     return active
 
 
-def _tail_window(n_terms: int) -> np.ndarray:
-    return np.arange(n_terms // 2, n_terms)
+def classify_eigenvalue(ms: MomentSequence, growth: GrowthEstimate, ks,
+                        method: str = "auto") -> list[ClassificationVerdict]:
+    """Decide, for each index k in ks, whether the k-th moment is an
+    eigenvalue of the terraced operator; one verdict per index, in order.
 
-
-def _numeric_term_slope(ms: MomentSequence, k: int, active: int) -> float | None:
-    """LS slope of log(mu_n exp(s_n/mu_k)) against log(n+1) over the tail
-    window, restricted to entries with finite logs."""
-    idx = _tail_window(ms.n_terms)
-    idx = idx[idx < active]
-    if idx.size < 8:
-        return None
-    x = np.log(idx + 1.0)
-    y = np.log(ms.values[idx]) + ms.partial_sums[idx] / ms.values[k]
-    slope, _, _ = fit_line(x, y)
-    return slope
-
-
-def classify_eigenvalue(ms: MomentSequence, growth: GrowthEstimate, k: int,
-                        method: str = "auto") -> ClassificationVerdict:
-    """Decide whether the k-th moment is an eigenvalue of the terraced operator.
-
-    The analytic path uses the growth fit: bounded partial sums give InL2
-    outright; with s_n ~ beta*log n the test term is a power law whose
-    exponent p + beta/mu_k is compared against -1/2 (p fitted from the
-    moment decay).  The numeric path fits the test term's log-log slope
-    directly and returns Inconclusive within L2_MARGIN of -1/2.
+    Two lines are fitted once, against log(n+1) over the tail window
+    [n/2, active): slope p of log mu_n and slope q of s_n.  A least-squares
+    slope is linear in y, so the test term's log-log slope is
+    slope_k = p + q/mu_k, and each index costs O(1).  The analytic path uses
+    the growth fit: bounded partial sums give InL2 outright; with
+    s_n ~ beta*log n the test term is a power law whose exponent
+    p + beta/mu_k is compared against -1/2.  The numeric path compares
+    slope_k against -1/2 and returns Inconclusive within L2_MARGIN of it,
+    or with no slope when the window has fewer than 8 entries.
     """
     if method not in ("auto", "analytic", "numeric"):
         raise ValueError(f"unknown classification method {method!r}")
-    if not 0 <= k < ms.n_terms:
-        raise ValueError(f"eigenvalue index {k} out of range")
     active = _validate_moments(ms)
-    if k >= active:
-        raise ValueError(f"moment {k} underflowed to zero; choose a smaller index")
+    tail = np.arange(ms.n_terms // 2, active)
+    x = np.log(tail + 1.0)
+    # an empty window (every tail moment underflowed) fits no line: p = 0
+    p = fit_line(x, np.log(ms.values[tail]))[0] if tail.size else 0.0
+    q = fit_line(x, ms.partial_sums[tail])[0] if tail.size >= 8 else None
 
     analytic_ok = growth.bounded or growth.fit_residual < ANALYTIC_GROWTH_RESIDUAL
     use_analytic = method == "analytic" or (method == "auto" and analytic_ok)
-
-    if use_analytic:
-        if growth.bounded:
+    verdicts = []
+    for k in ks:
+        if not 0 <= k < ms.n_terms:
+            raise ValueError(f"eigenvalue index {k} out of range")
+        if k >= active:
+            raise ValueError(f"moment {k} underflowed to zero; choose a smaller index")
+        mu_k = float(ms.values[k])
+        slope = None if q is None else p + q / mu_k
+        if use_analytic and growth.bounded:
             # summable moments: the exponential factor is bounded and the
             # moment sequence itself is square-summable
-            slope = _numeric_term_slope(ms, k, active)
-            return ClassificationVerdict(IN_L2, slope, ANALYTIC)
-        idx = _tail_window(ms.n_terms)
-        idx = idx[idx < active]
-        p, _, _ = fit_line(np.log(idx + 1.0), np.log(ms.values[idx]))
-        exponent = p + growth.beta / float(ms.values[k])
-        verdict = IN_L2 if exponent < -0.5 else NOT_IN_L2
-        return ClassificationVerdict(verdict, float(exponent), ANALYTIC)
-
-    slope = _numeric_term_slope(ms, k, active)
-    if slope is None:
-        return ClassificationVerdict(INCONCLUSIVE, None, NUMERIC_FIT)
-    if slope < -0.5 - L2_MARGIN:
-        return ClassificationVerdict(IN_L2, float(slope), NUMERIC_FIT)
-    if slope > -0.5 + L2_MARGIN:
-        return ClassificationVerdict(NOT_IN_L2, float(slope), NUMERIC_FIT)
-    return ClassificationVerdict(INCONCLUSIVE, float(slope), NUMERIC_FIT)
+            verdict = ClassificationVerdict(IN_L2, slope, ANALYTIC)
+        elif use_analytic:
+            exponent = p + growth.beta / mu_k
+            verdict = ClassificationVerdict(IN_L2 if exponent < -0.5 else NOT_IN_L2,
+                                            exponent, ANALYTIC)
+        elif slope is None or -0.5 - L2_MARGIN <= slope <= -0.5 + L2_MARGIN:
+            verdict = ClassificationVerdict(INCONCLUSIVE, slope, NUMERIC_FIT)
+        else:
+            verdict = ClassificationVerdict(IN_L2 if slope < -0.5 else NOT_IN_L2,
+                                            slope, NUMERIC_FIT)
+        verdicts.append(verdict)
+    return verdicts
 
 
 def eigenvector(ms: MomentSequence, k: int, dim: int) -> np.ndarray:

@@ -17,6 +17,17 @@ from momentspectra import (
     moments,
     parse_measure,
 )
+from momentspectra.measures import fit_line
+from momentspectra.spectral import (
+    ANALYTIC,
+    ANALYTIC_GROWTH_RESIDUAL,
+    IN_L2,
+    INCONCLUSIVE,
+    L2_MARGIN,
+    NOT_IN_L2,
+    NUMERIC_FIT,
+    ClassificationVerdict,
+)
 
 CATALOG_MEASURES = {
     "lebesgue": "lebesgue",
@@ -53,6 +64,39 @@ def terraced_from_measure(text: str, dim: int) -> TerracedOperator:
 def hankel_from_measure(text: str, dim: int) -> HankelMomentOperator:
     ms = measure_moments(text, 2 * dim - 1)
     return HankelMomentOperator.from_moments(ms, dim)
+
+
+def tail_window(ms) -> np.ndarray:
+    """Indices [n/2, active) of the classification fits, active being the
+    length of the positive prefix of a valid moment sequence."""
+    return np.arange(ms.n_terms // 2, int(np.count_nonzero(ms.values > 0.0)))
+
+
+def reference_classification(ms, growth, k: int, method: str) -> ClassificationVerdict:
+    """Reference verdict for one index of a valid moment sequence: a direct
+    least-squares fit of the test term log(mu_n exp(s_n/mu_k)) against
+    log(n+1) over tail_window, made for this index alone, and the fit of
+    log mu_n for the analytic exponent p + beta/mu_k."""
+    idx = tail_window(ms)
+    x = np.log(idx + 1.0)
+    mu_k = float(ms.values[k])
+    slope = None
+    if idx.size >= 8:
+        slope = fit_line(x, np.log(ms.values[idx]) + ms.partial_sums[idx] / mu_k)[0]
+    analytic_ok = growth.bounded or growth.fit_residual < ANALYTIC_GROWTH_RESIDUAL
+    if method == "analytic" or (method == "auto" and analytic_ok):
+        if growth.bounded:
+            return ClassificationVerdict(IN_L2, slope, ANALYTIC)
+        exponent = fit_line(x, np.log(ms.values[idx]))[0] + growth.beta / mu_k
+        return ClassificationVerdict(IN_L2 if exponent < -0.5 else NOT_IN_L2, exponent,
+                                     ANALYTIC)
+    if slope is None:
+        return ClassificationVerdict(INCONCLUSIVE, None, NUMERIC_FIT)
+    if slope < -0.5 - L2_MARGIN:
+        return ClassificationVerdict(IN_L2, slope, NUMERIC_FIT)
+    if slope > -0.5 + L2_MARGIN:
+        return ClassificationVerdict(NOT_IN_L2, slope, NUMERIC_FIT)
+    return ClassificationVerdict(INCONCLUSIVE, slope, NUMERIC_FIT)
 
 
 def rhp_catalog_matrices(dim: int) -> dict[str, np.ndarray]:

@@ -42,7 +42,7 @@ def test_01_cesaro_point_spectrum_empty():
     start = time.perf_counter()
     ms = measure_moments("lebesgue", 4096)
     growth = growth_exponent(ms)
-    verdicts = [classify_eigenvalue(ms, growth, k).verdict for k in range(21)]
+    verdicts = [v.verdict for v in classify_eigenvalue(ms, growth, range(21))]
     elapsed = time.perf_counter() - start
     assert all(v == NOT_IN_L2 for v in verdicts)
     assert elapsed < 5.0
@@ -52,7 +52,7 @@ def test_01_cesaro_point_spectrum_empty():
 def test_02_dirac_moments_are_eigenvalues_with_small_residuals():
     ms = measure_moments("dirac(0.5)", 4096)
     growth = growth_exponent(ms)
-    verdicts = [classify_eigenvalue(ms, growth, k).verdict for k in range(11)]
+    verdicts = [v.verdict for v in classify_eigenvalue(ms, growth, range(11))]
     assert all(v == IN_L2 for v in verdicts)
     ms400 = measure_moments("dirac(0.5)", 400)
     residuals = [eigenvector_residual(ms400, k, 400) for k in range(6)]
@@ -63,10 +63,10 @@ def test_02_dirac_moments_are_eigenvalues_with_small_residuals():
 def test_03_atom_plus_half_lebesgue_keeps_only_mu0():
     ms = measure_moments("dirac(0)+0.5*lebesgue", 4096)
     growth = growth_exponent(ms)
-    first = classify_eigenvalue(ms, growth, 0)
+    first = classify_eigenvalue(ms, growth, [0])[0]
     assert first.verdict == IN_L2
     assert float(ms.values[0]) == 1.5
-    rest = [classify_eigenvalue(ms, growth, k).verdict for k in range(1, 11)]
+    rest = [v.verdict for v in classify_eigenvalue(ms, growth, range(1, 11))]
     assert all(v == NOT_IN_L2 for v in rest)
     _report(3, "point spectrum of delta_0 + 0.5*lebesgue is exactly {1.5}")
 

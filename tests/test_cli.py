@@ -489,6 +489,19 @@ def test_failed_run_leaves_a_manifest_with_status_error(tmp_path, capsys, args, 
      "usage error: argument --k-max: -3 is below 0"),
     (["eigencheck", "--measure", "dirac(0.5)", "--k", "0", "--dim", "8", "--embed", "0"],
      "usage error: argument --embed: 0 is below 1"),
+    # a tolerance bounds a distance, so a negative one can never be met
+    (["moments", "--measure", "lebesgue", "--n", "8", "--quadrature", "--tol", "-1"],
+     "usage error: argument --tol: expected a nonnegative tolerance, got '-1'"),
+    (["eigencheck", "--measure", "dirac(0.5)", "--k", "0", "--dim", "8", "--tol", "-1"],
+     "usage error: argument --tol: expected a nonnegative tolerance, got '-1'"),
+    (["invariance", "--measure", "dirac(0.5)", "--dim", "8", "--tol", "-1"],
+     "usage error: argument --tol: expected a nonnegative tolerance, got '-1'"),
+    (["contraction", "--measure", "lebesgue", "--dim", "8", "--tol", "-1"],
+     "usage error: argument --tol: expected a nonnegative tolerance, got '-1'"),
+    (["hilbert", "--max-index", "2", "--dims", "8", "--tol", "-1"],
+     "usage error: argument --tol: expected a nonnegative tolerance, got '-1'"),
+    (["fov", "--measure", "lebesgue", "--dim", "8", "--require-rhp", "-1"],
+     "usage error: argument --require-rhp: expected a nonnegative tolerance, got '-1'"),
 ])
 def test_non_finite_or_out_of_range_number_is_an_input_error(tmp_path, capsys, args, line):
     assert main(args + ["--out", str(tmp_path / "o")]) == 1

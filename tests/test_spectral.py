@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import MEASURE_SPECS, hankel_from_measure, measure_moments, terraced_from_measure
+from helpers import (
+    CATALOG_MEASURES,
+    MEASURE_SPECS,
+    hankel_from_measure,
+    measure_moments,
+    reference_classification,
+    tail_window,
+    terraced_from_measure,
+)
 from momentspectra import (
     HypothesesNotMetError,
     TerracedOperator,
@@ -25,7 +33,7 @@ from momentspectra import (
 )
 from momentspectra import spectral
 from momentspectra.cli import main
-from momentspectra.measures import MomentSequence, moments
+from momentspectra.measures import MomentSequence, fit_line, moments
 from momentspectra.operators import DENSE_LIMIT
 from momentspectra.spectral import ANALYTIC, IN_L2, INCONCLUSIVE, NOT_IN_L2, NUMERIC_FIT
 
@@ -37,7 +45,7 @@ def _handmade_moments(values) -> MomentSequence:
 def _classified(text: str, n: int, ks, method="auto"):
     ms = measure_moments(text, n)
     growth = growth_exponent(ms)
-    return [classify_eigenvalue(ms, growth, k, method=method) for k in ks]
+    return classify_eigenvalue(ms, growth, ks, method=method)
 
 
 # --------------------------------------------------------------------------
@@ -95,33 +103,73 @@ def test_numeric_fit_near_threshold_is_inconclusive():
 def test_analytic_and_numeric_paths_never_contradict(text, n):
     ms = measure_moments(text, n)
     growth = growth_exponent(ms)
-    for k in range(11):
-        analytic = classify_eigenvalue(ms, growth, k, method="analytic")
-        numeric = classify_eigenvalue(ms, growth, k, method="numeric")
+    for analytic, numeric in zip(classify_eigenvalue(ms, growth, range(11), method="analytic"),
+                                 classify_eigenvalue(ms, growth, range(11), method="numeric")):
         assert analytic.verdict != INCONCLUSIVE  # analytic never abstains
         if numeric.verdict != INCONCLUSIVE:
             assert analytic.verdict == numeric.verdict
+
+
+@pytest.mark.parametrize("method", ["auto", "analytic", "numeric"])
+@pytest.mark.parametrize("text", [*CATALOG_MEASURES.values(), "logpower(3)+0.25*lebesgue(0.9)",
+                                  "dirac(0.5)"])  # dirac(0.5): underflowed, empty window
+def test_shared_tail_fits_match_the_per_index_fit(text, method):
+    ms = measure_moments(text, 4096)
+    growth = growth_exponent(ms)
+    ks = range(32)
+    idx = tail_window(ms)
+    x = np.log(idx + 1.0)
+    for k, verdict in zip(ks, classify_eigenvalue(ms, growth, ks, method=method)):
+        reference = reference_classification(ms, growth, k, method)
+        assert (verdict.verdict, verdict.method) == (reference.verdict, reference.method)
+        assert (verdict.slope is None) == (reference.slope is None)
+        if reference.slope is not None:
+            # rounding of two sums of |log mu_n| and s_n / mu_k terms, over the x spread
+            scale = (np.abs(np.log(ms.values[idx])).max()
+                     + ms.partial_sums[idx].max() / ms.values[k])
+            bound = 4 * np.finfo(float).eps * scale / (x[-1] - x[0])
+            assert abs(verdict.slope - reference.slope) <= bound
+
+
+@pytest.mark.parametrize("method", ["auto", "analytic", "numeric"])
+def test_classification_fits_once_whatever_the_number_of_indices(monkeypatch, method):
+    ms = measure_moments("dirac(0)+0.5*lebesgue", 4096)
+    growth = growth_exponent(ms)
+    fits = []
+
+    def counted(x, y):
+        fits.append(x.size)
+        return fit_line(x, y)
+
+    monkeypatch.setattr(spectral, "fit_line", counted)
+    counts = []
+    for ks in (range(2), range(64)):
+        fits.clear()
+        classify_eigenvalue(ms, growth, ks, method=method)
+        counts.append(len(fits))
+    # one fit of log mu_n and one of s_n
+    assert counts == [2, 2]
 
 
 def test_duplicate_moments_rejected():
     ms = _handmade_moments([1.0, 0.5, 0.5, 0.25])
     growth = growth_exponent(measure_moments("lebesgue", 64))
     with pytest.raises(ValueError, match="moments 1 and 2 coincide"):
-        classify_eigenvalue(ms, growth, 0)
+        classify_eigenvalue(ms, growth, [0])
 
 
 def test_degenerate_measure_rejected():
     ms = measure_moments("dirac(0)", 64)
     growth = growth_exponent(measure_moments("lebesgue", 64))
     with pytest.raises(ValueError, match="measure concentrated at 0"):
-        classify_eigenvalue(ms, growth, 0)
+        classify_eigenvalue(ms, growth, [0])
 
 
 def test_classify_index_out_of_range():
     ms = measure_moments("lebesgue", 64)
     growth = growth_exponent(ms)
     with pytest.raises(ValueError):
-        classify_eigenvalue(ms, growth, 64)
+        classify_eigenvalue(ms, growth, [64])
 
 
 # --------------------------------------------------------------------------
