@@ -43,6 +43,7 @@ from .spectral import (
     classify_eigenvalue,
     eigenvector,
     eigenvector_residual,
+    hankel_norm,
     pseudospectrum_grid,
     smallest_singular_value,
     spectrum_region,

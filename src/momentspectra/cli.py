@@ -64,6 +64,7 @@ from .spectral import (
     adjoint_disc,
     classify_eigenvalue,
     eigenvector_residual,
+    hankel_norm,
     pseudospectrum_grid,
     spectrum_region,
 )
@@ -81,14 +82,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_index_range(text: str) -> list[int]:
+def _parse_index_range(text: str) -> range:
+    """The indices of `k` or `a..b` as a range: no list is built, so the
+    first index a command refuses ends the run whatever the upper bound."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        indices = list(range(int(lo), int(hi) + 1))
+        indices = range(int(lo), int(hi) + 1)
         if not indices:
             raise ValueError(f"empty index range {text!r}")
         return indices
-    return [int(text)]
+    k = int(text)
+    return range(k, k + 1)
 
 
 def _finite_float(text: str) -> float:
@@ -481,9 +485,7 @@ def _cmd_hilbert(args, writer: ArtifactWriter):
     nondecreasing = True
     for d in dims:
         ms = moments(parse_measure("lebesgue"), 2 * d - 1)
-        # the Hankel matrix is symmetric: its norm is its largest |eigenvalue|
-        eigenvalues = np.linalg.eigvalsh(HankelMomentOperator.from_moments(ms, d).dense())
-        norm = float(max(-eigenvalues[0], eigenvalues[-1]))
+        norm = hankel_norm(HankelMomentOperator.from_moments(ms, d))
         nondecreasing = nondecreasing and norm >= previous
         previous = norm
         norms.append({"dim": d, "norm": norm})

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -138,6 +139,13 @@ class HankelMomentOperator:
         idx = np.add.outer(np.arange(self.dim), np.arange(self.dim))
         return self.moments[idx]
 
+    @cached_property
+    def _moment_spectrum(self) -> np.ndarray:
+        """rfft of mu[:2N-1] at the FFT path's length, computed once per
+        operator: every `hankel_apply` on it reuses the spectrum."""
+        length = _fast_len(2 * self.dim - 1)
+        return np.fft.rfft(self.moments[: 2 * self.dim - 1], length)
+
 
 def terraced_apply(op: TerracedOperator, x: np.ndarray) -> np.ndarray:
     """y_n = a_n * sum(x[:n+1]); one prefix-sum pass, left-to-right order.
@@ -178,7 +186,8 @@ def hankel_apply(op: HankelMomentOperator, x: np.ndarray) -> np.ndarray:
 
     Below FFT_THRESHOLD the product is direct.  Above it y is entries
     N-1..2N-2 of the convolution of mu[:2N-1] with reversed x, taken
-    circularly by rfft/irfft at the length L = _fast_len(2N-1).  The linear
+    circularly by rfft/irfft at the length L = _fast_len(2N-1), against the
+    moments' spectrum the operator computes once.  The linear
     convolution has 3N-2 entries, so wrap-around adds entry j + L into entry
     j only for j <= 3N-3-L <= N-2, below the entries kept.  A complex x is
     split into its real and imaginary parts, transformed as one batch.
@@ -187,12 +196,12 @@ def hankel_apply(op: HankelMomentOperator, x: np.ndarray) -> np.ndarray:
     n = op.dim
     if x.shape != (n,):
         raise ValueError(f"expected a vector of length {n}, got {x.shape}")
-    mu = op.moments[: 2 * n - 1]
     if n < FFT_THRESHOLD:
+        mu = op.moments[: 2 * n - 1]
         return np.lib.stride_tricks.sliding_window_view(mu, n) @ x
     length = _fast_len(2 * n - 1)
     parts = np.stack((x.real, x.imag)) if np.iscomplexobj(x) else x
-    spectrum = np.fft.rfft(mu, length) * np.fft.rfft(parts[..., ::-1], length)
+    spectrum = op._moment_spectrum * np.fft.rfft(parts[..., ::-1], length)
     y = np.fft.irfft(spectrum, length)[..., n - 1 : 2 * n - 1]
     return y[0] + 1j * y[1] if y.ndim == 2 else y
 

@@ -18,6 +18,10 @@ Lanczos: Golub-Kahan bidiagonalisation of the inverse, stopped by the
 residual of the top Ritz triplet (Trefethen, "Computation of pseudospectra",
 Acta Numerica 8, 1999).  Each step makes two O(n) banded solves on the
 weights, one with zI - R and one with its adjoint; no matrix is formed.
+
+One Golub-Kahan loop (`_top_singular_value`, over an apply and an adjoint
+apply) serves both sigma_min and Hankel norms: `hankel_norm` runs it on
+`hankel_apply`, which the real symmetric Hankel matrix uses for both sides.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .operators import (
     HankelMomentOperator,
     TerracedOperator,
     WeightSequence,
+    hankel_apply,
     terraced_apply,
     terraced_apply_adjoint,
 )
@@ -368,10 +373,64 @@ def _top_ritz(alphas: np.ndarray, betas: np.ndarray) -> tuple[float, float]:
     return scale * float(w[0]), math.sqrt(2.0) * abs(vectors[-1, 0])
 
 
+def _top_singular_value(apply, apply_adjoint, start: np.ndarray, method: str) -> float:
+    """||A|| = theta_1 by Golub-Kahan bidiagonalisation of A, given only
+    apply(x) = A x and apply_adjoint(x) = A* x on vectors of start's dtype
+    (Golub & Kahan, SIAM J. Numer. Anal. 2, 1965).  start is the unit first
+    right vector v_1; the same start gives byte-identical runs.
+
+    Step k applies A and A* once each, reorthogonalises the new vector
+    against its whole basis, and takes the top singular triplet
+    (theta_1, y_1) of the k x k upper bidiagonal (`_top_ritz`).  Its residual
+    is beta_k |e_k^T y_1|, and some singular value of A lies within it of
+    theta_1.  The run stops when the residual is at most 2 eps theta_1,
+    which also covers beta_k <= eps theta_1 (an invariant subspace).  A test
+    on residual^2 / (theta_1 - theta_2) stops sooner but is fooled by a pair
+    of close singular values that the Krylov space has not yet split, as
+    repeated weights give.  By step n the Krylov space is the whole space,
+    so a run that has not stopped by then raises ArithmeticError naming the
+    method: no unconverged estimate is returned.
+    """
+    from scipy.linalg.blas import get_blas_funcs
+
+    n = start.size
+    eps = np.finfo(float).eps
+    nrm2 = get_blas_funcs("nrm2", (start,))
+    # row k of vs (us) is v_{k+1} (u_{k+1}); both grow by doubling, so a
+    # short run never allocates n rows
+    vs = np.empty((min(n, 16), n), dtype=start.dtype)
+    us = np.empty_like(vs)
+    alphas, betas = np.empty(n), np.empty(n)  # diagonal and superdiagonal
+    v = vs[0] = start
+    p = apply(v)
+    for k in range(1, n + 1):
+        alpha = alphas[k - 1] = nrm2(p)
+        # alpha = 0 (a rank-one Hankel matrix gives it at step 2): A maps
+        # the v's into the u's so far, theta_1 is exact and y_1 ends in 0,
+        # so the zero p as u_k stops the run with beta_k = 0
+        u = us[k - 1] = p / alpha if alpha else p
+        r = apply_adjoint(u) - alpha * v
+        r -= (vs[:k] @ r.conj()).conj() @ vs[:k]
+        beta = betas[k - 1] = nrm2(r)
+        theta, last = _top_ritz(alphas[:k], betas[:k - 1])
+        if beta * last <= 2.0 * eps * theta:
+            return theta
+        if k == n:
+            break
+        if k == vs.shape[0]:
+            more = np.empty((min(k, n - k), n), dtype=vs.dtype)
+            vs, us = np.concatenate([vs, more]), np.concatenate([us, more])
+        v = vs[k] = r / beta
+        p = apply(v) - beta * u
+        p -= (us[:k] @ p.conj()).conj() @ us[:k]
+    raise ArithmeticError(f"{method} did not converge in {n} steps")
+
+
 def _norm_of_inverse(diagonal: np.ndarray, weights: np.ndarray) -> float:
     """||T^{-1}|| of the nonsingular lower triangular T = diag(d) - L(a),
     where L(a) holds a_m at every (m, n) with n < m (T = zI - R for d = z - a),
-    by Golub-Kahan bidiagonalisation of T^{-1} (inverse Lanczos).
+    by Golub-Kahan bidiagonalisation of T^{-1} (inverse Lanczos,
+    `_top_singular_value`).
 
     T is never formed.  With S_m = x_0 + ... + x_m, T x = b is the banded
     lower triangular system d_m x_m - a_m S_{m-1} = b_m, S_m - S_{m-1} - x_m
@@ -379,23 +438,12 @@ def _norm_of_inverse(diagonal: np.ndarray, weights: np.ndarray) -> float:
     One ztbsv solves it in O(n): b goes into the even slots and x comes back
     from them.  The same band with trans=2 gives T^{-*} b exactly, since
     T^{-1} = P M^{-1} P* for the band M and P* putting b into the even slots.
-
-    Step k applies T^{-1} and T^{-*} once each, reorthogonalises the new
-    vector against its whole basis, and takes the top singular triplet
-    (theta_1, y_1) of the k x k upper bidiagonal (`_top_ritz`).  Its residual
-    is beta_k |e_k^T y_1|, and some singular value of T^{-1} lies within it
-    of theta_1.  The run stops when the residual is at most 2 eps theta_1,
-    which also covers beta_k <= eps theta_1 (an invariant subspace).  A test
-    on residual^2 / (theta_1 - theta_2) stops sooner but is fooled by a pair
-    of close singular values that the Krylov space has not yet split, as
-    repeated weights give.  By step n the Krylov space is the whole space,
-    so a run that has not stopped by then, or whose solve overflows, raises
-    ArithmeticError: no unconverged estimate is returned.
+    A solve that overflows raises ArithmeticError, as does a run that has
+    not converged by step n.
     """
     from scipy.linalg.blas import dznrm2, ztbsv
 
     n = diagonal.size
-    eps = np.finfo(float).eps
     # Fortran order: f2py copies a C-ordered band on every call
     band = np.zeros((3, 2 * n), dtype=complex, order="F")
     band[0, 0::2], band[0, 1::2] = diagonal, 1.0
@@ -411,31 +459,8 @@ def _norm_of_inverse(diagonal: np.ndarray, weights: np.ndarray) -> float:
                                   "overflowed")
         return y
 
-    # row k of vs (us) is v_{k+1} (u_{k+1}); both grow by doubling, so a
-    # short run never allocates n rows
-    vs = np.empty((min(n, 16), n), dtype=complex)
-    us = np.empty_like(vs)
-    alphas, betas = np.empty(n), np.empty(n)  # diagonal and superdiagonal
-    v = vs[0] = _start_vector(n)
-    p = solve(v, 0)
-    for k in range(1, n + 1):
-        alpha = alphas[k - 1] = dznrm2(p)
-        u = us[k - 1] = p / alpha
-        r = solve(u, 2) - alpha * v
-        r -= (vs[:k] @ r.conj()).conj() @ vs[:k]
-        beta = betas[k - 1] = dznrm2(r)
-        theta, last = _top_ritz(alphas[:k], betas[:k - 1])
-        if beta * last <= 2.0 * eps * theta:
-            return theta
-        if k == n:
-            break
-        if k == vs.shape[0]:
-            more = np.empty((min(k, n - k), n), dtype=complex)
-            vs, us = np.concatenate([vs, more]), np.concatenate([us, more])
-        v = vs[k] = r / beta
-        p = solve(v, 0) - beta * u
-        p -= (us[:k] @ p.conj()).conj() @ us[:k]
-    raise ArithmeticError(f"inverse Lanczos for sigma_min did not converge in {n} steps")
+    return _top_singular_value(lambda b: solve(b, 0), lambda b: solve(b, 2),
+                               _start_vector(n), "inverse Lanczos for sigma_min")
 
 
 def smallest_singular_value(diagonal: np.ndarray, weights: np.ndarray | None = None) -> float:
@@ -461,6 +486,22 @@ def smallest_singular_value(diagonal: np.ndarray, weights: np.ndarray | None = N
     if not diagonal.all():
         return 0.0
     return 1.0 / _norm_of_inverse(diagonal, np.asarray(weights))
+
+
+def hankel_norm(op: HankelMomentOperator) -> float:
+    """||H_N|| of a Hankel moment truncation, by Golub-Kahan bidiagonalisation
+    on `hankel_apply` with no matrix formed (`_top_singular_value`).
+
+    The real symmetric H_N is its own adjoint, so one apply serves both
+    sides, and the start is the normalised real part of `_start_vector`:
+    the run stays in float64 and repeated runs are byte-identical.  The
+    result is within a few ulps of the largest |eigenvalue| of the dense
+    matrix; each step costs two O(N log N) applies.
+    """
+    start = _start_vector(op.dim).real
+    apply = lambda x: hankel_apply(op, x)
+    return _top_singular_value(apply, apply, start / np.linalg.norm(start),
+                               "Lanczos for the Hankel norm")
 
 
 def pseudospectrum_grid(op, window: tuple[float, float, float, float],

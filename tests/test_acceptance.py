@@ -204,6 +204,8 @@ def test_12_repeated_runs_byte_identical(tmp_path):
         ["pseudo", "--measure", "lebesgue", "--window", "0,2,-1,1", "--res", "8",
          "--dim", "64"],
         ["hilbert", "--max-index", "8", "--dims", "64,128"],
+        # the norms come from an iterative run on hankel_apply
+        ["hilbert", "--max-index", "8", "--dims", "64,128,256"],
         ["region", "--weights", "cesaro", "--n", "256"],
         ["moments", "--measure", "logpower(2)", "--n", "64"],
     ]

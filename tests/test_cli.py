@@ -3,6 +3,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +179,21 @@ def test_hilbert_command(tmp_path):
     assert all(col["pass"] for col in payload["columns"])
 
 
+def test_hilbert_norms_form_no_dense_matrix(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Hilbert norms formed a dense matrix")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(momentspectra.HankelMomentOperator, "dense", refuse)
+    out = tmp_path / "h"
+    # up to the dense limit: a dense eigvalsh there takes tens of seconds
+    assert main(["hilbert", "--max-index", "8", "--dims", "16,64,256,8192",
+                 "--out", str(out)]) == 0
+    payload = read_json(out / "hilbert.json")
+    assert [entry["dim"] for entry in payload["norms"]] == [16, 64, 256, 8192]
+    assert payload["norms_nondecreasing"] and payload["norms_within_bound"]
+
+
 def test_bench_command(tmp_path):
     out = tmp_path / "b"
     code = main(["bench", "--dim", "128", "--kernels", "terraced,hankel",
@@ -290,6 +306,33 @@ def test_hilbert_max_index_beyond_the_dense_limit_names_the_flag(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith(f"input error: --max-index {max_index} exceeds 4095")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args, line", [
+    (["classify", "--measure", "lebesgue", "--n", "64"],
+     "input error: eigenvalue index 64 out of range"),
+    (["eigencheck", "--measure", "dirac(0.5)", "--dim", "8"],
+     "input error: index 8 out of range for dim 8"),
+])
+def test_huge_index_range_is_refused_without_building_it(tmp_path, args, line):
+    # the first refused index ends the run: no list of 10^9 indices is built.
+    # The child reports its own peak RSS (VmHWM, in kB): a spawned child's
+    # ru_maxrss also counts the memory of the process that spawned it
+    src = Path(momentspectra.__file__).resolve().parents[1]
+    probe = ("import sys\n"
+             "from momentspectra.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "with open('/proc/self/status') as status:\n"
+             "    print(next(row.split()[1] for row in status if row.startswith('VmHWM:')))\n"
+             "sys.exit(code)\n")
+    command = [sys.executable, "-c", probe, *args, "--k", "0..1000000000",
+               "--out", str(tmp_path / "k")]
+    start = time.perf_counter()
+    done = subprocess.run(command, env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True)
+    assert time.perf_counter() - start < 1.0
+    assert (done.returncode, done.stderr) == (1, line + "\n")
+    assert int(done.stdout) < 100 * 1024
 
 
 def test_unreachable_quadrature_tolerance_exits_two(tmp_path, capsys):

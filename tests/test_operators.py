@@ -210,6 +210,23 @@ def test_hankel_apply_matches_dense_both_paths():
             assert np.linalg.norm(fast - slow) <= 1e-11 * np.linalg.norm(slow)
 
 
+def test_hankel_apply_transforms_the_moments_once_per_operator(monkeypatch):
+    transformed = []
+
+    def counting(a, *args, **kwargs):
+        transformed.append(np.shape(a))
+        return rfft(a, *args, **kwargs)
+
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    n = 256
+    op = HankelMomentOperator(1.0 / (np.arange(2 * n - 1) + 1.0), n)
+    for _ in range(3):
+        hankel_apply(op, np.ones(n))
+    # the moments once, then one transform of x per apply
+    assert transformed == [(2 * n - 1,)] + [(n,)] * 3
+
+
 def test_hankel_operator_refuses_complex_moments_and_stores_float64():
     # eigvalsh on the dense matrix reads one triangle, so a complex
     # symmetric (not Hermitian) matrix would be silently misread

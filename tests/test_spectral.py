@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from momentspectra import (
     eigenvector,
     eigenvector_residual,
     growth_exponent,
+    hankel_norm,
     pseudospectrum_grid,
     smallest_singular_value,
     spectrum_region,
@@ -637,3 +639,48 @@ def test_pseudospectrum_grid_calls_sigma_min_once_per_point(build, monkeypatch):
     monkeypatch.setattr(spectral, "smallest_singular_value", counting)
     grid = pseudospectrum_grid(build("lebesgue", 16), (-0.5, 2.0, -1.0, 1.0), 5, 16)
     assert len(calls) == grid.sigma_min.size == 25
+
+
+# --------------------------------------------------------------------------
+# Hankel norms
+
+@pytest.mark.parametrize("dim", [1, 8, 64, 1000])
+@pytest.mark.parametrize("t", [0.0, 0.25, 0.5, 0.9, 0.99, 0.999])
+def test_hankel_norm_of_a_dirac_is_the_rank_one_norm(t, dim):
+    # (mu_{m+n}) = (t^m t^n) is rank one with norm sum t^(2n) =
+    # (1 - t^(2N)) / (1 - t^2), here exact in the float t; at t = 0 the
+    # second step's alpha is exactly 0
+    op = hankel_from_measure(f"dirac({t})", dim)
+    exact = float((1 - Fraction(t) ** (2 * dim)) / (1 - Fraction(t) ** 2))
+    assert abs(hankel_norm(op) - exact) <= 8 * np.finfo(float).eps * exact
+
+
+@pytest.mark.parametrize("dim", [1, 2, 16, 63, 64, 65, 256, 1000, 2048])
+def test_hankel_norm_of_hilbert_matches_the_dense_norm(dim):
+    # both sides of FFT_THRESHOLD in hankel_apply
+    op = hankel_from_measure("lebesgue", dim)
+    dense = np.linalg.norm(op.dense(), 2)
+    assert abs(hankel_norm(op) - dense) <= 4 * dim * np.finfo(float).eps * dense
+
+
+def test_hilbert_norms_increase_below_pi():
+    # Rosenblum, Proc. Amer. Math. Soc. 9 (1958): ||H_N|| increases to pi
+    norms = [hankel_norm(hankel_from_measure("lebesgue", 2 ** j)) for j in range(14)]
+    assert all(a <= b for a, b in zip(norms, norms[1:]))
+    assert norms[-1] < math.pi
+
+
+def test_hankel_norm_work_is_bounded_by_dim_steps(monkeypatch):
+    # the same Golub-Kahan loop as sigma_min: an unconverged run raises
+    # after dim steps, naming its method
+    steps = []
+
+    def never_converged(alphas, betas):
+        steps.append(alphas.size)
+        return 1.0, math.inf
+
+    monkeypatch.setattr(spectral, "_top_ritz", never_converged)
+    with pytest.raises(ArithmeticError,
+                       match="^Lanczos for the Hankel norm did not converge in 12 steps$"):
+        hankel_norm(hankel_from_measure("lebesgue", 12))
+    assert steps == list(range(1, 13))
