@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .measures import (
     Dirac,
-    GrowthEstimate,
     Lebesgue,
     LogPowerDensity,
     MeasureParameterError,

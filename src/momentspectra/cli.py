@@ -141,7 +141,8 @@ def _parse_floats(flag: str, text: str) -> list[float]:
 
 
 def _fit_length(n: int) -> int:
-    # classify, adjoint-disc and region fit a tail window of --n terms
+    # the numeric classification and the fitted-beta cross-check fit a tail
+    # window of --n terms; region keeps the same floor on its --n
     if n < measures_mod.MIN_FIT_TERMS:
         raise ValueError(f"--n {n} is below {measures_mod.MIN_FIT_TERMS}, "
                          f"the fewest terms the tail fits use")
@@ -190,23 +191,26 @@ class ArtifactWriter:
         (self.out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _weights_from_family(family: str, n_terms: int) -> WeightSequence:
+def _weights_from_family(family: str, n_terms: int) -> tuple[WeightSequence, float | None]:
+    """The family's first n_terms weights and their limit L = lim (n+1) a_n."""
     name, _, param = family.partition(":")
     if name == "cesaro":
-        return WeightSequence.cesaro(n_terms)
+        return WeightSequence.cesaro(n_terms), operators_mod.CESARO_LIMIT
     if name == "power":
-        return WeightSequence.power_law(_flag_float("--weights", param or "2.0"), n_terms)
+        s = _flag_float("--weights", param or "2.0")
+        return WeightSequence.power_law(s, n_terms), operators_mod.power_law_limit(s)
     if name == "leibowitz":
-        return WeightSequence.leibowitz_squares(n_terms)
+        return WeightSequence.leibowitz_squares(n_terms), None
     raise ValueError(f"unknown weight family {family!r} (use cesaro, power:<s>, leibowitz)")
 
 
-def _build_weights(args, n_terms: int) -> WeightSequence:
+def _build_weights(args, n_terms: int) -> tuple[WeightSequence, float | None]:
+    """The weights of --weights or of --measure's moments, and their limit L."""
     if args.weights:
         return _weights_from_family(args.weights, n_terms)
     if args.measure:
-        ms = moments(parse_measure(args.measure), n_terms)
-        return WeightSequence.from_moments(ms)
+        spec = parse_measure(args.measure)
+        return WeightSequence.from_moments(moments(spec, n_terms)), spec.weight_limit()
     raise ValueError("provide --measure or --weights")
 
 
@@ -216,7 +220,7 @@ def _build_operator(args, dim: int):
             raise ValueError("a hankel operator needs --measure")
         ms = moments(parse_measure(args.measure), 2 * dim - 1)
         return HankelMomentOperator.from_moments(ms, dim)
-    return TerracedOperator(_build_weights(args, dim), dim)
+    return TerracedOperator(_build_weights(args, dim)[0], dim)
 
 
 # --------------------------------------------------------------------------
@@ -255,11 +259,12 @@ def _cmd_moments(args, writer: ArtifactWriter):
           _MEASURE,
           ("--k", dict(required=True, help="index or range a..b")),
           ("--n", dict(type=int, default=4096)),
-          ("--method", dict(choices=("auto", "analytic", "numeric"), default="auto")))
+          ("--method", dict(choices=("analytic", "numeric"), default="analytic")))
 def _cmd_classify(args, writer: ArtifactWriter):
-    ms = moments(parse_measure(args.measure), _fit_length(args.n))
+    spec = parse_measure(args.measure)
+    ms = moments(spec, _fit_length(args.n))
     ks = _parse_index_range(args.k)
-    verdicts = classify_eigenvalue(ms, growth_exponent(ms), ks, method=args.method)
+    verdicts = classify_eigenvalue(ms, spec.weight_limit(), ks, args.method)
     # each row is {k, mu_k, verdict, slope, method}
     rows = [{"k": k, "mu_k": float(ms.values[k]), **asdict(verdict)}
             for k, verdict in zip(ks, verdicts)]
@@ -267,8 +272,6 @@ def _cmd_classify(args, writer: ArtifactWriter):
     return 0, {
         "l2_margin": spectral_mod.L2_MARGIN,
         "distinct_rel_gap": spectral_mod.DISTINCT_REL_GAP,
-        "bounded_slope": measures_mod.BOUNDED_SLOPE,
-        "bounded_residual": measures_mod.BOUNDED_RESIDUAL,
     }
 
 
@@ -280,10 +283,15 @@ def _cmd_classify(args, writer: ArtifactWriter):
           ("--tol", dict(type=_tolerance, default=1e-8)))
 def _cmd_eigencheck(args, writer: ArtifactWriter):
     spec = parse_measure(args.measure)
+    ks = _parse_index_range(args.k)
+    # the range's first refused index, refused before the first residual
+    first_bad = ks[0] if not 0 <= ks[0] < args.dim else args.dim
+    if first_bad in ks:
+        raise ValueError(f"index {first_bad} out of range for dim {args.dim}")
     ms = moments(spec, args.embed * args.dim)
     rows = []
     worst = 0.0
-    for k in _parse_index_range(args.k):
+    for k in ks:
         residual = eigenvector_residual(ms, k, args.dim, embed_factor=args.embed)
         worst = max(worst, residual)
         rows.append({"k": k, "mu_k": float(ms.values[k]), "residual": residual,
@@ -296,30 +304,29 @@ def _cmd_eigencheck(args, writer: ArtifactWriter):
           _MEASURE,
           ("--n", dict(type=int, default=4096)))
 def _cmd_adjoint_disc(args, writer: ArtifactWriter):
-    ms = moments(parse_measure(args.measure), _fit_length(args.n))
-    growth = growth_exponent(ms)
-    region = adjoint_disc(growth)
+    spec = parse_measure(args.measure)
+    limit = spec.weight_limit()
+    fitted_beta, fit_residual = growth_exponent(moments(spec, _fit_length(args.n)))
+    region = adjoint_disc(limit)
     payload = {
-        "beta": growth.beta,
-        "bounded": growth.bounded,
-        "fit_residual": growth.fit_residual,
+        "beta": limit,
+        "bounded": limit == 0.0,
+        "fitted_beta": fitted_beta,
+        "fit_residual": fit_residual,
         "disc": None
         if region is None
         else {"center": region.disc_center, "radius": region.disc_radius},
     }
     writer.write_json("adjoint_disc.json", payload)
-    return 0, {
-        "bounded_slope": measures_mod.BOUNDED_SLOPE,
-        "bounded_residual": measures_mod.BOUNDED_RESIDUAL,
-    }
+    return 0, {}
 
 
 @_command("region", "predicted spectral region from the weight limit",
           *_SOURCE,
           ("--n", dict(type=int, default=256)))
 def _cmd_region(args, writer: ArtifactWriter):
-    weights = _build_weights(args, _fit_length(args.n))
-    report = boundedness_report(weights)
+    weights, limit = _build_weights(args, _fit_length(args.n))
+    report = boundedness_report(weights, limit)
     payload = {
         "sup_weight": report.sup_weight,
         "limit_estimate": report.limit_estimate,
@@ -337,7 +344,7 @@ def _cmd_region(args, writer: ArtifactWriter):
         payload["hypotheses_met"] = False
         payload["reason"] = str(exc)
     writer.write_json("region.json", payload)
-    return 0, {"limit_oscillation_tol": operators_mod.LIMIT_OSCILLATION_TOL}
+    return 0, {}
 
 
 @_command("pseudo", "sigma_min grid over a complex window",

@@ -21,6 +21,12 @@ The n-th moment of a measure is the integral of t^n against it.  All four
 atoms admit closed-form moments.  In x = -log t each density atom is
 e^{-(n+c)x} (x-x0)^{s-1} / Gamma(s) on [x0, inf) and gives only its Laplace
 triple (c, s, x0); quadrature integrates that one form, once per term.
+
+The triples also give the weight limit L = lim (n+1) mu_n exactly: an atom
+with s = 1 and x0 = 0 (`lebesgue` on [0, 1], `power`) has moments
+~ w/n, and every other atom has summable moments.  So the partial sums grow
+like s_n = L log n + O(1); the least-squares fit of that growth is kept only
+as a cross-check.
 """
 
 from __future__ import annotations
@@ -36,9 +42,6 @@ from .quadrature import integrate
 
 #: absolute quadrature tolerance per moment: the one default of every caller
 MOMENT_TOL = 1e-13
-#: fitted log-slope below this (with a good fit) declares bounded partial sums
-BOUNDED_SLOPE = 0.02
-BOUNDED_RESIDUAL = 1e-3
 #: fewest terms a tail fit over the window [n/2, n) accepts
 MIN_FIT_TERMS = 64
 
@@ -135,6 +138,13 @@ class MeasureSpec:
         for weight, _ in self.terms:
             if not (weight > 0.0) or not math.isfinite(weight):
                 raise MeasureParameterError(f"term weights must be positive, got {weight}")
+
+    def weight_limit(self) -> float:
+        """L = lim (n+1) mu_n: the summed weights of the atoms whose Laplace
+        triple has s = 1 and x0 = 0, whose moments are ~ w/n.  Point masses
+        and the other densities have summable moments and add nothing."""
+        return sum((weight for weight, atom in self.terms
+                    if not isinstance(atom, Dirac) and atom.laplace()[1:] == (1.0, 0.0)), 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -316,18 +326,6 @@ def moments(spec: MeasureSpec, n_terms: int, method: str = "closed",
 # --------------------------------------------------------------------------
 # partial-sum growth
 
-@dataclass(frozen=True)
-class GrowthEstimate:
-    """Fit of s_n ~ beta * log n over the tail window.
-
-    bounded means the partial sums converge; bounded implies beta == 0.
-    """
-
-    beta: float
-    bounded: bool
-    fit_residual: float
-
-
 def fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Least-squares affine fit y ~ slope*x + intercept; returns rms residual."""
     xm = x.mean()
@@ -340,21 +338,13 @@ def fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return slope, intercept, float(np.sqrt(np.mean(resid**2)))
 
 
-def growth_exponent(ms: MomentSequence) -> GrowthEstimate:
-    """Fit the partial sums against log(n+1) over the window [n/2, n).
-
-    The fitted slope below BOUNDED_SLOPE together with an rms residual below
-    BOUNDED_RESIDUAL declares the partial sums bounded (beta = 0); otherwise
-    beta is the fitted slope and fit_residual reports the fit quality.
-    """
+def growth_exponent(ms: MomentSequence) -> tuple[float, float]:
+    """(beta, rms residual) of the fit of the partial sums against log(n+1)
+    over the window [n/2, n), beta clipped at 0: the fitted counterpart of
+    MeasureSpec.weight_limit, reported beside it as a cross-check."""
     n = ms.n_terms
     if n < MIN_FIT_TERMS:
         raise ValueError(f"growth fit needs at least {MIN_FIT_TERMS} moments")
     idx = np.arange(n // 2, n)
-    x = np.log(idx + 1.0)
-    y = ms.partial_sums[idx]
-    slope, _, residual = fit_line(x, y)
-    slope = max(slope, 0.0)
-    if slope < BOUNDED_SLOPE and residual < BOUNDED_RESIDUAL:
-        return GrowthEstimate(beta=0.0, bounded=True, fit_residual=residual)
-    return GrowthEstimate(beta=slope, bounded=False, fit_residual=residual)
+    slope, _, residual = fit_line(np.log(idx + 1.0), ms.partial_sums[idx])
+    return max(slope, 0.0), residual

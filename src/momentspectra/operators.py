@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .measures import MIN_FIT_TERMS, MomentSequence
+from .measures import MomentSequence
 
 #: largest dimension materialized as a dense matrix
 DENSE_LIMIT = 8192
@@ -27,9 +27,6 @@ FFT_THRESHOLD = 64
 VERDICT_BOUNDED = "Bounded"
 VERDICT_COMPACT = "CompactIndicated"
 VERDICT_INAPPLICABLE = "TestInapplicable"
-
-#: tail-window oscillation below this fraction of the sup reports a limit
-LIMIT_OSCILLATION_TOL = 1e-3
 
 
 def check_dense_limit(side: int, limit: int = DENSE_LIMIT) -> None:
@@ -77,7 +74,8 @@ class WeightSequence:
 
     @classmethod
     def leibowitz_squares(cls, n: int) -> "WeightSequence":
-        # n^(-7/8) at perfect squares, 0 otherwise; index 0 maps to 0
+        # n^(-7/8) at perfect squares, 0 otherwise; index 0 maps to 0.  Its
+        # (n+1) a_n grows like n^(1/8) along the squares: no weight limit
         vals = np.zeros(n)
         k = 1
         while k * k < n:
@@ -88,6 +86,18 @@ class WeightSequence:
     @classmethod
     def from_moments(cls, ms: MomentSequence) -> "WeightSequence":
         return cls(ms.values)
+
+
+#: L = lim (n+1) a_n of the Cesaro weights
+CESARO_LIMIT = 1.0
+
+
+def power_law_limit(s: float) -> float | None:
+    """L = lim (n+1)^(1-s) of the power-law weights: 1 at s = 1, 0 above,
+    and None below, where (n+1) a_n grows without bound."""
+    if s < 1.0:
+        return None
+    return 1.0 if s == 1.0 else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,15 +218,13 @@ def hankel_apply(op: HankelMomentOperator, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoundednessReport:
-    """Diagnostics from the (n+1)|a_n| boundedness test.
+    """The (n+1)|a_n| boundedness test of a weight sequence with limit L.
 
-    sup_weight is the observed sup of (n+1)|a_n|.  limit_estimate is the
-    tail-window mean when the window oscillation is small enough to witness
-    a limit, else None.  rhaly_norm_bound = sup_weight + sup sqrt(n(n+1))|a_n|
-    is reported whenever the test applies.  Verdicts: Bounded when the sup
-    stays finite over the window, CompactIndicated when the limit is
-    indistinguishable from zero, TestInapplicable when the sup is still
-    growing through the tail window.
+    sup_weight is the sup of (n+1)|a_n| over the weights, and
+    rhaly_norm_bound = sup_weight + sup sqrt(n(n+1))|a_n| whenever the test
+    applies.  limit_estimate is L itself, exact and not fitted.  Verdicts:
+    Bounded when L > 0, CompactIndicated when L = 0, and TestInapplicable
+    when (n+1) a_n has no limit (L is None).
     """
 
     sup_weight: float
@@ -225,31 +233,17 @@ class BoundednessReport:
     verdict: str
 
 
-def boundedness_report(weights: WeightSequence) -> BoundednessReport:
-    """The (n+1)|a_n| test over every weight of the sequence; the tail
-    window is its second half."""
-    a = weights.values
-    n_terms = a.size
-    if n_terms < MIN_FIT_TERMS:
-        raise ValueError(f"boundedness test needs at least {MIN_FIT_TERMS} weights")
-    n = np.arange(n_terms)
-    w = (n + 1.0) * np.abs(a)
-    sup_weight = float(w.max())
-    norm_bound = sup_weight + float(np.max(np.sqrt(n * (n + 1.0)) * np.abs(a)))
-    if sup_weight == 0.0:
-        return BoundednessReport(0.0, 0.0, norm_bound, VERDICT_COMPACT)
-    half = n_terms // 2
-    tail = w[half:]
-    oscillation = float(tail.max() - tail.min())
-    if oscillation < LIMIT_OSCILLATION_TOL * sup_weight:
-        limit = float(tail.mean())
-        if limit <= LIMIT_OSCILLATION_TOL * sup_weight:
-            return BoundednessReport(sup_weight, limit, norm_bound, VERDICT_COMPACT)
-        return BoundednessReport(sup_weight, limit, norm_bound, VERDICT_BOUNDED)
-    # no limit witnessed: a tail sup still above the head sup indicates growth
-    if float(tail.max()) > float(w[:half].max()):
+def boundedness_report(weights: WeightSequence, limit: float | None) -> BoundednessReport:
+    """The (n+1)|a_n| test over every weight of the sequence, with the
+    verdict read from its exact limit L = lim (n+1) a_n."""
+    a = np.abs(weights.values)
+    n = np.arange(a.size)
+    sup_weight = float(((n + 1.0) * a).max())
+    if limit is None:
         return BoundednessReport(sup_weight, None, None, VERDICT_INAPPLICABLE)
-    return BoundednessReport(sup_weight, None, norm_bound, VERDICT_BOUNDED)
+    norm_bound = sup_weight + float(np.max(np.sqrt(n * (n + 1.0)) * a))
+    return BoundednessReport(sup_weight, limit, norm_bound,
+                             VERDICT_BOUNDED if limit > 0.0 else VERDICT_COMPACT)
 
 
 def benchmark_apply(kernel: str, dim: int, repeats: int = 5) -> dict:

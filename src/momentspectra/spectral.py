@@ -3,13 +3,15 @@
 For a terraced operator built from the moments (mu_n) of a positive measure
 on [0,1), the k-th moment is an eigenvalue exactly when the sequence
 mu_n * exp(s_n / mu_k) is square-summable, where s_n are the moment partial
-sums.  With s_n ~ beta*log n the test term behaves like mu_n * n^(beta/mu_k),
-so membership reduces to a power-law exponent threshold at -1/2; bounded
-partial sums make every moment an eigenvalue.  All indices share one pair of
-tail fits: with p and q the least-squares slopes of log mu_n and s_n against
-log(n+1), the test term's fitted slope is slope_k = p + q/mu_k.  The
-adjoint's point spectrum contains the open disc centered at beta with
-radius beta.
+sums (Rhaly, Bull. London Math. Soc. 21, 1989; Leibowitz, J. Math. Anal.
+Appl. 128, 1987).  Everything is read from the measure's weight limit
+L = lim (n+1) mu_n: s_n = L log n + O(1), so the test term behaves like
+n^(-1 + L/mu_k), and mu_k is an eigenvalue exactly when mu_k > 2L (L = 0
+makes every moment one).  The adjoint's point spectrum contains the open
+disc centered at L with radius L.  The numeric path checks the rule
+without L: with p and q the least-squares slopes of log mu_n and s_n
+against log(n+1) over the tail window, the test term's fitted slope is
+slope_k = p + q/mu_k, one pair of fits for every index.
 
 Pseudospectra sample sigma_min(zI - A) on a grid, one exact path per family.
 A Hermitian (Hankel) matrix costs one eigvalsh per grid.  A terraced zI - R
@@ -32,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .measures import GrowthEstimate, MomentSequence, fit_line
+from .measures import MomentSequence, fit_line
 from .operators import (
     VERDICT_COMPACT,
     HankelMomentOperator,
@@ -53,8 +55,6 @@ NUMERIC_FIT = "NumericFit"
 DISTINCT_REL_GAP = 1e-12
 #: a fitted slope must clear -1/2 by this margin for a NumericFit verdict
 L2_MARGIN = 0.1
-#: growth fits with rms residual below this support the analytic path
-ANALYTIC_GROWTH_RESIDUAL = 1e-3
 #: eigenvector recurrence guard
 RECURRENCE_GAP_FLOOR = 1e-14
 OVERFLOW_GUARD = 1e150
@@ -81,17 +81,19 @@ class SpectralRegion:
 
 
 def _active_length(values: np.ndarray) -> int:
-    """Length of the strictly positive prefix; the rest must be an all-zero
-    underflow tail."""
+    """Length of the prefix of normal floats; the rest must be an underflow
+    tail of subnormals and zeros.  A subnormal moment keeps too few bits for
+    its neighbours to be told apart: 0.75^n repeats values before n = 4096."""
     if np.any(values < 0.0):
         raise ValueError("moments must be nonnegative")
-    positive = values > 0.0
-    if positive.all():
+    normal = values >= np.finfo(float).tiny
+    if normal.all():
         return values.size
-    first_zero = int(np.argmin(positive))
-    if np.any(values[first_zero:] > 0.0):
-        raise ValueError("moments must be nonincreasing: zero entry before a positive one")
-    return first_zero
+    first = int(np.argmin(normal))
+    if normal[first:].any():
+        raise ValueError("moments must be nonincreasing: an underflowed entry before a "
+                         "normal one")
+    return first
 
 
 def _validate_moments(ms: MomentSequence) -> int:
@@ -110,53 +112,47 @@ def _validate_moments(ms: MomentSequence) -> int:
     return active
 
 
-def classify_eigenvalue(ms: MomentSequence, growth: GrowthEstimate, ks,
-                        method: str = "auto") -> list[ClassificationVerdict]:
+def classify_eigenvalue(ms: MomentSequence, limit: float, ks,
+                        method: str) -> list[ClassificationVerdict]:
     """Decide, for each index k in ks, whether the k-th moment is an
     eigenvalue of the terraced operator; one verdict per index, in order.
 
-    Two lines are fitted once, against log(n+1) over the tail window
-    [n/2, active): slope p of log mu_n and slope q of s_n.  A least-squares
-    slope is linear in y, so the test term's log-log slope is
-    slope_k = p + q/mu_k, and each index costs O(1).  The analytic path uses
-    the growth fit: bounded partial sums give InL2 outright; with
-    s_n ~ beta*log n the test term is a power law whose exponent
-    p + beta/mu_k is compared against -1/2.  The numeric path compares
-    slope_k against -1/2 and returns Inconclusive within L2_MARGIN of it,
-    or with no slope when the window has fewer than 8 entries.
+    The analytic path reads the measure's weight limit L: InL2 exactly when
+    mu_k > 2L, reporting the test term's exponent -1 + L/mu_k; it fits
+    nothing.  The numeric path fits two lines once, against log(n+1) over
+    the tail window [n/2, active): slope p of log mu_n and slope q of s_n.
+    A least-squares slope is linear in y, so the test term's log-log slope
+    is slope_k = p + q/mu_k, and each index costs O(1).  It compares slope_k
+    against -1/2 and returns Inconclusive within L2_MARGIN of it, or with no
+    slope when the window has fewer than 8 entries.
     """
-    if method not in ("auto", "analytic", "numeric"):
+    if method not in ("analytic", "numeric"):
         raise ValueError(f"unknown classification method {method!r}")
     active = _validate_moments(ms)
-    tail = np.arange(ms.n_terms // 2, active)
-    x = np.log(tail + 1.0)
-    # an empty window (every tail moment underflowed) fits no line: p = 0
-    p = fit_line(x, np.log(ms.values[tail]))[0] if tail.size else 0.0
-    q = fit_line(x, ms.partial_sums[tail])[0] if tail.size >= 8 else None
-
-    analytic_ok = growth.bounded or growth.fit_residual < ANALYTIC_GROWTH_RESIDUAL
-    use_analytic = method == "analytic" or (method == "auto" and analytic_ok)
+    if method == "numeric":
+        tail = np.arange(ms.n_terms // 2, active)
+        x = np.log(tail + 1.0)
+        # an empty window (every tail moment underflowed) fits no line: p = 0
+        p = fit_line(x, np.log(ms.values[tail]))[0] if tail.size else 0.0
+        q = fit_line(x, ms.partial_sums[tail])[0] if tail.size >= 8 else None
     verdicts = []
     for k in ks:
         if not 0 <= k < ms.n_terms:
             raise ValueError(f"eigenvalue index {k} out of range")
         if k >= active:
-            raise ValueError(f"moment {k} underflowed to zero; choose a smaller index")
+            raise ValueError(f"moment {k} underflowed below the normal range; "
+                             f"choose a smaller index")
         mu_k = float(ms.values[k])
-        slope = None if q is None else p + q / mu_k
-        if use_analytic and growth.bounded:
-            # summable moments: the exponential factor is bounded and the
-            # moment sequence itself is square-summable
-            verdict = ClassificationVerdict(IN_L2, slope, ANALYTIC)
-        elif use_analytic:
-            exponent = p + growth.beta / mu_k
-            verdict = ClassificationVerdict(IN_L2 if exponent < -0.5 else NOT_IN_L2,
-                                            exponent, ANALYTIC)
-        elif slope is None or -0.5 - L2_MARGIN <= slope <= -0.5 + L2_MARGIN:
-            verdict = ClassificationVerdict(INCONCLUSIVE, slope, NUMERIC_FIT)
+        if method == "analytic":
+            verdict = ClassificationVerdict(IN_L2 if mu_k > 2.0 * limit else NOT_IN_L2,
+                                            -1.0 + limit / mu_k, ANALYTIC)
         else:
-            verdict = ClassificationVerdict(IN_L2 if slope < -0.5 else NOT_IN_L2,
-                                            slope, NUMERIC_FIT)
+            slope = None if q is None else p + q / mu_k
+            if slope is None or -0.5 - L2_MARGIN <= slope <= -0.5 + L2_MARGIN:
+                verdict = ClassificationVerdict(INCONCLUSIVE, slope, NUMERIC_FIT)
+            else:
+                verdict = ClassificationVerdict(IN_L2 if slope < -0.5 else NOT_IN_L2,
+                                                slope, NUMERIC_FIT)
         verdicts.append(verdict)
     return verdicts
 
@@ -175,7 +171,8 @@ def eigenvector(ms: MomentSequence, k: int, dim: int) -> np.ndarray:
         raise ValueError(f"need {dim} moments, have {ms.values.size}")
     if active < dim:
         raise ValueError(
-            f"moments underflow to zero at index {active}; the recurrence needs dim <= {active}"
+            f"moments underflow below the normal range at index {active}; the recurrence "
+            f"needs dim <= {active}"
         )
     mu = ms.values[:dim]
     mu_k = float(mu[k])
@@ -257,20 +254,19 @@ def adjoint_eigenvector_residual(ms: MomentSequence, nu: complex, dim: int) -> f
     return float(np.linalg.norm(r) / np.linalg.norm(x))
 
 
-def adjoint_disc(growth: GrowthEstimate) -> SpectralRegion | None:
-    """Largest disc guaranteed inside the adjoint's point spectrum.
+def adjoint_disc(limit: float) -> SpectralRegion | None:
+    """Largest disc guaranteed inside the adjoint's point spectrum, from the
+    weight limit L.
 
-    With s_n ~ beta*log n the summability condition exp(-(1+eps)*gamma*s_n)
-    in l^1 holds exactly for gamma >= 1/beta, so the best disc has center
-    and radius beta.  Bounded partial sums admit no such gamma: None.
+    With s_n = L log n + O(1) the summability condition
+    exp(-(1+eps)*gamma*s_n) in l^1 holds exactly for gamma >= 1/L, so the
+    best disc has center and radius L.  L = 0 (bounded partial sums) admits
+    no such gamma: None.
     """
-    if growth.bounded or growth.beta <= 0.0:
+    if limit == 0.0:
         return None
-    return SpectralRegion(
-        points=np.array([], dtype=complex),
-        disc_center=float(growth.beta),
-        disc_radius=float(growth.beta),
-    )
+    return SpectralRegion(points=np.array([], dtype=complex),
+                          disc_center=limit, disc_radius=limit)
 
 
 def spectrum_region(weights: WeightSequence, report) -> SpectralRegion:
@@ -285,7 +281,7 @@ def spectrum_region(weights: WeightSequence, report) -> SpectralRegion:
     if np.any(gaps <= DISTINCT_REL_GAP * desc[:-1]):
         raise HypothesesNotMetError("weights must be pairwise distinct")
     if report.limit_estimate is None:
-        raise HypothesesNotMetError("no limit of (n+1) a_n was witnessed")
+        raise HypothesesNotMetError("(n+1) a_n has no limit")
     if report.verdict == VERDICT_COMPACT:
         return SpectralRegion(points=np.append(vals, 0.0))
     limit = float(report.limit_estimate)

@@ -20,7 +20,6 @@ from momentspectra import (
 from momentspectra.measures import fit_line
 from momentspectra.spectral import (
     ANALYTIC,
-    ANALYTIC_GROWTH_RESIDUAL,
     IN_L2,
     INCONCLUSIVE,
     L2_MARGIN,
@@ -42,6 +41,8 @@ MEASURE_SPECS = st.lists(
         st.floats(0.1, 4.0),
         st.one_of(
             st.builds(Dirac, st.floats(0.0, 0.9)),
+            # r = 1 gives a nonzero weight limit; r < 1 summable moments
+            st.just(Lebesgue()),
             st.builds(Lebesgue, st.floats(0.1, 1.0)),
             st.builds(PowerDensity, st.floats(0.25, 6.0)),
             st.builds(LogPowerDensity, st.floats(1.1, 5.0)),
@@ -68,30 +69,25 @@ def hankel_from_measure(text: str, dim: int) -> HankelMomentOperator:
 
 def tail_window(ms) -> np.ndarray:
     """Indices [n/2, active) of the classification fits, active being the
-    length of the positive prefix of a valid moment sequence."""
-    return np.arange(ms.n_terms // 2, int(np.count_nonzero(ms.values > 0.0)))
+    length of the normal-float prefix of a valid moment sequence."""
+    return np.arange(ms.n_terms // 2, int(np.count_nonzero(ms.values >= np.finfo(float).tiny)))
 
 
-def reference_classification(ms, growth, k: int, method: str) -> ClassificationVerdict:
-    """Reference verdict for one index of a valid moment sequence: a direct
-    least-squares fit of the test term log(mu_n exp(s_n/mu_k)) against
-    log(n+1) over tail_window, made for this index alone, and the fit of
-    log mu_n for the analytic exponent p + beta/mu_k."""
-    idx = tail_window(ms)
-    x = np.log(idx + 1.0)
+def reference_classification(ms, limit: float, k: int, method: str) -> ClassificationVerdict:
+    """Reference verdict for one index of a valid moment sequence.  The
+    analytic one is the rule mu_k > 2L with exponent -1 + L/mu_k; the
+    numeric one a direct least-squares fit of the test term
+    log(mu_n exp(s_n/mu_k)) against log(n+1) over tail_window, made for
+    this index alone."""
     mu_k = float(ms.values[k])
-    slope = None
-    if idx.size >= 8:
-        slope = fit_line(x, np.log(ms.values[idx]) + ms.partial_sums[idx] / mu_k)[0]
-    analytic_ok = growth.bounded or growth.fit_residual < ANALYTIC_GROWTH_RESIDUAL
-    if method == "analytic" or (method == "auto" and analytic_ok):
-        if growth.bounded:
-            return ClassificationVerdict(IN_L2, slope, ANALYTIC)
-        exponent = fit_line(x, np.log(ms.values[idx]))[0] + growth.beta / mu_k
-        return ClassificationVerdict(IN_L2 if exponent < -0.5 else NOT_IN_L2, exponent,
-                                     ANALYTIC)
-    if slope is None:
+    if method == "analytic":
+        return ClassificationVerdict(IN_L2 if mu_k > 2 * limit else NOT_IN_L2,
+                                     -1.0 + limit / mu_k, ANALYTIC)
+    idx = tail_window(ms)
+    if idx.size < 8:
         return ClassificationVerdict(INCONCLUSIVE, None, NUMERIC_FIT)
+    x = np.log(idx + 1.0)
+    slope = fit_line(x, np.log(ms.values[idx]) + ms.partial_sums[idx] / mu_k)[0]
     if slope < -0.5 - L2_MARGIN:
         return ClassificationVerdict(IN_L2, slope, NUMERIC_FIT)
     if slope > -0.5 + L2_MARGIN:

@@ -21,10 +21,10 @@ from momentspectra import (
     classify_eigenvalue,
     contraction_check,
     eigenvector_residual,
-    growth_exponent,
     hankel_apply,
     hilbert_column_check,
     monomial_invariance_check,
+    parse_measure,
     rhaly_adjoint_integral_check,
     spectral_norm,
     terraced_apply,
@@ -38,11 +38,15 @@ def _report(number: int, message: str):
     print(f"[acceptance] criterion {number:02d} PASS: {message}")
 
 
+def _limit(text: str) -> float:
+    return parse_measure(text).weight_limit()
+
+
 def test_01_cesaro_point_spectrum_empty():
     start = time.perf_counter()
     ms = measure_moments("lebesgue", 4096)
-    growth = growth_exponent(ms)
-    verdicts = [v.verdict for v in classify_eigenvalue(ms, growth, range(21))]
+    verdicts = [v.verdict for v in classify_eigenvalue(ms, _limit("lebesgue"), range(21),
+                                                       "analytic")]
     elapsed = time.perf_counter() - start
     assert all(v == NOT_IN_L2 for v in verdicts)
     assert elapsed < 5.0
@@ -51,8 +55,8 @@ def test_01_cesaro_point_spectrum_empty():
 
 def test_02_dirac_moments_are_eigenvalues_with_small_residuals():
     ms = measure_moments("dirac(0.5)", 4096)
-    growth = growth_exponent(ms)
-    verdicts = [v.verdict for v in classify_eigenvalue(ms, growth, range(11))]
+    verdicts = [v.verdict for v in classify_eigenvalue(ms, _limit("dirac(0.5)"), range(11),
+                                                       "analytic")]
     assert all(v == IN_L2 for v in verdicts)
     ms400 = measure_moments("dirac(0.5)", 400)
     residuals = [eigenvector_residual(ms400, k, 400) for k in range(6)]
@@ -61,26 +65,24 @@ def test_02_dirac_moments_are_eigenvalues_with_small_residuals():
 
 
 def test_03_atom_plus_half_lebesgue_keeps_only_mu0():
-    ms = measure_moments("dirac(0)+0.5*lebesgue", 4096)
-    growth = growth_exponent(ms)
-    first = classify_eigenvalue(ms, growth, [0])[0]
+    text = "dirac(0)+0.5*lebesgue"
+    ms = measure_moments(text, 4096)
+    first = classify_eigenvalue(ms, _limit(text), [0], "analytic")[0]
     assert first.verdict == IN_L2
     assert float(ms.values[0]) == 1.5
-    rest = [v.verdict for v in classify_eigenvalue(ms, growth, range(1, 11))]
+    rest = [v.verdict for v in classify_eigenvalue(ms, _limit(text), range(1, 11), "analytic")]
     assert all(v == NOT_IN_L2 for v in rest)
     _report(3, "point spectrum of delta_0 + 0.5*lebesgue is exactly {1.5}")
 
 
 def test_04_adjoint_discs():
-    cesaro = adjoint_disc(growth_exponent(measure_moments("lebesgue", 4096)))
+    cesaro = adjoint_disc(_limit("lebesgue"))
     assert cesaro is not None
-    assert abs(cesaro.disc_center - 1.0) <= 0.05
-    assert abs(cesaro.disc_radius - 1.0) <= 0.05
-    mixed = adjoint_disc(growth_exponent(measure_moments("dirac(0)+0.5*lebesgue", 4096)))
+    assert cesaro.disc_center == cesaro.disc_radius == 1.0
+    mixed = adjoint_disc(_limit("dirac(0)+0.5*lebesgue"))
     assert mixed is not None
-    assert abs(mixed.disc_center - 0.5) <= 0.05
-    assert abs(mixed.disc_radius - 0.5) <= 0.05
-    truncated = adjoint_disc(growth_exponent(measure_moments("lebesgue(0.5)", 4096)))
+    assert mixed.disc_center == mixed.disc_radius == 0.5
+    truncated = adjoint_disc(_limit("lebesgue(0.5)"))
     assert truncated is None
     _report(4, f"discs ({cesaro.disc_center:.3f}) and ({mixed.disc_center:.3f}); "
                "none for lebesgue(0.5)")

@@ -83,11 +83,16 @@ def test_adjoint_disc_command(tmp_path):
     assert main(["adjoint-disc", "--measure", "dirac(0)+0.5*lebesgue",
                  "--n", "4096", "--out", str(out)]) == 0
     payload = read_json(out / "adjoint_disc.json")
-    assert payload["disc"]["center"] == pytest.approx(0.5, abs=0.05)
+    # beta is the exact weight limit; the tail fit is only reported beside it
+    assert payload["beta"] == payload["disc"]["center"] == payload["disc"]["radius"] == 0.5
+    assert not payload["bounded"]
+    assert payload["fitted_beta"] == pytest.approx(0.5, abs=0.05)
+    assert payload["fit_residual"] >= 0.0
     none_out = tmp_path / "a2"
     assert main(["adjoint-disc", "--measure", "lebesgue(0.5)", "--n", "4096",
                  "--out", str(none_out)]) == 0
-    assert read_json(none_out / "adjoint_disc.json")["disc"] is None
+    payload = read_json(none_out / "adjoint_disc.json")
+    assert (payload["beta"], payload["bounded"], payload["disc"]) == (0.0, True, None)
 
 
 def test_region_command_cesaro(tmp_path):
@@ -108,6 +113,53 @@ def test_region_command_hypotheses_not_met(tmp_path):
     payload = read_json(out / "region.json")
     assert not payload["hypotheses_met"]
     assert payload["verdict"] == "TestInapplicable"
+
+
+@pytest.mark.parametrize("n", ["1024", "4096"])
+def test_classify_small_limit_beside_a_slow_point_mass(tmp_path, n):
+    # L = 0.01: every mu_k above 0.02 is an eigenvalue and no other is; the
+    # slowly decaying point mass keeps mu_k above 0.02 up to k = 389
+    out = tmp_path / "c"
+    assert main(["classify", "--measure", "dirac(0.99)+0.01*lebesgue", "--k", "0..799",
+                 "--n", n, "--out", str(out)]) == 0
+    rows = read_json(out / "verdicts.json")
+    assert [row["verdict"] for row in rows] == [
+        "InL2" if row["mu_k"] > 0.02 else "NotInL2" for row in rows]
+    assert {row["verdict"] for row in rows} == {"InL2", "NotInL2"}
+    assert {row["method"] for row in rows} == {"Analytic"}
+
+
+def test_classify_summable_logpower_is_in_l2_at_every_index(tmp_path):
+    out = tmp_path / "c"
+    assert main(["classify", "--measure", "logpower(1.5)", "--k", "0..799", "--n", "1024",
+                 "--out", str(out)]) == 0
+    rows = read_json(out / "verdicts.json")
+    assert all(row["verdict"] == "InL2" and row["slope"] == -1.0 for row in rows)
+
+
+def test_classify_method_auto_is_a_usage_error(tmp_path, capsys):
+    assert main(["classify", "--measure", "lebesgue", "--k", "0", "--method", "auto",
+                 "--out", str(tmp_path / "c")]) == 1
+    assert "invalid choice: 'auto'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, verdict, limit", [
+    (["--measure", "power(2.5)", "--n", "1024"], "Bounded", 1.0),
+    (["--measure", "dirac(0.99)+0.01*lebesgue"], "Bounded", 0.01),
+    (["--weights", "power:2"], "CompactIndicated", 0.0),
+    (["--measure", "logpower(1.5)"], "CompactIndicated", 0.0),
+])
+def test_region_reads_the_exact_weight_limit(tmp_path, args, verdict, limit):
+    out = tmp_path / "r"
+    assert main(["region", *args, "--out", str(out)]) == 0
+    payload = read_json(out / "region.json")
+    assert (payload["verdict"], payload["limit_estimate"]) == (verdict, limit)
+    assert payload["hypotheses_met"]
+    region = payload["region"]
+    if limit:
+        assert region["disc_center"] == region["disc_radius"] == limit
+    else:
+        assert region["disc_center"] is None and [0.0, 0.0] in region["points"]
 
 
 def test_pseudo_command(tmp_path):
@@ -313,6 +365,9 @@ def test_hilbert_max_index_beyond_the_dense_limit_names_the_flag(tmp_path, capsy
      "input error: eigenvalue index 64 out of range"),
     (["eigencheck", "--measure", "dirac(0.5)", "--dim", "8"],
      "input error: index 8 out of range for dim 8"),
+    # refused before the residuals of the 4096 valid indices below it
+    (["eigencheck", "--measure", "lebesgue", "--dim", "4096"],
+     "input error: index 4096 out of range for dim 4096"),
 ])
 def test_huge_index_range_is_refused_without_building_it(tmp_path, args, line):
     # the first refused index ends the run: no list of 10^9 indices is built.

@@ -329,37 +329,58 @@ def test_quadrature_within_its_bounds_of_the_closed_form(spec, n):
 
 
 # --------------------------------------------------------------------------
-# growth fits
+# the weight limit L and the fitted growth cross-check
+
+@pytest.mark.parametrize("text, limit", [
+    ("lebesgue", 1.0),
+    ("power(2.5)", 1.0),
+    ("dirac(0)+0.5*lebesgue", 0.5),
+    ("dirac(0.99)+0.01*lebesgue", 0.01),
+    ("logpower(1.2)+0.3*lebesgue", 0.3),
+    ("2*power(1)+0.5*lebesgue+lebesgue(0.9)", 2.5),
+    ("logpower(1.5)", 0.0),
+    ("dirac(0.5)+lebesgue(0.999)", 0.0),
+])
+def test_weight_limit_sums_the_atoms_with_moments_like_one_over_n(text, limit):
+    value = parse_measure(text).weight_limit()
+    assert type(value) is float and value == limit
+
 
 def test_lebesgue_growth_is_logarithmic_with_unit_slope():
     # oracle: the partial sums are harmonic numbers, summed directly
     ms = moments(parse_measure("lebesgue"), 4096)
     direct = np.cumsum(1.0 / (np.arange(4096) + 1.0))
     assert np.allclose(ms.partial_sums, direct, rtol=0, atol=1e-12)
-    growth = growth_exponent(ms)
-    assert not growth.bounded
-    assert abs(growth.beta - 1.0) <= 0.05
+    assert parse_measure("lebesgue").weight_limit() == 1.0
+    beta, _ = growth_exponent(ms)
+    assert abs(beta - 1.0) <= 0.05
 
 
 def test_dirac_growth_is_bounded():
-    growth = growth_exponent(moments(parse_measure("dirac(0.5)"), 4096))
-    assert growth.bounded
-    assert growth.beta == 0.0
+    spec = parse_measure("dirac(0.5)")
+    assert spec.weight_limit() == 0.0
+    assert moments(spec, 4096).partial_sums[-1] == 2.0
 
 
 def test_atom_plus_half_lebesgue_growth():
-    growth = growth_exponent(moments(parse_measure("dirac(0)+0.5*lebesgue"), 4096))
-    assert abs(growth.beta - 0.5) <= 0.05
+    spec = parse_measure("dirac(0)+0.5*lebesgue")
+    assert spec.weight_limit() == 0.5
+    beta, _ = growth_exponent(moments(spec, 4096))
+    assert abs(beta - 0.5) <= 0.05
 
 
 def test_truncated_lebesgue_growth_is_bounded():
-    growth = growth_exponent(moments(parse_measure("lebesgue(0.5)"), 4096))
-    assert growth.bounded
+    spec = parse_measure("lebesgue(0.5)")
+    assert spec.weight_limit() == 0.0
+    # sum of 0.5^(n+1)/(n+1) is log 2
+    assert moments(spec, 4096).partial_sums[-1] == pytest.approx(np.log(2.0), abs=1e-15)
 
 
 def test_logpower_growth_is_bounded():
-    growth = growth_exponent(moments(parse_measure("logpower(2)"), 512))
-    assert growth.bounded
+    spec = parse_measure("logpower(2)")
+    assert spec.weight_limit() == 0.0
+    # sum of (n+1)^-2 is pi^2/6; the first 512 terms fall short by about 1/512
+    assert abs(moments(spec, 512).partial_sums[-1] - np.pi**2 / 6) <= 1.0 / 512
 
 
 def test_growth_needs_enough_terms():

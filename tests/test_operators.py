@@ -24,12 +24,14 @@ from momentspectra import (
     terraced_apply_adjoint,
 )
 from momentspectra.operators import (
+    CESARO_LIMIT,
     VERDICT_BOUNDED,
     VERDICT_COMPACT,
     VERDICT_INAPPLICABLE,
     FFT_THRESHOLD,
     _fast_len,
     benchmark_apply,
+    power_law_limit,
     prefix_sums,
     suffix_sums,
 )
@@ -366,39 +368,46 @@ def test_factorization_identity_leibowitz():
 
 
 def test_boundedness_cesaro():
-    report = boundedness_report(WeightSequence.cesaro(256))
+    report = boundedness_report(WeightSequence.cesaro(256), CESARO_LIMIT)
     assert report.sup_weight == 1.0
-    assert report.limit_estimate == pytest.approx(1.0, abs=1e-12)
+    assert report.limit_estimate == 1.0
     assert report.rhaly_norm_bound < 2.0
     assert report.verdict == VERDICT_BOUNDED
 
 
 def test_boundedness_power_law_indicates_compact():
-    report = boundedness_report(WeightSequence.power_law(2.0, 4096))
-    assert report.limit_estimate == pytest.approx(0.0, abs=1e-3)
+    report = boundedness_report(WeightSequence.power_law(2.0, 4096), power_law_limit(2.0))
+    assert report.limit_estimate == 0.0
     assert report.verdict == VERDICT_COMPACT
 
 
 def test_boundedness_leibowitz_inapplicable():
-    report = boundedness_report(WeightSequence.leibowitz_squares(4096))
+    report = boundedness_report(WeightSequence.leibowitz_squares(4096), None)
     assert report.verdict == VERDICT_INAPPLICABLE
     assert report.limit_estimate is None
     assert report.rhaly_norm_bound is None
 
 
-def test_boundedness_oscillating_but_bounded():
+def test_boundedness_without_a_limit_is_inapplicable():
+    # (n+1) a_n alternates between 1 and 3: bounded, with no limit
     n = np.arange(512)
     values = (2.0 + (-1.0) ** n) / (n + 1.0)
-    report = boundedness_report(WeightSequence(values))
-    assert report.verdict == VERDICT_BOUNDED
+    report = boundedness_report(WeightSequence(values), None)
+    assert report.sup_weight == pytest.approx(3.0, rel=1e-15)
+    assert report.verdict == VERDICT_INAPPLICABLE
     assert report.limit_estimate is None
-    assert report.rhaly_norm_bound is not None
 
 
 def test_boundedness_zero_weights():
-    report = boundedness_report(WeightSequence(np.zeros(64)))
+    report = boundedness_report(WeightSequence(np.zeros(64)), 0.0)
     assert report.verdict == VERDICT_COMPACT
     assert report.limit_estimate == 0.0
+
+
+@pytest.mark.parametrize("s, limit", [(0.5, None), (0.999, None), (1.0, 1.0), (1.001, 0.0),
+                                      (2.0, 0.0)])
+def test_power_law_limit(s, limit):
+    assert power_law_limit(s) == limit
 
 
 def test_leibowitz_weights_shape():

@@ -1,5 +1,8 @@
 import math
+import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from helpers import (
     MEASURE_SPECS,
     hankel_from_measure,
     measure_moments,
+    measure_text,
     reference_classification,
     tail_window,
     terraced_from_measure,
@@ -26,8 +30,8 @@ from momentspectra import (
     classify_eigenvalue,
     eigenvector,
     eigenvector_residual,
-    growth_exponent,
     hankel_norm,
+    parse_measure,
     pseudospectrum_grid,
     smallest_singular_value,
     spectrum_region,
@@ -39,15 +43,17 @@ from momentspectra.measures import MomentSequence, fit_line, moments
 from momentspectra.operators import DENSE_LIMIT
 from momentspectra.spectral import ANALYTIC, IN_L2, INCONCLUSIVE, NOT_IN_L2, NUMERIC_FIT
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from oracles import log_growth  # noqa: E402
+
 
 def _handmade_moments(values) -> MomentSequence:
     return MomentSequence(np.asarray(values, dtype=float))
 
 
-def _classified(text: str, n: int, ks, method="auto"):
-    ms = measure_moments(text, n)
-    growth = growth_exponent(ms)
-    return classify_eigenvalue(ms, growth, ks, method=method)
+def _classified(text: str, n: int, ks, method="analytic"):
+    spec = parse_measure(text)
+    return classify_eigenvalue(moments(spec, n), spec.weight_limit(), ks, method)
 
 
 # --------------------------------------------------------------------------
@@ -103,29 +109,29 @@ def test_numeric_fit_near_threshold_is_inconclusive():
     ],
 )
 def test_analytic_and_numeric_paths_never_contradict(text, n):
-    ms = measure_moments(text, n)
-    growth = growth_exponent(ms)
-    for analytic, numeric in zip(classify_eigenvalue(ms, growth, range(11), method="analytic"),
-                                 classify_eigenvalue(ms, growth, range(11), method="numeric")):
+    for analytic, numeric in zip(_classified(text, n, range(11), "analytic"),
+                                 _classified(text, n, range(11), "numeric")):
         assert analytic.verdict != INCONCLUSIVE  # analytic never abstains
         if numeric.verdict != INCONCLUSIVE:
             assert analytic.verdict == numeric.verdict
 
 
-@pytest.mark.parametrize("method", ["auto", "analytic", "numeric"])
+@pytest.mark.parametrize("method", ["analytic", "numeric"])
 @pytest.mark.parametrize("text", [*CATALOG_MEASURES.values(), "logpower(3)+0.25*lebesgue(0.9)",
                                   "dirac(0.5)"])  # dirac(0.5): underflowed, empty window
 def test_shared_tail_fits_match_the_per_index_fit(text, method):
-    ms = measure_moments(text, 4096)
-    growth = growth_exponent(ms)
+    spec = parse_measure(text)
+    ms, limit = moments(spec, 4096), spec.weight_limit()
     ks = range(32)
     idx = tail_window(ms)
     x = np.log(idx + 1.0)
-    for k, verdict in zip(ks, classify_eigenvalue(ms, growth, ks, method=method)):
-        reference = reference_classification(ms, growth, k, method)
+    for k, verdict in zip(ks, classify_eigenvalue(ms, limit, ks, method)):
+        reference = reference_classification(ms, limit, k, method)
         assert (verdict.verdict, verdict.method) == (reference.verdict, reference.method)
         assert (verdict.slope is None) == (reference.slope is None)
-        if reference.slope is not None:
+        if method == "analytic":
+            assert verdict.slope == reference.slope
+        elif reference.slope is not None:
             # rounding of two sums of |log mu_n| and s_n / mu_k terms, over the x spread
             scale = (np.abs(np.log(ms.values[idx])).max()
                      + ms.partial_sums[idx].max() / ms.values[k])
@@ -133,10 +139,9 @@ def test_shared_tail_fits_match_the_per_index_fit(text, method):
             assert abs(verdict.slope - reference.slope) <= bound
 
 
-@pytest.mark.parametrize("method", ["auto", "analytic", "numeric"])
+@pytest.mark.parametrize("method", ["analytic", "numeric"])
 def test_classification_fits_once_whatever_the_number_of_indices(monkeypatch, method):
     ms = measure_moments("dirac(0)+0.5*lebesgue", 4096)
-    growth = growth_exponent(ms)
     fits = []
 
     def counted(x, y):
@@ -147,31 +152,74 @@ def test_classification_fits_once_whatever_the_number_of_indices(monkeypatch, me
     counts = []
     for ks in (range(2), range(64)):
         fits.clear()
-        classify_eigenvalue(ms, growth, ks, method=method)
+        classify_eigenvalue(ms, 0.5, ks, method)
         counts.append(len(fits))
-    # one fit of log mu_n and one of s_n
-    assert counts == [2, 2]
+    # the analytic path reads L and fits nothing; the numeric path fits
+    # log mu_n and s_n once each
+    expected = {"analytic": 0, "numeric": 2}[method]
+    assert counts == [expected, expected]
 
 
 def test_duplicate_moments_rejected():
     ms = _handmade_moments([1.0, 0.5, 0.5, 0.25])
-    growth = growth_exponent(measure_moments("lebesgue", 64))
     with pytest.raises(ValueError, match="moments 1 and 2 coincide"):
-        classify_eigenvalue(ms, growth, [0])
+        classify_eigenvalue(ms, 0.0, [0], "analytic")
 
 
 def test_degenerate_measure_rejected():
     ms = measure_moments("dirac(0)", 64)
-    growth = growth_exponent(measure_moments("lebesgue", 64))
     with pytest.raises(ValueError, match="measure concentrated at 0"):
-        classify_eigenvalue(ms, growth, [0])
+        classify_eigenvalue(ms, 0.0, [0], "analytic")
 
 
 def test_classify_index_out_of_range():
     ms = measure_moments("lebesgue", 64)
-    growth = growth_exponent(ms)
     with pytest.raises(ValueError):
-        classify_eigenvalue(ms, growth, [64])
+        classify_eigenvalue(ms, 1.0, [64], "analytic")
+
+
+#: the catalog, a slowly decaying point mass beside a small L, a logpower
+#: density beside lebesgue, and a summable logpower whose tail fit once
+#: looked unbounded
+_LIMIT_RULE_MEASURES = [*CATALOG_MEASURES.values(), "dirac(0.99)+0.01*lebesgue",
+                        "logpower(1.2)+0.3*lebesgue", "logpower(1.5)"]
+
+
+@pytest.mark.parametrize("text", _LIMIT_RULE_MEASURES)
+@pytest.mark.parametrize("n", [1024, 4096, 65536])
+def test_analytic_verdicts_follow_the_weight_limit_rule(text, n):
+    spec = parse_measure(text)
+    limit, ms = spec.weight_limit(), moments(spec, n)
+    verdicts = classify_eigenvalue(ms, limit, range(800), "analytic")
+    expected = [IN_L2 if mu > 2 * limit else NOT_IN_L2 for mu in ms.values[:800]]
+    assert [v.verdict for v in verdicts] == expected
+    assert [v.slope for v in verdicts] == [-1.0 + limit / mu for mu in ms.values[:800]]
+
+
+@settings(deadline=None)
+@given(MEASURE_SPECS)
+def test_analytic_verdicts_are_stable_in_n(spec):
+    # the verdict is a property of the measure, not of the truncation: at
+    # every index valid at both lengths, n = 1024 and n = 4096 agree with
+    # each other and with the rule mu_k > 2L
+    limit = spec.weight_limit()
+    small, large = moments(spec, 1024), moments(spec, 4096)
+    ks = range(min(512, int(np.count_nonzero(small.values >= np.finfo(float).tiny))))
+    try:
+        first = classify_eigenvalue(small, limit, ks, "analytic")
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            classify_eigenvalue(large, limit, ks, "analytic")
+        return
+    second = classify_eigenvalue(large, limit, ks, "analytic")
+    expected = [IN_L2 if mu > 2 * limit else NOT_IN_L2 for mu in small.values[ks]]
+    assert [v.verdict for v in first] == [v.verdict for v in second] == expected
+
+
+@given(MEASURE_SPECS)
+def test_weight_limit_matches_the_benchmark_oracle(spec):
+    # perfbench/oracles.log_growth reads L from the spec text on its own
+    assert spec.weight_limit() == log_growth(measure_text(spec))[0]
 
 
 # --------------------------------------------------------------------------
@@ -253,7 +301,7 @@ def test_eigenvector_overflow_guard_renormalizes():
 
 
 def test_eigenvector_rejects_underflowed_range():
-    ms = measure_moments("dirac(0.5)", 1200)  # powers of 1/2 underflow at 1075
+    ms = measure_moments("dirac(0.5)", 1200)  # powers of 1/2 leave the normal range at 1023
     with pytest.raises(ValueError):
         eigenvector(ms, 0, 1200)
 
@@ -268,7 +316,8 @@ def _reference_eigenvector(ms: MomentSequence, k: int, dim: int) -> np.ndarray:
         raise ValueError(f"need {dim} moments, have {ms.values.size}")
     if active < dim:
         raise ValueError(
-            f"moments underflow to zero at index {active}; the recurrence needs dim <= {active}"
+            f"moments underflow below the normal range at index {active}; the recurrence "
+            f"needs dim <= {active}"
         )
     mu = ms.values
     mu_k = float(mu[k])
@@ -362,42 +411,47 @@ def test_adjoint_eigenvector_rejects_zero():
 # --------------------------------------------------------------------------
 # adjoint discs and spectral regions
 
+def _disc(text: str):
+    return adjoint_disc(parse_measure(text).weight_limit())
+
+
 def test_adjoint_disc_cesaro():
-    region = adjoint_disc(growth_exponent(measure_moments("lebesgue", 4096)))
+    region = _disc("lebesgue")
     assert region is not None
-    assert region.disc_center == pytest.approx(1.0, abs=0.05)
+    assert region.disc_center == 1.0
     assert region.disc_radius == region.disc_center
 
 
 def test_adjoint_disc_power_density_family():
-    region = adjoint_disc(growth_exponent(measure_moments("power(1)", 4096)))
+    region = _disc("power(1)")
     assert region is not None
-    assert region.disc_center == pytest.approx(1.0, abs=0.05)
+    assert region.disc_center == 1.0
 
 
 def test_adjoint_disc_atom_plus_half_lebesgue():
-    region = adjoint_disc(growth_exponent(measure_moments("dirac(0)+0.5*lebesgue", 4096)))
+    region = _disc("dirac(0)+0.5*lebesgue")
     assert region is not None
-    assert region.disc_center == pytest.approx(0.5, abs=0.05)
+    assert region.disc_center == 0.5
 
 
 def test_adjoint_disc_absent_for_summable_moments():
-    assert adjoint_disc(growth_exponent(measure_moments("lebesgue(0.5)", 4096))) is None
-    assert adjoint_disc(growth_exponent(measure_moments("dirac(0.5)", 4096))) is None
+    assert _disc("lebesgue(0.5)") is None
+    assert _disc("dirac(0.5)") is None
+    assert _disc("logpower(1.5)") is None
 
 
 def test_spectrum_region_cesaro():
     weights = WeightSequence.cesaro(256)
-    region = spectrum_region(weights, boundedness_report(weights))
-    assert region.disc_center == pytest.approx(1.0, abs=1e-12)
-    assert region.disc_radius == pytest.approx(1.0, abs=1e-12)
+    region = spectrum_region(weights, boundedness_report(weights, 1.0))
+    assert region.disc_center == 1.0
+    assert region.disc_radius == 1.0
     # every weight sits inside the closed disc
     assert np.all(np.abs(region.points - region.disc_center) <= region.disc_radius + 1e-12)
 
 
 def test_spectrum_region_dirac_weights_degenerate_to_points():
     weights = WeightSequence(0.5 ** np.arange(128))
-    region = spectrum_region(weights, boundedness_report(weights))
+    region = spectrum_region(weights, boundedness_report(weights, 0.0))
     assert region.disc_center is None
     assert 0.0 in region.points
     assert np.isin(0.5 ** np.arange(4), region.points).all()
@@ -405,7 +459,7 @@ def test_spectrum_region_dirac_weights_degenerate_to_points():
 
 def test_spectrum_region_rejects_leibowitz():
     weights = WeightSequence.leibowitz_squares(256)
-    report = boundedness_report(weights)
+    report = boundedness_report(weights, None)
     with pytest.raises(HypothesesNotMetError):
         spectrum_region(weights, report)
 
@@ -413,7 +467,8 @@ def test_spectrum_region_rejects_leibowitz():
 def test_spectrum_region_requires_a_limit():
     n = np.arange(512)
     weights = WeightSequence((2.0 + (-1.0) ** n) / (n + 1.0))
-    report = boundedness_report(weights)
+    # (n+1) a_n alternates between 1 and 3: no limit
+    report = boundedness_report(weights, None)
     with pytest.raises(HypothesesNotMetError):
         spectrum_region(weights, report)
 
