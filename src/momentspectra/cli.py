@@ -13,7 +13,6 @@ exit code and message of a numeric, allocation or input error raised once
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -140,15 +139,6 @@ def _parse_floats(flag: str, text: str) -> list[float]:
     return [_flag_float(flag, part) for part in text.split(",") if part.strip()]
 
 
-def _fit_length(n: int) -> int:
-    # the numeric classification and the fitted-beta cross-check fit a tail
-    # window of --n terms; region keeps the same floor on its --n
-    if n < measures_mod.MIN_FIT_TERMS:
-        raise ValueError(f"--n {n} is below {measures_mod.MIN_FIT_TERMS}, "
-                         f"the fewest terms the tail fits use")
-    return n
-
-
 def _parse_ints(text: str) -> list[int]:
     ints = [int(part) for part in text.split(",") if part.strip()]
     if not ints:
@@ -188,7 +178,7 @@ class ArtifactWriter:
             "wall_time_ms": wall_ms,
             "tool_version": __version__,
         }
-        (self.out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        write_json(self.out / "manifest.json", manifest)
 
 
 def _weights_from_family(family: str, n_terms: int) -> tuple[WeightSequence, float | None]:
@@ -262,7 +252,7 @@ def _cmd_moments(args, writer: ArtifactWriter):
           ("--method", dict(choices=("analytic", "numeric"), default="analytic")))
 def _cmd_classify(args, writer: ArtifactWriter):
     spec = parse_measure(args.measure)
-    ms = moments(spec, _fit_length(args.n))
+    ms = moments(spec, args.n)
     ks = _parse_index_range(args.k)
     verdicts = classify_eigenvalue(ms, spec.weight_limit(), ks, args.method)
     # each row is {k, mu_k, verdict, slope, method}
@@ -306,7 +296,7 @@ def _cmd_eigencheck(args, writer: ArtifactWriter):
 def _cmd_adjoint_disc(args, writer: ArtifactWriter):
     spec = parse_measure(args.measure)
     limit = spec.weight_limit()
-    fitted_beta, fit_residual = growth_exponent(moments(spec, _fit_length(args.n)))
+    fitted_beta, fit_residual = growth_exponent(moments(spec, args.n))
     region = adjoint_disc(limit)
     payload = {
         "beta": limit,
@@ -325,16 +315,16 @@ def _cmd_adjoint_disc(args, writer: ArtifactWriter):
           *_SOURCE,
           ("--n", dict(type=int, default=256)))
 def _cmd_region(args, writer: ArtifactWriter):
-    weights, limit = _build_weights(args, _fit_length(args.n))
+    weights, limit = _build_weights(args, args.n)
     report = boundedness_report(weights, limit)
     payload = {
         "sup_weight": report.sup_weight,
-        "limit_estimate": report.limit_estimate,
+        "limit_estimate": limit,
         "rhaly_norm_bound": report.rhaly_norm_bound,
         "verdict": report.verdict,
     }
     try:
-        region = spectrum_region(weights, report)
+        region = spectrum_region(weights, limit)
         # written first, so that the SVG text is freed before the JSON is written
         writer.write_text("region.svg",
                           region_svg(region.points, region.disc_center, region.disc_radius))

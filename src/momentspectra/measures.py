@@ -338,13 +338,18 @@ def fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return slope, intercept, float(np.sqrt(np.mean(resid**2)))
 
 
+def _tail_window(n_terms: int, stop: int) -> np.ndarray:
+    """The indices [n_terms // 2, stop) a tail fit of n_terms moments runs
+    over, refusing fewer than MIN_FIT_TERMS: the one check of that floor."""
+    if n_terms < MIN_FIT_TERMS:
+        raise ValueError(f"tail fit needs at least {MIN_FIT_TERMS} moments, got {n_terms}")
+    return np.arange(n_terms // 2, stop)
+
+
 def growth_exponent(ms: MomentSequence) -> tuple[float, float]:
     """(beta, rms residual) of the fit of the partial sums against log(n+1)
     over the window [n/2, n), beta clipped at 0: the fitted counterpart of
     MeasureSpec.weight_limit, reported beside it as a cross-check."""
-    n = ms.n_terms
-    if n < MIN_FIT_TERMS:
-        raise ValueError(f"growth fit needs at least {MIN_FIT_TERMS} moments")
-    idx = np.arange(n // 2, n)
+    idx = _tail_window(ms.n_terms, ms.n_terms)
     slope, _, residual = fit_line(np.log(idx + 1.0), ms.partial_sums[idx])
     return max(slope, 0.0), residual

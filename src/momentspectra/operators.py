@@ -222,13 +222,12 @@ class BoundednessReport:
 
     sup_weight is the sup of (n+1)|a_n| over the weights, and
     rhaly_norm_bound = sup_weight + sup sqrt(n(n+1))|a_n| whenever the test
-    applies.  limit_estimate is L itself, exact and not fitted.  Verdicts:
-    Bounded when L > 0, CompactIndicated when L = 0, and TestInapplicable
-    when (n+1) a_n has no limit (L is None).
+    applies.  Verdicts, read from the exact L: Bounded when L > 0,
+    CompactIndicated when L = 0, and TestInapplicable when (n+1) a_n has no
+    limit (L is None).
     """
 
     sup_weight: float
-    limit_estimate: float | None
     rhaly_norm_bound: float | None
     verdict: str
 
@@ -240,9 +239,9 @@ def boundedness_report(weights: WeightSequence, limit: float | None) -> Boundedn
     n = np.arange(a.size)
     sup_weight = float(((n + 1.0) * a).max())
     if limit is None:
-        return BoundednessReport(sup_weight, None, None, VERDICT_INAPPLICABLE)
+        return BoundednessReport(sup_weight, None, VERDICT_INAPPLICABLE)
     norm_bound = sup_weight + float(np.max(np.sqrt(n * (n + 1.0)) * a))
-    return BoundednessReport(sup_weight, limit, norm_bound,
+    return BoundednessReport(sup_weight, norm_bound,
                              VERDICT_BOUNDED if limit > 0.0 else VERDICT_COMPACT)
 
 

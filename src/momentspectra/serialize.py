@@ -4,7 +4,9 @@ Every number is written as the shortest text that parses back to the same
 float64 (Python's float repr), except the quadrature bound of a moment row
 (`%.3e`).  Writers format whole columns: one C-level `%` over a row
 template repeated for a chunk of rows, so no Python code runs per entry and
-each artifact is joined once.
+each artifact is joined once.  JSON artifacts are laid out by `json` alone,
+in this module only: `write_json` formats each float64 array in bulk and
+splices its rows in where json wrote a placeholder string.
 """
 
 from __future__ import annotations
@@ -48,16 +50,14 @@ def moments_csv(ms: MomentSequence) -> str:
 
 
 def matrix_csv(matrix: np.ndarray) -> str:
-    """One line per row of 're+imi' entries, e.g. '1.5+0.25i' or
-    '0.5-2.0i'; a -0.0 or nan imaginary part writes '+'."""
+    """One line per row of a real matrix, each entry as 're+0.0i', e.g.
+    '1.5+0.0i'; a complex matrix is refused."""
     m = np.asarray(matrix)
     if np.iscomplexobj(m):
-        m = m.astype(complex)
-        entry, fields = "%r%s%ri", (m.real, np.where(m.imag < 0, "-", "+"), np.abs(m.imag))
-    else:
-        entry, fields = "%r+0.0i", (m.astype(float),)
+        raise ValueError("matrix_csv writes a real matrix, got a complex one")
     # a matrix without rows still writes its one newline
-    return "".join(_format_rows(",".join([entry] * m.shape[1]) + "\n", *fields)) or "\n"
+    return "".join(_format_rows(",".join(["%r+0.0i"] * m.shape[1]) + "\n",
+                                m.astype(float))) or "\n"
 
 
 def grid_csv(grid: PseudospectrumGrid) -> str:
@@ -89,16 +89,6 @@ def contraction_payload(result: ContractionResult) -> list[dict]:
     ]
 
 
-def _coerce_scalar(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {obj!r}")
-
-
 def _array_layout(shape: tuple, level: int) -> str:
     """json's indent=2 text of a nested list of `shape` at depth `level`,
     with %r for each value."""
@@ -109,58 +99,47 @@ def _array_layout(shape: tuple, level: int) -> str:
             + "\n" + "  " * level + "]")
 
 
-def _holds_array(obj) -> bool:
-    if isinstance(obj, dict):
-        obj = list(obj.values())
-    if isinstance(obj, (list, tuple)):
-        return any(_holds_array(value) for value in obj)
-    return isinstance(obj, np.ndarray)
-
-
-def _json_chunks(obj, level: int, encoder: json.JSONEncoder):
-    """Yield the text json.dump(obj, indent=2) writes at depth `level`.
-
-    A finite, non-empty float64 ndarray is formatted in bulk, as json
-    formats its tolist(); a container without an ndarray inside, and every
-    other value, goes through json in one piece."""
-    pad = "\n" + "  " * level
-    if (isinstance(obj, np.ndarray) and obj.dtype == float and obj.ndim and obj.size
-            and np.isfinite(obj).all()):
-        rows = _format_rows("," + pad + "  " + _array_layout(obj.shape[1:], level + 1), obj)
-        yield "[" + next(rows)[1:]
-        yield from rows
-        yield pad + "]"
-    elif isinstance(obj, dict) and _holds_array(obj) and all(isinstance(k, str) for k in obj):
-        opener = "{"
-        for key, value in obj.items():
-            yield f"{opener}{pad}  {encoder.encode(key)}: "
-            yield from _json_chunks(value, level + 1, encoder)
-            opener = ","
-        yield pad + "}"
-    elif isinstance(obj, (list, tuple)) and _holds_array(obj):
-        opener = "["
-        for value in obj:
-            yield f"{opener}{pad}  "
-            yield from _json_chunks(value, level + 1, encoder)
-            opener = ","
-        yield pad + "]"
-    else:
-        # json's own text, or its ValueError for a nan or inf
-        value = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        yield encoder.encode(value).replace("\n", pad)
+#: the string json lays out in place of an array formatted in bulk
+_PLACEHOLDER = "@ndarray@"
 
 
 def write_json(path, payload):
     """The bytes of json.dump(payload, indent=2, allow_nan=False) and a final
-    newline, streamed to `path`.  numpy scalars are written as Python ones,
-    and an ndarray as its tolist() would be, its rows formatted in bulk; a
-    nan or inf raises json's ValueError, and the file is removed rather than
-    left truncated."""
-    encoder = json.JSONEncoder(indent=2, allow_nan=False, default=_coerce_scalar)
+    newline, streamed to `path`.  numpy scalars are written as Python ones
+    and an ndarray as its tolist() would be; json lays out everything but
+    each finite, non-empty float64 array, whose placeholder is replaced by
+    the array's rows formatted in bulk at the placeholder's indent.  A nan or
+    inf raises json's ValueError before the file is opened, a payload string
+    equal to the placeholder raises ValueError, and a failed write removes
+    the file rather than leave it truncated."""
+    arrays = []
+
+    def default(obj):
+        if isinstance(obj, np.generic):
+            return obj.item()
+        if not isinstance(obj, np.ndarray):
+            raise TypeError(f"not JSON serializable: {obj!r}")
+        if obj.dtype == float and obj.ndim and obj.size and np.isfinite(obj).all():
+            arrays.append(obj)
+            return _PLACEHOLDER
+        return obj.tolist()
+
+    text = json.dumps(payload, indent=2, allow_nan=False, default=default)
+    pieces = text.split(f'"{_PLACEHOLDER}"')
+    if len(pieces) != len(arrays) + 1:
+        raise ValueError(f"a payload string equals the array placeholder {_PLACEHOLDER!r}")
     with open(path, "w") as handle:
         try:
-            for chunk in _json_chunks(payload, 0, encoder):
-                handle.write(chunk)
+            handle.write(pieces[0])
+            for before, array, after in zip(pieces, arrays, pieces[1:]):
+                line = before.rpartition("\n")[2]
+                level = (len(line) - len(line.lstrip(" "))) // 2
+                pad = "\n" + "  " * level
+                rows = _format_rows("," + pad + "  " + _array_layout(array.shape[1:], level + 1),
+                                    array)
+                handle.write("[" + next(rows)[1:])
+                handle.writelines(rows)
+                handle.write(pad + "]" + after)
             handle.write("\n")
         except BaseException:
             handle.close()

@@ -34,9 +34,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .measures import MomentSequence, fit_line
+from .measures import MomentSequence, _tail_window, fit_line
 from .operators import (
-    VERDICT_COMPACT,
     HankelMomentOperator,
     TerracedOperator,
     WeightSequence,
@@ -122,7 +121,8 @@ def classify_eigenvalue(ms: MomentSequence, limit: float, ks,
     nothing.  The numeric path fits two lines once, against log(n+1) over
     the tail window [n/2, active): slope p of log mu_n and slope q of s_n.
     A least-squares slope is linear in y, so the test term's log-log slope
-    is slope_k = p + q/mu_k, and each index costs O(1).  It compares slope_k
+    is slope_k = p + q/mu_k, and each index costs O(1).  Like growth_exponent
+    it refuses fewer than MIN_FIT_TERMS moments.  It compares slope_k
     against -1/2 and returns Inconclusive within L2_MARGIN of it, or with no
     slope when the window has fewer than 8 entries.
     """
@@ -130,7 +130,7 @@ def classify_eigenvalue(ms: MomentSequence, limit: float, ks,
         raise ValueError(f"unknown classification method {method!r}")
     active = _validate_moments(ms)
     if method == "numeric":
-        tail = np.arange(ms.n_terms // 2, active)
+        tail = _tail_window(ms.n_terms, active)
         x = np.log(tail + 1.0)
         # an empty window (every tail moment underflowed) fits no line: p = 0
         p = fit_line(x, np.log(ms.values[tail]))[0] if tail.size else 0.0
@@ -269,10 +269,11 @@ def adjoint_disc(limit: float) -> SpectralRegion | None:
                           disc_center=limit, disc_radius=limit)
 
 
-def spectrum_region(weights: WeightSequence, report) -> SpectralRegion:
+def spectrum_region(weights: WeightSequence, limit: float | None) -> SpectralRegion:
     """Predicted spectrum of a terraced operator with positive distinct
-    weights converging to a limit L: the weights plus the closed disc
-    |z - L| <= L; L = 0 degenerates to the weights plus {0}."""
+    weights and weight limit L = lim (n+1) a_n: the weights plus the closed
+    disc |z - L| <= L; L = 0 degenerates to the weights plus {0}, and no
+    limit (None) fails the hypotheses."""
     vals = weights.values
     if np.any(vals <= 0.0):
         raise HypothesesNotMetError("weights must be real and positive")
@@ -280,11 +281,10 @@ def spectrum_region(weights: WeightSequence, report) -> SpectralRegion:
     gaps = desc[:-1] - desc[1:]
     if np.any(gaps <= DISTINCT_REL_GAP * desc[:-1]):
         raise HypothesesNotMetError("weights must be pairwise distinct")
-    if report.limit_estimate is None:
+    if limit is None:
         raise HypothesesNotMetError("(n+1) a_n has no limit")
-    if report.verdict == VERDICT_COMPACT:
+    if limit == 0.0:
         return SpectralRegion(points=np.append(vals, 0.0))
-    limit = float(report.limit_estimate)
     return SpectralRegion(points=vals, disc_center=limit, disc_radius=limit)
 
 

@@ -16,6 +16,7 @@ from helpers import format_complex, format_float, region_payload_lists
 from momentspectra import FovResult, MomentSequence, SpectralRegion
 from momentspectra.cli import main
 from momentspectra.serialize import (
+    _PLACEHOLDER,
     CHUNK,
     fov_csv,
     grid_csv,
@@ -244,10 +245,12 @@ def test_matrix_csv_matches_the_reference(data):
     cols = data.draw(st.integers(0, 6))
     rows = data.draw(_lengths(max(1, (3 if is_complex else 1) * cols)))
     if is_complex:
-        entries = _complex(data.draw(ANY_POOLS), data.draw(IMAG_POOLS), rows * cols)
-    else:
-        entries = _column(data.draw(ANY_POOLS), rows * cols)
-    matrix = entries.reshape(rows, cols)
+        # dense matrices are real: a complex one is refused, not formatted
+        matrix = _complex(data.draw(ANY_POOLS), data.draw(IMAG_POOLS), rows * cols)
+        with pytest.raises(ValueError, match="got a complex one"):
+            matrix_csv(matrix.reshape(rows, cols))
+        return
+    matrix = _column(data.draw(ANY_POOLS), rows * cols).reshape(rows, cols)
     assert _mismatch(matrix_csv(matrix), reference_matrix_csv(matrix)) is None
 
 
@@ -320,6 +323,7 @@ def test_write_json_matches_json_dump(data):
         "flag": np.bool_(True),
         "region": region,
         "rows": [{"tau": 0.5, "norm": np.float64(1.25)}, [], {}, (1, None)],
+        "listed": [1, _column(data.draw(FINITE_POOLS), 6).reshape(3, 2), "after"],
         "column": _column(data.draw(FINITE_POOLS), data.draw(st.integers(0, 5))),
         "cube": _column(data.draw(FINITE_POOLS), 12).reshape(2, 3, 2),
         "empty_rows": np.zeros((3, 0)),
@@ -347,6 +351,21 @@ def test_write_json_refuses_nan_and_inf_in_an_array(data):
     with pytest.raises(ValueError) as raised:
         _written(payload)
     assert str(raised.value) == str(expected.value)
+
+
+def test_write_json_refuses_a_string_equal_to_the_placeholder(tmp_path):
+    # an equal string reads in json's text as the array's placeholder does
+    path = tmp_path / "clash.json"
+    with pytest.raises(ValueError, match="placeholder"):
+        write_json(path, {"points": np.arange(4.0), "label": _PLACEHOLDER})
+    assert not path.exists()
+    # nor is a key, or a lone string with no array to splice
+    for payload in ({_PLACEHOLDER: np.arange(2.0)}, [_PLACEHOLDER]):
+        with pytest.raises(ValueError, match="placeholder"):
+            write_json(path, payload)
+    # a string that only contains it, quotes and all, is written as json writes it
+    quoted = {"label": f'"{_PLACEHOLDER}"', "points": np.arange(2.0)}
+    assert _written(quoted) == reference_json(quoted)
 
 
 def test_write_json_leaves_no_truncated_file(tmp_path):

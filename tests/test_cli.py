@@ -143,6 +143,27 @@ def test_classify_method_auto_is_a_usage_error(tmp_path, capsys):
     assert "invalid choice: 'auto'" in capsys.readouterr().err
 
 
+def test_region_below_the_fit_floor_reads_the_exact_limit(tmp_path):
+    # region fits nothing, so 32 weights give their points and the disc (1, 1)
+    out = tmp_path / "r"
+    assert main(["region", "--weights", "cesaro", "--n", "32", "--out", str(out)]) == 0
+    payload = read_json(out / "region.json")
+    assert payload["hypotheses_met"] and payload["limit_estimate"] == 1.0
+    region = payload["region"]
+    assert region["points"] == [[1.0 / (n + 1.0), 0.0] for n in range(32)]
+    assert region["disc_center"] == region["disc_radius"] == 1.0
+
+
+def test_analytic_classify_below_the_fit_floor(tmp_path):
+    # the analytic verdict reads L = 0 and fits nothing: every moment is InL2
+    out = tmp_path / "c"
+    assert main(["classify", "--measure", "dirac(0.5)", "--k", "0..5", "--n", "32",
+                 "--out", str(out)]) == 0
+    rows = read_json(out / "verdicts.json")
+    assert [row["k"] for row in rows] == list(range(6))
+    assert all(row["verdict"] == "InL2" for row in rows)
+
+
 @pytest.mark.parametrize("args, verdict, limit", [
     (["--measure", "power(2.5)", "--n", "1024"], "Bounded", 1.0),
     (["--measure", "dirac(0.99)+0.01*lebesgue"], "Bounded", 0.01),
@@ -539,12 +560,15 @@ def test_failed_check_is_status_ok_with_its_exit_code(tmp_path):
     (["hilbert", "--max-index", "4", "--dims", "0,64"], 1, "input error: --dims 0,64 "),
     # refused before the column checks build their 8191 x 8191 table
     (["hilbert", "--max-index", "4095", "--dims", "64,8193"], 1, "input error: --dims 64,8193 "),
-    # the growth fit and the boundedness test need 64 terms: the flag is named
-    (["region", "--weights", "cesaro", "--n", "32"], 1, "input error: --n 32 is below 64"),
-    (["classify", "--measure", "dirac(0.5)", "--k", "0..5", "--n", "32"],
-     1, "input error: --n 32 is below 64"),
+    # the two tail fits, fitted_beta's and the numeric classification's, refuse
+    # fewer than 64 terms themselves, naming the floor and the count
     (["adjoint-disc", "--measure", "dirac(0.5)", "--n", "32"],
-     1, "input error: --n 32 is below 64"),
+     1, "input error: tail fit needs at least 64 moments, got 32"),
+    (["classify", "--measure", "dirac(0.5)", "--k", "0..5", "--n", "32", "--method", "numeric"],
+     1, "input error: tail fit needs at least 64 moments, got 32"),
+    # region fits nothing: only an empty weight sequence is refused
+    (["region", "--weights", "cesaro", "--n", "0"],
+     1, "input error: weight sequence must be a nonempty vector"),
     # (-log t)^149 overflows float64 on the mapped interval: refused, not summed as nan
     (["moments", "--measure", "logpower(150)", "--quadrature", "--n", "8"],
      2, "numeric error: adaptive quadrature integrand is not finite"),

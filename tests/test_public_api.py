@@ -1,5 +1,6 @@
 """Every name the package exports is used by the package or its benchmark:
-an export that only tests call is API to delete, not to keep."""
+an export that only tests call is API to delete, not to keep.  And one
+module, serialize, owns the JSON layout."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,25 @@ def _code_references() -> set[str]:
 def test_every_export_is_referenced_outside_tests():
     references = _code_references()
     assert [name for name in _exported_names() if name not in references] == []
+
+
+def _json_writers(path: Path) -> list[str]:
+    """Each json.dump, json.dumps or JSONEncoder the code of `path` reaches,
+    as an attribute of json or a name imported from it."""
+    writers = ("dump", "dumps", "JSONEncoder")
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "json" and node.attr in writers):
+            found.append(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found += [alias.name for alias in node.names if alias.name in writers]
+    return found
+
+
+def test_only_serialize_lays_out_json():
+    # one owner of the JSON layout: every artifact and manifest goes through write_json
+    package = ROOT / "src" / "momentspectra"
+    writers = {path.name: _json_writers(path) for path in sorted(package.rglob("*.py"))
+               if path.name != "serialize.py"}
+    assert {name: found for name, found in writers.items() if found} == {}

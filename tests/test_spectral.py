@@ -26,7 +26,6 @@ from momentspectra import (
     adjoint_disc,
     adjoint_eigenvector,
     adjoint_eigenvector_residual,
-    boundedness_report,
     classify_eigenvalue,
     eigenvector,
     eigenvector_residual,
@@ -442,7 +441,7 @@ def test_adjoint_disc_absent_for_summable_moments():
 
 def test_spectrum_region_cesaro():
     weights = WeightSequence.cesaro(256)
-    region = spectrum_region(weights, boundedness_report(weights, 1.0))
+    region = spectrum_region(weights, 1.0)
     assert region.disc_center == 1.0
     assert region.disc_radius == 1.0
     # every weight sits inside the closed disc
@@ -451,26 +450,25 @@ def test_spectrum_region_cesaro():
 
 def test_spectrum_region_dirac_weights_degenerate_to_points():
     weights = WeightSequence(0.5 ** np.arange(128))
-    region = spectrum_region(weights, boundedness_report(weights, 0.0))
+    region = spectrum_region(weights, 0.0)
     assert region.disc_center is None
     assert 0.0 in region.points
     assert np.isin(0.5 ** np.arange(4), region.points).all()
 
 
 def test_spectrum_region_rejects_leibowitz():
+    # zero weights off the squares: refused before the (absent) limit is read
     weights = WeightSequence.leibowitz_squares(256)
-    report = boundedness_report(weights, None)
-    with pytest.raises(HypothesesNotMetError):
-        spectrum_region(weights, report)
+    with pytest.raises(HypothesesNotMetError, match="positive"):
+        spectrum_region(weights, None)
 
 
 def test_spectrum_region_requires_a_limit():
     n = np.arange(512)
     weights = WeightSequence((2.0 + (-1.0) ** n) / (n + 1.0))
     # (n+1) a_n alternates between 1 and 3: no limit
-    report = boundedness_report(weights, None)
-    with pytest.raises(HypothesesNotMetError):
-        spectrum_region(weights, report)
+    with pytest.raises(HypothesesNotMetError, match="no limit"):
+        spectrum_region(weights, None)
 
 
 # --------------------------------------------------------------------------
