@@ -248,7 +248,7 @@ def _cmd_moments(args, writer: ArtifactWriter):
 @_command("classify", "point-spectrum membership verdicts",
           _MEASURE,
           ("--k", dict(required=True, help="index or range a..b")),
-          ("--n", dict(type=int, default=4096)),
+          ("--n", dict(type=_at_least(1), default=4096)),
           ("--method", dict(choices=("analytic", "numeric"), default="analytic")))
 def _cmd_classify(args, writer: ArtifactWriter):
     spec = parse_measure(args.measure)
@@ -292,7 +292,7 @@ def _cmd_eigencheck(args, writer: ArtifactWriter):
 
 @_command("adjoint-disc", "guaranteed adjoint point-spectrum disc",
           _MEASURE,
-          ("--n", dict(type=int, default=4096)))
+          ("--n", dict(type=_at_least(1), default=4096)))
 def _cmd_adjoint_disc(args, writer: ArtifactWriter):
     spec = parse_measure(args.measure)
     limit = spec.weight_limit()
@@ -313,7 +313,7 @@ def _cmd_adjoint_disc(args, writer: ArtifactWriter):
 
 @_command("region", "predicted spectral region from the weight limit",
           *_SOURCE,
-          ("--n", dict(type=int, default=256)))
+          ("--n", dict(type=_at_least(1), default=256)))
 def _cmd_region(args, writer: ArtifactWriter):
     weights, limit = _build_weights(args, args.n)
     report = boundedness_report(weights, limit)

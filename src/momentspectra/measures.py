@@ -10,7 +10,8 @@ A measure on [0,1) is written in a small mini-language:
            | 'logpower' '(' number ')'
 
 Numbers are unsigned decimal literals, whitespace is insignificant, and
-'lebesgue' defaults to the full interval (r = 1).  Examples:
+'lebesgue' defaults to the full interval (r = 1).  One regular expression
+tokenises the text and one loop walks the grammar.  Examples:
 
     dirac(0.5)                point mass at 1/2
     dirac(0)+0.5*lebesgue     unit atom at 0 plus half the uniform density
@@ -150,48 +151,11 @@ class MeasureSpec:
 # --------------------------------------------------------------------------
 # parsing
 
-_NUMBER_RE = re.compile(r"\d+\.?\d*|\.\d+")
-_NAME_RE = re.compile(r"[a-zA-Z]+")
-_ATOM_NAMES = ("dirac", "lebesgue", "power", "logpower")
-
-
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str | None:
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
-
-    def take_number(self) -> float:
-        self._skip_ws()
-        m = _NUMBER_RE.match(self.text, self.pos)
-        if not m:
-            raise MeasureSyntaxError("expected a number", self.pos)
-        self.pos = m.end()
-        return float(m.group())
-
-    def take_name(self) -> tuple[str, int]:
-        self._skip_ws()
-        start = self.pos
-        m = _NAME_RE.match(self.text, self.pos)
-        if not m:
-            raise MeasureSyntaxError("expected an atom name", self.pos)
-        self.pos = m.end()
-        return m.group(), start
-
-    def take_char(self, ch: str):
-        self._skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise MeasureSyntaxError(f"expected '{ch}'", self.pos)
-        self.pos += 1
+#: a number, a name or any other non-space character; finditer skips the
+#: whitespace between tokens (\s is exactly str.isspace)
+_TOKEN_RE = re.compile(r"(?P<number>\d+\.?\d*|\.\d+)|(?P<name>[a-zA-Z]+)|\S")
+_ATOMS = {"dirac": Dirac, "lebesgue": Lebesgue, "power": PowerDensity,
+          "logpower": LogPowerDensity}
 
 
 def parse_measure(text: str) -> MeasureSpec:
@@ -200,49 +164,44 @@ def parse_measure(text: str) -> MeasureSpec:
     Raises MeasureSyntaxError (naming the position) on malformed input and
     MeasureParameterError when a weight or atom parameter is out of range.
     """
-    toks = _Tokens(text)
-    terms = [_parse_term(toks)]
+    # (kind, value, start): kind is "number", "name" or the character itself,
+    # and an "end" token sits at len(text)
+    tokens = [(m.lastgroup or m.group(), m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
+    tokens.append(("end", "", len(text)))
+    at = 0
+
+    def take(kind: str, what: str) -> str:
+        nonlocal at
+        token_kind, value, start = tokens[at]
+        if token_kind != kind:
+            raise MeasureSyntaxError(f"expected {what}", start)
+        at += 1
+        return value
+
+    terms = []
     while True:
-        ch = toks.peek()
-        if ch is None:
-            break
-        if ch != "+":
-            raise MeasureSyntaxError("expected '+' between terms", toks.pos)
-        toks.take_char("+")
-        terms.append(_parse_term(toks))
-    return MeasureSpec(terms=tuple(terms))
-
-
-def _parse_term(toks: _Tokens) -> tuple[float, Atom]:
-    ch = toks.peek()
-    if ch is None:
-        raise MeasureSyntaxError("expected a term", toks.pos)
-    weight = 1.0
-    if ch.isdigit() or ch == ".":
-        weight = toks.take_number()
-        toks.take_char("*")
-    return weight, _parse_atom(toks)
-
-
-def _parse_atom(toks: _Tokens) -> Atom:
-    name, start = toks.take_name()
-    if name not in _ATOM_NAMES:
-        raise MeasureSyntaxError(f"unknown atom '{name}'", start)
-    if name == "lebesgue":
-        if toks.peek() == "(":
-            toks.take_char("(")
-            r = toks.take_number()
-            toks.take_char(")")
-            return Lebesgue(r)
-        return Lebesgue()
-    toks.take_char("(")
-    value = toks.take_number()
-    toks.take_char(")")
-    if name == "dirac":
-        return Dirac(value)
-    if name == "power":
-        return PowerDensity(value)
-    return LogPowerDensity(value)
+        kind, value, start = tokens[at]
+        if kind == "end":
+            raise MeasureSyntaxError("expected a term", start)
+        weight = 1.0
+        # any str.isdigit character (wider than \d) or '.' starts a weight
+        if value[0].isdigit() or value[0] == ".":
+            weight = float(take("number", "a number"))
+            take("*", "'*'")
+            start = tokens[at][2]
+        name = take("name", "an atom name")
+        if name not in _ATOMS:
+            raise MeasureSyntaxError(f"unknown atom '{name}'", start)
+        params = ()
+        # only lebesgue may omit its (number), for r = 1
+        if name != "lebesgue" or tokens[at][0] == "(":
+            take("(", "'('")
+            params = (float(take("number", "a number")),)
+            take(")", "')'")
+        terms.append((weight, _ATOMS[name](*params)))
+        if tokens[at][0] == "end":
+            return MeasureSpec(terms=tuple(terms))
+        take("+", "'+' between terms")
 
 
 # --------------------------------------------------------------------------

@@ -109,13 +109,9 @@ def _terraced_support(m: np.ndarray, angles: np.ndarray):
     from scipy.linalg.lapack import zhetrd, zhetrd_lwork, zunmqr
 
     n_angles, dim = angles.size, m.shape[0]
-    peak = float(np.abs(m).max())
-    if not math.isfinite(peak):
+    if not np.isfinite(m).all():
         raise ValueError("fov_boundary needs a finite matrix")
-    # an exact power-of-two scale to order 1: the bisection squares entries
-    exponent = math.frexp(peak)[1]
-    scaled = np.ldexp(m, -exponent)
-    sym, skew = 0.5 * (scaled + scaled.T), 0.5 * (scaled - scaled.T)
+    sym, skew = 0.5 * (m + m.T), 0.5 * (m - m.T)
     even, half = n_angles % 2 == 0, n_angles // 2 + 1
     support = np.empty(n_angles)
     vectors = np.empty((dim, half), dtype=complex)
@@ -132,7 +128,7 @@ def _terraced_support(m: np.ndarray, angles: np.ndarray):
         if info == 0:
             w, z, info = _tridiagonal_eigenpairs(d, e, indices)
         if info == 0:
-            w, z = np.ldexp(w, exponent), z.astype(complex, order="F")
+            z = z.astype(complex, order="F")
             z[1:], _, info = zunmqr("L", "N", reflectors[1:, :-1], tau, z[1:], len(indices))
         if info:
             raise np.linalg.LinAlgError(f"extreme eigenpairs of Re(e^(i theta) A) failed "

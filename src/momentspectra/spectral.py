@@ -323,13 +323,16 @@ def _tridiagonal_eigenpairs(d: np.ndarray, e: np.ndarray, indices):
     eigenvalue (from 1) and vectors[:, j] a unit eigenvector for it.
 
     Each pair costs O(len(d)): bisection (dstebz) to _BISECTION_TOL, then
-    inverse iteration (dstein).  The bisection squares the entries, so the
-    caller scales them to order 1.  info is LAPACK's, 0 on success; after a
-    failure the remaining pairs are left unset.
+    inverse iteration (dstein).  The bisection squares the entries, so they
+    are first scaled to order 1 by an exact power of two, and the values
+    are scaled back.  info is LAPACK's, 0 on success; after a failure the
+    remaining values are left 0 and their vectors unset.
     """
     from scipy.linalg.lapack import dstebz, dstein
 
-    values = np.empty(len(indices))
+    exponent = math.frexp(max(np.abs(d).max(), np.abs(e).max(initial=0.0)))[1]
+    d, e = np.ldexp(d, -exponent), np.ldexp(e, -exponent)
+    values = np.zeros(len(indices))
     vectors = np.empty((d.size, len(indices)))
     info = 0
     for j, index in enumerate(indices):
@@ -340,7 +343,7 @@ def _tridiagonal_eigenpairs(d: np.ndarray, e: np.ndarray, indices):
         if info:
             break
         values[j], vectors[:, j] = w[0], vector[:, 0]
-    return values, vectors, info
+    return np.ldexp(values, exponent), vectors, info
 
 
 def _top_ritz(alphas: np.ndarray, betas: np.ndarray) -> tuple[float, float]:
@@ -359,14 +362,11 @@ def _top_ritz(alphas: np.ndarray, betas: np.ndarray) -> tuple[float, float]:
     diagonal = np.zeros(2 * k)
     off = np.empty(2 * k - 1)
     off[0::2], off[1::2] = alphas, betas
-    # an exact power-of-two scale to order 1: the bisection squares entries
-    scale = 2.0 ** math.frexp(off.max())[1]
-    off /= scale
     w, vectors, info = _tridiagonal_eigenpairs(diagonal, off, (2 * k,))
     if info:
         raise np.linalg.LinAlgError(f"top singular triplet of the {k} x {k} bidiagonal "
                                     f"did not converge")
-    return scale * float(w[0]), math.sqrt(2.0) * abs(vectors[-1, 0])
+    return float(w[0]), math.sqrt(2.0) * abs(vectors[-1, 0])
 
 
 def _top_singular_value(apply, apply_adjoint, start: np.ndarray, method: str) -> float:

@@ -369,7 +369,7 @@ def test_write_json_refuses_a_string_equal_to_the_placeholder(tmp_path):
 
 
 def test_write_json_leaves_no_truncated_file(tmp_path):
-    # the array is written before json refuses the nan that follows it
+    # json refuses the nan before the file is opened, so no file is left
     path = tmp_path / "partial.json"
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_json(path, {"points": np.arange(4.0), "limit": math.nan})

@@ -566,9 +566,6 @@ def test_failed_check_is_status_ok_with_its_exit_code(tmp_path):
      1, "input error: tail fit needs at least 64 moments, got 32"),
     (["classify", "--measure", "dirac(0.5)", "--k", "0..5", "--n", "32", "--method", "numeric"],
      1, "input error: tail fit needs at least 64 moments, got 32"),
-    # region fits nothing: only an empty weight sequence is refused
-    (["region", "--weights", "cesaro", "--n", "0"],
-     1, "input error: weight sequence must be a nonempty vector"),
     # (-log t)^149 overflows float64 on the mapped interval: refused, not summed as nan
     (["moments", "--measure", "logpower(150)", "--quadrature", "--n", "8"],
      2, "numeric error: adaptive quadrature integrand is not finite"),
@@ -624,6 +621,13 @@ def test_failed_run_leaves_a_manifest_with_status_error(tmp_path, capsys, args, 
      "usage error: argument --tol: expected a nonnegative tolerance, got '-1'"),
     (["fov", "--measure", "lebesgue", "--dim", "8", "--require-rhp", "-1"],
      "usage error: argument --require-rhp: expected a nonnegative tolerance, got '-1'"),
+    # every --n needs at least one term, a tail fit or not
+    (["region", "--weights", "cesaro", "--n", "0"],
+     "usage error: argument --n: 0 is below 1"),
+    (["classify", "--measure", "lebesgue", "--k", "0", "--n", "-5"],
+     "usage error: argument --n: -5 is below 1"),
+    (["adjoint-disc", "--measure", "lebesgue", "--n", "0"],
+     "usage error: argument --n: 0 is below 1"),
 ])
 def test_non_finite_or_out_of_range_number_is_an_input_error(tmp_path, capsys, args, line):
     assert main(args + ["--out", str(tmp_path / "o")]) == 1

@@ -281,10 +281,38 @@ def test_pure_dirac_quadrature_stays_closed_form():
 # --------------------------------------------------------------------------
 # sequence invariants (property-based)
 
+#: whitespace the parser skips: ASCII and Unicode str.isspace characters
+WHITESPACE = st.text(" \t\n\r\f\v\x1c\xa0\u2003\u3000", max_size=3)
+
+
 @settings(max_examples=100, deadline=None)
-@given(MEASURE_SPECS)
-def test_text_round_trips_through_the_parser(spec):
-    assert parse_measure(measure_text(spec)) == spec
+@given(MEASURE_SPECS, st.data())
+def test_text_round_trips_through_the_parser(spec, data):
+    text = measure_text(spec)
+    assert parse_measure(text) == spec
+    # rendered numbers and names only ever meet at punctuation, so splitting
+    # there finds every token boundary
+    pieces = re.split(r"([()*+])", text)
+    spaced = "".join(data.draw(WHITESPACE) + piece for piece in pieces) + data.draw(WHITESPACE)
+    assert parse_measure(spaced) == spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(MEASURE_SPECS, st.data())
+def test_one_character_edit_parses_or_raises_a_measure_error(spec, data):
+    text = measure_text(spec)
+    edit = data.draw(st.sampled_from(("delete", "replace", "insert")))
+    at = data.draw(st.integers(0, len(text) - (edit != "insert")))
+    char = data.draw(st.one_of(st.sampled_from("0123456789.()+*- \tx\xb2\u0663"),
+                               st.characters()))
+    text = text[:at] + ("" if edit == "delete" else char) + text[at + (edit != "insert"):]
+    try:
+        parse_measure(text)
+    except MeasureSyntaxError as err:
+        position = int(re.fullmatch(r".* \(at position (\d+)\)", str(err), re.S).group(1))
+        assert 0 <= position <= len(text)
+    except MeasureParameterError:
+        pass
 
 
 @settings(max_examples=25, deadline=None)
