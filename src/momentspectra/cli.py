@@ -70,6 +70,8 @@ from .spectral import (
 from .svg import boundary_svg, heatmap_svg, region_svg
 
 HILBERT_NORM_BOUND = 3.1416
+#: invariance's kernel-span check needs as many truncated dimensions as locations
+KERNEL_LOCATIONS = 8
 
 
 class _UsageError(Exception):
@@ -81,17 +83,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_index_range(text: str) -> range:
+def _parse_index_range(flag: str, text: str) -> range:
     """The indices of `k` or `a..b` as a range: no list is built, so the
     first index a command refuses ends the run whatever the upper bound."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        indices = range(int(lo), int(hi) + 1)
-        if not indices:
-            raise ValueError(f"empty index range {text!r}")
-        return indices
-    k = int(text)
-    return range(k, k + 1)
+    lo, dots, hi = text.partition("..")
+    first, last = (_flag(flag, _at_least(), part) for part in (lo, hi if dots else lo))
+    indices = range(first, last + 1)
+    if not indices:
+        raise ValueError(f"empty index range {text!r}")
+    return indices
 
 
 def _finite_float(text: str) -> float:
@@ -113,8 +113,9 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _at_least(minimum: int):
-    """The argparse type of an integer option that nothing below minimum can run."""
+def _at_least(minimum: float = -math.inf):
+    """The argparse type of an integer option that nothing below minimum can
+    run; with no minimum, of any integer."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -126,21 +127,21 @@ def _at_least(minimum: int):
     return parse
 
 
-def _flag_float(flag: str, text: str) -> float:
-    """_finite_float of a number inside an option's value: a refusal is an
-    input error that names the flag."""
+def _flag(flag: str, parse, text: str):
+    """parse(text) of a number inside an option's value, parse being an
+    argparse type: a refusal is an input error that names the flag."""
     try:
-        return _finite_float(text)
+        return parse(text)
     except argparse.ArgumentTypeError as exc:
         raise ValueError(f"{flag}: {exc}") from None
 
 
 def _parse_floats(flag: str, text: str) -> list[float]:
-    return [_flag_float(flag, part) for part in text.split(",") if part.strip()]
+    return [_flag(flag, _finite_float, part) for part in text.split(",") if part.strip()]
 
 
-def _parse_ints(text: str) -> list[int]:
-    ints = [int(part) for part in text.split(",") if part.strip()]
+def _parse_ints(flag: str, text: str) -> list[int]:
+    ints = [_flag(flag, _at_least(), part) for part in text.split(",") if part.strip()]
     if not ints:
         raise ValueError(f"empty integer list {text!r}")
     return ints
@@ -187,7 +188,7 @@ def _weights_from_family(family: str, n_terms: int) -> tuple[WeightSequence, flo
     if name == "cesaro":
         return WeightSequence.cesaro(n_terms), operators_mod.CESARO_LIMIT
     if name == "power":
-        s = _flag_float("--weights", param or "2.0")
+        s = _flag("--weights", _finite_float, param or "2.0")
         return WeightSequence.power_law(s, n_terms), operators_mod.power_law_limit(s)
     if name == "leibowitz":
         return WeightSequence.leibowitz_squares(n_terms), None
@@ -253,7 +254,7 @@ def _cmd_moments(args, writer: ArtifactWriter):
 def _cmd_classify(args, writer: ArtifactWriter):
     spec = parse_measure(args.measure)
     ms = moments(spec, args.n)
-    ks = _parse_index_range(args.k)
+    ks = _parse_index_range("--k", args.k)
     verdicts = classify_eigenvalue(ms, spec.weight_limit(), ks, args.method)
     # each row is {k, mu_k, verdict, slope, method}
     rows = [{"k": k, "mu_k": float(ms.values[k]), **asdict(verdict)}
@@ -273,7 +274,7 @@ def _cmd_classify(args, writer: ArtifactWriter):
           ("--tol", dict(type=_tolerance, default=1e-8)))
 def _cmd_eigencheck(args, writer: ArtifactWriter):
     spec = parse_measure(args.measure)
-    ks = _parse_index_range(args.k)
+    ks = _parse_index_range("--k", args.k)
     # the range's first refused index, refused before the first residual
     first_bad = ks[0] if not 0 <= ks[0] < args.dim else args.dim
     if first_bad in ks:
@@ -292,7 +293,7 @@ def _cmd_eigencheck(args, writer: ArtifactWriter):
 
 @_command("adjoint-disc", "guaranteed adjoint point-spectrum disc",
           _MEASURE,
-          ("--n", dict(type=_at_least(1), default=4096)))
+          ("--n", dict(type=_at_least(measures_mod.MIN_FIT_TERMS), default=4096)))
 def _cmd_adjoint_disc(args, writer: ArtifactWriter):
     spec = parse_measure(args.measure)
     limit = spec.weight_limit()
@@ -401,7 +402,7 @@ def _cmd_contraction(args, writer: ArtifactWriter):
 
 @_command("invariance", "integral representations and monomial defects",
           _MEASURE,
-          ("--dim", dict(type=_at_least(1), default=32)),
+          ("--dim", dict(type=_at_least(KERNEL_LOCATIONS), default=32)),
           ("--k-max", dict(type=_at_least(0), default=8)),
           ("--tol", dict(type=_tolerance, default=1e-11)))
 def _cmd_invariance(args, writer: ArtifactWriter):
@@ -446,7 +447,7 @@ def _cmd_invariance(args, writer: ArtifactWriter):
     record("hankel-monomial-defect", {"k": 1, "measure": args.measure},
            defect, 1e-12, defect > 1e-12)
 
-    locations = list(np.linspace(0.0, 0.9, 8))
+    locations = list(np.linspace(0.0, 0.9, KERNEL_LOCATIONS))
     rank = kernel_span_rank(locations, args.dim)
     record("kernel-span-rank", {"locations": locations, "dim": args.dim},
            float(rank), float(len(locations)), rank == len(locations))
@@ -466,7 +467,7 @@ def _cmd_hilbert(args, writer: ArtifactWriter):
     if args.max_index > largest:
         raise ValueError(f"--max-index {args.max_index} exceeds {largest} (dense limit)")
     # nested sections: the norm check is an oracle only on increasing dims
-    dims = _parse_ints(args.dims)
+    dims = _parse_ints("--dims", args.dims)
     if not (all(a < b for a, b in zip(dims, dims[1:])) and 1 <= dims[0] and dims[-1] <= limit):
         raise ValueError(f"--dims {args.dims} must increase strictly, each entry in 1..{limit}")
     dim = args.max_index + 1

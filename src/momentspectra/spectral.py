@@ -375,36 +375,34 @@ def _top_singular_value(apply, apply_adjoint, start: np.ndarray, method: str) ->
     (Golub & Kahan, SIAM J. Numer. Anal. 2, 1965).  start is the unit first
     right vector v_1; the same start gives byte-identical runs.
 
-    Step k applies A and A* once each, reorthogonalises the new vector
-    against its whole basis, and takes the top singular triplet
-    (theta_1, y_1) of the k x k upper bidiagonal (`_top_ritz`).  Its residual
-    is beta_k |e_k^T y_1|, and some singular value of A lies within it of
-    theta_1.  The run stops when the residual is at most 2 eps theta_1,
-    which also covers beta_k <= eps theta_1 (an invariant subspace).  A test
-    on residual^2 / (theta_1 - theta_2) stops sooner but is fooled by a pair
-    of close singular values that the Krylov space has not yet split, as
-    repeated weights give.  By step n the Krylov space is the whole space,
-    so a run that has not stopped by then raises ArithmeticError naming the
-    method: no unconverged estimate is returned.
+    Step k applies A and A* once each, reorthogonalises the new right vector
+    against the whole right basis, and takes the top singular triplet (theta_1,
+    y_1) of the k x k upper bidiagonal (`_top_ritz`); with V orthogonal it is
+    accurate without a left basis (Simon & Zha, SIAM J. Sci. Comput. 21, 2000).
+    Some singular value of A lies within the residual beta_k |e_k^T y_1| of
+    theta_1.  The run stops when the residual is at most 2 eps theta_1, which
+    also covers beta_k <= eps theta_1 (an invariant subspace).  A test on
+    residual^2 / (theta_1 - theta_2) stops sooner but is fooled by a pair of
+    close singular values that the Krylov space has not yet split, as repeated
+    weights give.  By step n the Krylov space is the whole space, so a run that
+    has not stopped by then raises ArithmeticError naming the method: no
+    unconverged estimate is returned.
     """
     from scipy.linalg.blas import get_blas_funcs
 
     n = start.size
     eps = np.finfo(float).eps
     nrm2 = get_blas_funcs("nrm2", (start,))
-    # row k of vs (us) is v_{k+1} (u_{k+1}); both grow by doubling, so a
-    # short run never allocates n rows
+    # row k of vs is v_{k+1}, grown by doubling: a short run never allocates n rows
     vs = np.empty((min(n, 16), n), dtype=start.dtype)
-    us = np.empty_like(vs)
     alphas, betas = np.empty(n), np.empty(n)  # diagonal and superdiagonal
     v = vs[0] = start
     p = apply(v)
     for k in range(1, n + 1):
         alpha = alphas[k - 1] = nrm2(p)
-        # alpha = 0 (a rank-one Hankel matrix gives it at step 2): A maps
-        # the v's into the u's so far, theta_1 is exact and y_1 ends in 0,
-        # so the zero p as u_k stops the run with beta_k = 0
-        u = us[k - 1] = p / alpha if alpha else p
+        # alpha = 0 (a rank-one Hankel matrix gives it at step 2): A maps the v's into
+        # the u's so far, theta_1 is exact and y_1 ends in 0, so u_k = p = 0 gives beta_k = 0
+        u = p / alpha if alpha else p
         r = apply_adjoint(u) - alpha * v
         r -= (vs[:k] @ r.conj()).conj() @ vs[:k]
         beta = betas[k - 1] = nrm2(r)
@@ -414,11 +412,9 @@ def _top_singular_value(apply, apply_adjoint, start: np.ndarray, method: str) ->
         if k == n:
             break
         if k == vs.shape[0]:
-            more = np.empty((min(k, n - k), n), dtype=vs.dtype)
-            vs, us = np.concatenate([vs, more]), np.concatenate([us, more])
+            vs = np.concatenate([vs, np.empty((min(k, n - k), n), dtype=vs.dtype)])
         v = vs[k] = r / beta
         p = apply(v) - beta * u
-        p -= (us[:k] @ p.conj()).conj() @ us[:k]
     raise ArithmeticError(f"{method} did not converge in {n} steps")
 
 

@@ -560,10 +560,8 @@ def test_failed_check_is_status_ok_with_its_exit_code(tmp_path):
     (["hilbert", "--max-index", "4", "--dims", "0,64"], 1, "input error: --dims 0,64 "),
     # refused before the column checks build their 8191 x 8191 table
     (["hilbert", "--max-index", "4095", "--dims", "64,8193"], 1, "input error: --dims 64,8193 "),
-    # the two tail fits, fitted_beta's and the numeric classification's, refuse
-    # fewer than 64 terms themselves, naming the floor and the count
-    (["adjoint-disc", "--measure", "dirac(0.5)", "--n", "32"],
-     1, "input error: tail fit needs at least 64 moments, got 32"),
+    # the numeric classification's tail fit refuses fewer than 64 terms
+    # itself, naming the floor and the count: its floor depends on --method
     (["classify", "--measure", "dirac(0.5)", "--k", "0..5", "--n", "32", "--method", "numeric"],
      1, "input error: tail fit needs at least 64 moments, got 32"),
     # (-log t)^149 overflows float64 on the mapped interval: refused, not summed as nan
@@ -626,8 +624,21 @@ def test_failed_run_leaves_a_manifest_with_status_error(tmp_path, capsys, args, 
      "usage error: argument --n: 0 is below 1"),
     (["classify", "--measure", "lebesgue", "--k", "0", "--n", "-5"],
      "usage error: argument --n: -5 is below 1"),
+    # adjoint-disc's fitted_beta always fits the tail, which needs 64 terms
     (["adjoint-disc", "--measure", "lebesgue", "--n", "0"],
-     "usage error: argument --n: 0 is below 1"),
+     "usage error: argument --n: 0 is below 64"),
+    (["adjoint-disc", "--measure", "dirac(0.5)", "--n", "32"],
+     "usage error: argument --n: 32 is below 64"),
+    # the kernel-span check places 8 locations in the truncated dimensions
+    (["invariance", "--measure", "lebesgue", "--dim", "7"],
+     "usage error: argument --dim: 7 is below 8"),
+    # an entry of a list or range that is not an integer names its flag
+    (["classify", "--measure", "lebesgue", "--k", "abc"],
+     "input error: --k: invalid int value: 'abc'"),
+    (["eigencheck", "--measure", "lebesgue", "--k", "0..x"],
+     "input error: --k: invalid int value: 'x'"),
+    (["hilbert", "--dims", "64,x"],
+     "input error: --dims: invalid int value: 'x'"),
 ])
 def test_non_finite_or_out_of_range_number_is_an_input_error(tmp_path, capsys, args, line):
     assert main(args + ["--out", str(tmp_path / "o")]) == 1

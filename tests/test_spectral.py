@@ -1,12 +1,13 @@
 import math
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -627,6 +628,30 @@ def test_sigma_min_work_is_bounded_by_dim_steps(monkeypatch):
     assert steps == list(range(1, 25))
 
 
+def test_long_sigma_min_run_keeps_one_lanczos_basis(monkeypatch):
+    # z = -0.3 on Cesaro weights at dim 1024 takes 552 steps, so the right
+    # basis doubles to 1024 rows of 16 KB: 16.8 MB, and 33.6 MB during the
+    # last copy.  A reorthogonalised left basis would double alongside it.
+    steps = []
+    top_ritz = spectral._top_ritz
+
+    def counted(alphas, betas):
+        steps.append(alphas.size)
+        return top_ritz(alphas, betas)
+
+    monkeypatch.setattr(spectral, "_top_ritz", counted)
+    a = WeightSequence.cesaro(1024).values
+    smallest_singular_value(-0.3 - a, a)  # warm-up: scipy's imports are not counted
+    tracemalloc.start()
+    try:
+        sigma = smallest_singular_value(-0.3 - a, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(steps) > 512 and sigma > 0.0
+    assert peak <= 40e6, f"peak {peak / 1e6:.1f} MB"
+
+
 def test_sigma_min_is_byte_identical_across_calls():
     op = TerracedOperator(WeightSequence.cesaro(96), 96)
     first = pseudospectrum_grid(op, CESARO_WINDOW, 4, 96).sigma_min
@@ -641,6 +666,10 @@ def test_sigma_min_is_byte_identical_across_calls():
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(1e-3, 2.0), min_size=2, max_size=200),
        st.floats(-1.0, 3.0), st.floats(-2.0, 2.0))
+# real-axis points left of the Cesaro weights take 175 and 170 steps, longer
+# than any point of the benchmark and README grids
+@example(WeightSequence.cesaro(200).values.tolist(), -0.3, 0.0)
+@example(WeightSequence.cesaro(200).values.tolist(), -0.05, 0.0)
 def test_sigma_min_matches_svd_for_random_positive_weights(weights, re, im):
     dim = len(weights)
     a = np.array(weights)
