@@ -564,6 +564,9 @@ def test_failed_check_is_status_ok_with_its_exit_code(tmp_path):
     # itself, naming the floor and the count: its floor depends on --method
     (["classify", "--measure", "dirac(0.5)", "--k", "0..5", "--n", "32", "--method", "numeric"],
      1, "input error: tail fit needs at least 64 moments, got 32"),
+    # one term short of the floor is still refused
+    (["classify", "--measure", "dirac(0.5)", "--k", "0..5", "--n", "63", "--method", "numeric"],
+     1, "input error: tail fit needs at least 64 moments, got 63"),
     # (-log t)^149 overflows float64 on the mapped interval: refused, not summed as nan
     (["moments", "--measure", "logpower(150)", "--quadrature", "--n", "8"],
      2, "numeric error: adaptive quadrature integrand is not finite"),
