@@ -18,7 +18,6 @@ from .measures import (
     MeasureSyntaxError,
     MomentSequence,
     PowerDensity,
-    growth_exponent,
     moments,
     parse_measure,
 )

@@ -36,8 +36,8 @@ from .invariance import (
 from .measures import (
     MeasureParameterError,
     MeasureSyntaxError,
-    growth_exponent,
     moments,
+    octave_ladder,
     parse_measure,
 )
 from .numrange import contraction_check, fov_boundary
@@ -262,6 +262,9 @@ def _cmd_classify(args, writer: ArtifactWriter):
     writer.write_json("verdicts.json", rows)
     return 0, {
         "l2_margin": spectral_mod.L2_MARGIN,
+        "geometric_step": spectral_mod.GEOMETRIC_STEP,
+        "flat_step": spectral_mod.FLAT_STEP,
+        "slowest_ratio": spectral_mod.SLOWEST_RATIO,
         "distinct_rel_gap": spectral_mod.DISTINCT_REL_GAP,
     }
 
@@ -293,17 +296,15 @@ def _cmd_eigencheck(args, writer: ArtifactWriter):
 
 @_command("adjoint-disc", "guaranteed adjoint point-spectrum disc",
           _MEASURE,
-          ("--n", dict(type=_at_least(measures_mod.MIN_FIT_TERMS), default=4096)))
+          ("--n", dict(type=_at_least(measures_mod.LADDER_MIN_TERMS), default=4096)))
 def _cmd_adjoint_disc(args, writer: ArtifactWriter):
     spec = parse_measure(args.measure)
     limit = spec.weight_limit()
-    fitted_beta, fit_residual = growth_exponent(moments(spec, args.n))
     region = adjoint_disc(limit)
     payload = {
         "beta": limit,
         "bounded": limit == 0.0,
-        "fitted_beta": fitted_beta,
-        "fit_residual": fit_residual,
+        "beta_octaves": octave_ladder(moments(spec, args.n), args.n - 1)[1].tolist(),
         "disc": None
         if region is None
         else {"center": region.disc_center, "radius": region.disc_radius},

@@ -1,4 +1,4 @@
-"""Measure specifications, their moment sequences, and partial-sum growth fits.
+"""Measure specifications, their moment sequences, and their octave ladders.
 
 A measure on [0,1) is written in a small mini-language:
 
@@ -26,8 +26,9 @@ triple (c, s, x0); quadrature integrates that one form, once per term.
 The triples also give the weight limit L = lim (n+1) mu_n exactly: an atom
 with s = 1 and x0 = 0 (`lebesgue` on [0, 1], `power`) has moments
 ~ w/n, and every other atom has summable moments.  So the partial sums grow
-like s_n = L log n + O(1); the least-squares fit of that growth is kept only
-as a cross-check.
+like s_n = L log n + O(1).  The octave ladder reads the growth of log mu_n
+and s_n without L, as slopes against log(n+1) over the octaves between
+t/8, t/4, t/2 and t.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from .quadrature import integrate
 
 #: absolute quadrature tolerance per moment: the one default of every caller
 MOMENT_TOL = 1e-13
-#: fewest terms a tail fit over the window [n/2, n) accepts
-MIN_FIT_TERMS = 64
+#: fewest moments whose octave ladder starts past index 0
+LADDER_MIN_TERMS = 9
 
 
 class MeasureSyntaxError(ValueError):
@@ -283,32 +284,15 @@ def moments(spec: MeasureSpec, n_terms: int, method: str = "closed",
 
 
 # --------------------------------------------------------------------------
-# partial-sum growth
+# octave ladder
 
-def fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares affine fit y ~ slope*x + intercept; returns rms residual."""
-    xm = x.mean()
-    ym = y.mean()
-    dx = x - xm
-    denom = float(np.dot(dx, dx))
-    slope = float(np.dot(dx, y - ym) / denom) if denom > 0.0 else 0.0
-    intercept = ym - slope * xm
-    resid = y - (slope * x + intercept)
-    return slope, intercept, float(np.sqrt(np.mean(resid**2)))
-
-
-def _tail_window(n_terms: int, stop: int) -> np.ndarray:
-    """The indices [n_terms // 2, stop) a tail fit of n_terms moments runs
-    over, refusing fewer than MIN_FIT_TERMS: the one check of that floor."""
-    if n_terms < MIN_FIT_TERMS:
-        raise ValueError(f"tail fit needs at least {MIN_FIT_TERMS} moments, got {n_terms}")
-    return np.arange(n_terms // 2, stop)
-
-
-def growth_exponent(ms: MomentSequence) -> tuple[float, float]:
-    """(beta, rms residual) of the fit of the partial sums against log(n+1)
-    over the window [n/2, n), beta clipped at 0: the fitted counterpart of
-    MeasureSpec.weight_limit, reported beside it as a cross-check."""
-    idx = _tail_window(ms.n_terms, ms.n_terms)
-    slope, _, residual = fit_line(np.log(idx + 1.0), ms.partial_sums[idx])
-    return max(slope, 0.0), residual
+def octave_ladder(ms: MomentSequence, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p, q): the slopes of log mu_m and of s_m against log(m+1) over the
+    three octaves of the ladder m = t/8, t/4, t/2, t (only the last when
+    t < 8).  Each step of s_m sums its octave's moments: a difference of
+    partial sums loses every digit once s_m has converged."""
+    m = np.array([t // 8, t // 4, t // 2, t])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dlog_mu = np.diff(np.log(ms.values[m]))
+        dlog_m = np.diff(np.log(m + 1.0))
+        return dlog_mu / dlog_m, np.add.reduceat(ms.values[:t + 1], m[:3] + 1) / dlog_m

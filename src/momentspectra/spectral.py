@@ -9,9 +9,8 @@ L = lim (n+1) mu_n: s_n = L log n + O(1), so the test term behaves like
 n^(-1 + L/mu_k), and mu_k is an eigenvalue exactly when mu_k > 2L (L = 0
 makes every moment one).  The adjoint's point spectrum contains the open
 disc centered at L with radius L.  The numeric path checks the rule
-without L: with p and q the least-squares slopes of log mu_n and s_n
-against log(n+1) over the tail window, the test term's fitted slope is
-slope_k = p + q/mu_k, one pair of fits for every index.
+without L, from the test term's chord slopes over an octave ladder of the
+moments (`measures.octave_ladder`), and answers only once they settle.
 
 Pseudospectra sample sigma_min(zI - A) on a grid, one exact path per family.
 A Hermitian (Hankel) matrix costs one eigvalsh per grid.  A terraced zI - R
@@ -34,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .measures import MomentSequence, _tail_window, fit_line
+from .measures import MomentSequence, octave_ladder
 from .operators import (
     HankelMomentOperator,
     TerracedOperator,
@@ -52,10 +51,14 @@ NUMERIC_FIT = "NumericFit"
 
 #: relative gap below which consecutive moments count as duplicates
 DISTINCT_REL_GAP = 1e-12
-#: a fitted slope must clear -1/2 by this margin for a NumericFit verdict
+#: settled chords must clear -1/2 by this margin for a NumericFit verdict
 L2_MARGIN = 0.1
-#: eigenvector recurrence guard
-RECURRENCE_GAP_FLOOR = 1e-14
+#: largest last chord step, over max(1, |c3 + 1/2|), of a contracting ladder
+GEOMETRIC_STEP = 0.1
+#: largest last chord step, on the same scale, of a flat ladder
+FLAT_STEP = 1e-3
+#: slowest octave ratio of chord steps: 2^(1-s) of a logpower(s >= 1.074) tail
+SLOWEST_RATIO = 0.95
 OVERFLOW_GUARD = 1e150
 
 
@@ -111,30 +114,45 @@ def _validate_moments(ms: MomentSequence) -> int:
     return active
 
 
+def _settled_side(c1: float, c2: float, c3: float) -> str:
+    """The verdict of the test term's chord slopes over three successive
+    octaves, Inconclusive unless the steps d2 = c2 - c1, d3 = c3 - c2 are
+    flat or contract.  The limit may lie as far as c3 + d3 r/(1 - r), r the
+    larger of SLOWEST_RATIO and d3/d2 (a fast first step can hide a slow
+    tail), and c3 and that end must clear -1/2 by L2_MARGIN on one side."""
+    d2, d3 = c2 - c1, c3 - c2
+    scale = max(1.0, abs(c3 + 0.5))
+    contracting = d2 * d3 > 0.0 and abs(d3) < abs(d2) and abs(d3) <= GEOMETRIC_STEP * scale
+    if not (contracting or abs(d3) <= FLAT_STEP * scale):
+        return INCONCLUSIVE
+    r = max(SLOWEST_RATIO, d3 / d2) if contracting else SLOWEST_RATIO
+    ends = (c3, c3 + d3 * r / (1.0 - r))
+    if max(ends) < -0.5 - L2_MARGIN:
+        return IN_L2
+    if min(ends) > -0.5 + L2_MARGIN:
+        return NOT_IN_L2
+    return INCONCLUSIVE
+
+
 def classify_eigenvalue(ms: MomentSequence, limit: float, ks,
                         method: str) -> list[ClassificationVerdict]:
     """Decide, for each index k in ks, whether the k-th moment is an
     eigenvalue of the terraced operator; one verdict per index, in order.
 
     The analytic path reads the measure's weight limit L: InL2 exactly when
-    mu_k > 2L, reporting the test term's exponent -1 + L/mu_k; it fits
-    nothing.  The numeric path fits two lines once, against log(n+1) over
-    the tail window [n/2, active): slope p of log mu_n and slope q of s_n.
-    A least-squares slope is linear in y, so the test term's log-log slope
-    is slope_k = p + q/mu_k, and each index costs O(1).  Like growth_exponent
-    it refuses fewer than MIN_FIT_TERMS moments.  It compares slope_k
-    against -1/2 and returns Inconclusive within L2_MARGIN of it, or with no
-    slope when the window has fewer than 8 entries.
+    mu_k > 2L, reporting the test term's exponent -1 + L/mu_k.  The numeric
+    path takes one octave ladder over t = active - 1: with p_j and q_j the
+    slopes of log mu_n and s_n over octave j, the test term's chord slope is
+    c_j = p_j + q_j/mu_k, O(1) per index.  Only an index below t/8 whose
+    chords have settled (`_settled_side`) gets a verdict.  The slope is c_3,
+    or None when the ladder does not reach past k.
     """
     if method not in ("analytic", "numeric"):
         raise ValueError(f"unknown classification method {method!r}")
     active = _validate_moments(ms)
     if method == "numeric":
-        tail = _tail_window(ms.n_terms, active)
-        x = np.log(tail + 1.0)
-        # an empty window (every tail moment underflowed) fits no line: p = 0
-        p = fit_line(x, np.log(ms.values[tail]))[0] if tail.size else 0.0
-        q = fit_line(x, ms.partial_sums[tail])[0] if tail.size >= 8 else None
+        t = active - 1
+        p, q = (slopes.tolist() for slopes in octave_ladder(ms, t))
     verdicts = []
     for k in ks:
         if not 0 <= k < ms.n_terms:
@@ -146,13 +164,12 @@ def classify_eigenvalue(ms: MomentSequence, limit: float, ks,
         if method == "analytic":
             verdict = ClassificationVerdict(IN_L2 if mu_k > 2.0 * limit else NOT_IN_L2,
                                             -1.0 + limit / mu_k, ANALYTIC)
+        elif k >= t:
+            verdict = ClassificationVerdict(INCONCLUSIVE, None, NUMERIC_FIT)
         else:
-            slope = None if q is None else p + q / mu_k
-            if slope is None or -0.5 - L2_MARGIN <= slope <= -0.5 + L2_MARGIN:
-                verdict = ClassificationVerdict(INCONCLUSIVE, slope, NUMERIC_FIT)
-            else:
-                verdict = ClassificationVerdict(IN_L2 if slope < -0.5 else NOT_IN_L2,
-                                                slope, NUMERIC_FIT)
+            chords = [p_j + q_j / mu_k for p_j, q_j in zip(p, q)]
+            side = _settled_side(*chords) if 8 * k < t else INCONCLUSIVE
+            verdict = ClassificationVerdict(side, chords[2], NUMERIC_FIT)
         verdicts.append(verdict)
     return verdicts
 
@@ -176,14 +193,8 @@ def eigenvector(ms: MomentSequence, k: int, dim: int) -> np.ndarray:
         )
     mu = ms.values[:dim]
     mu_k = float(mu[k])
-    gap = mu_k - mu[k + 1:]
-    small = np.abs(gap) < RECURRENCE_GAP_FLOOR
-    if small.any():
-        raise ZeroDivisionError(
-            f"recurrence blow-up: |mu_{k} - mu_{k + 1 + int(np.argmax(small))}| "
-            f"< {RECURRENCE_GAP_FLOOR}"
-        )
-    ratio = mu[k + 1:] * mu_k / (mu[k:-1] * gap)
+    # mu_k / gap first: mu_{n+1} mu_k underflows where the ratio does not
+    ratio = mu[k + 1:] / mu[k:-1] * (mu_k / (mu_k - mu[k + 1:]))
     x = np.zeros(dim)
     x[k] = 1.0
     start = k

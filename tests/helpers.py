@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -17,14 +19,16 @@ from momentspectra import (
     moments,
     parse_measure,
 )
-from momentspectra.measures import fit_line
 from momentspectra.spectral import (
     ANALYTIC,
+    FLAT_STEP,
+    GEOMETRIC_STEP,
     IN_L2,
     INCONCLUSIVE,
     L2_MARGIN,
     NOT_IN_L2,
     NUMERIC_FIT,
+    SLOWEST_RATIO,
     ClassificationVerdict,
 )
 
@@ -67,32 +71,56 @@ def hankel_from_measure(text: str, dim: int) -> HankelMomentOperator:
     return HankelMomentOperator.from_moments(ms, dim)
 
 
-def tail_window(ms) -> np.ndarray:
-    """Indices [n/2, active) of the classification fits, active being the
-    length of the normal-float prefix of a valid moment sequence."""
-    return np.arange(ms.n_terms // 2, int(np.count_nonzero(ms.values >= np.finfo(float).tiny)))
+def ladder_chords(ms, k: int) -> tuple[list[int], list[float]]:
+    """(ladder, chords) of index k: the ladder t/8, t/4, t/2, t over the
+    normal-float prefix (t = active - 1) and the test term's chord slopes
+    over each octave (a, b] of it, log(mu_b exp(s_b/mu_k) / (mu_a
+    exp(s_a/mu_k))) / log((b+1)/(a+1)), with s_b - s_a an exact math.fsum of
+    the octave's moments.  Only the octaves that hold an index are given."""
+    mu = ms.values
+    t = int(np.count_nonzero(mu >= np.finfo(float).tiny)) - 1
+    ladder = [t // 8, t // 4, t // 2, t]
+    mu_k = float(mu[k])
+    chords = [(math.log(mu[b]) - math.log(mu[a]) + math.fsum(mu[a + 1:b + 1]) / mu_k)
+              / math.log((b + 1) / (a + 1))
+              for a, b in zip(ladder, ladder[1:]) if a < b]
+    return ladder, chords
 
 
 def reference_classification(ms, limit: float, k: int, method: str) -> ClassificationVerdict:
     """Reference verdict for one index of a valid moment sequence.  The
     analytic one is the rule mu_k > 2L with exponent -1 + L/mu_k; the
-    numeric one a direct least-squares fit of the test term
-    log(mu_n exp(s_n/mu_k)) against log(n+1) over tail_window, made for
-    this index alone."""
+    numeric one reads the chords of ladder_chords, made for this index
+    alone: below t/8, once the last step is flat or contracting, a verdict
+    when the last chord and its extrapolation by the slower of the ladder's
+    ratio and SLOWEST_RATIO clear -1/2 by L2_MARGIN on one side, with slope
+    the last chord (None when k >= t)."""
     mu_k = float(ms.values[k])
     if method == "analytic":
         return ClassificationVerdict(IN_L2 if mu_k > 2 * limit else NOT_IN_L2,
                                      -1.0 + limit / mu_k, ANALYTIC)
-    idx = tail_window(ms)
-    if idx.size < 8:
+    ladder, chords = ladder_chords(ms, k)
+    t = ladder[-1]
+    if k >= t:
         return ClassificationVerdict(INCONCLUSIVE, None, NUMERIC_FIT)
-    x = np.log(idx + 1.0)
-    slope = fit_line(x, np.log(ms.values[idx]) + ms.partial_sums[idx] / mu_k)[0]
-    if slope < -0.5 - L2_MARGIN:
-        return ClassificationVerdict(IN_L2, slope, NUMERIC_FIT)
-    if slope > -0.5 + L2_MARGIN:
-        return ClassificationVerdict(NOT_IN_L2, slope, NUMERIC_FIT)
-    return ClassificationVerdict(INCONCLUSIVE, slope, NUMERIC_FIT)
+    last = chords[-1]
+    if 8 * k >= t:
+        return ClassificationVerdict(INCONCLUSIVE, last, NUMERIC_FIT)
+    first_step, last_step = chords[1] - chords[0], chords[2] - chords[1]
+    size = max(1.0, abs(last + 0.5))
+    ratio = SLOWEST_RATIO
+    if (first_step * last_step > 0 and abs(last_step) < abs(first_step)
+            and abs(last_step) <= GEOMETRIC_STEP * size):
+        ratio = max(ratio, last_step / first_step)
+    elif abs(last_step) > FLAT_STEP * size:
+        return ClassificationVerdict(INCONCLUSIVE, last, NUMERIC_FIT)
+    far = last + last_step * ratio / (1 - ratio)
+    verdict = INCONCLUSIVE
+    if last < -0.5 - L2_MARGIN and far < -0.5 - L2_MARGIN:
+        verdict = IN_L2
+    elif last > -0.5 + L2_MARGIN and far > -0.5 + L2_MARGIN:
+        verdict = NOT_IN_L2
+    return ClassificationVerdict(verdict, last, NUMERIC_FIT)
 
 
 def rhp_catalog_matrices(dim: int) -> dict[str, np.ndarray]:

@@ -78,21 +78,34 @@ def test_eigencheck_pass_and_fail(tmp_path):
     assert strict == 2
 
 
+def test_eigencheck_accepts_what_classify_confirms(tmp_path):
+    # mu_46 of dirac(0.5) is 1.4e-14: classify calls it InL2, and the
+    # recurrence needs only the relative gaps, not an absolute floor
+    out = tmp_path / "e"
+    assert main(["classify", "--measure", "dirac(0.5)", "--k", "46", "--out", str(out)]) == 0
+    assert read_json(out / "verdicts.json")[0]["verdict"] == "InL2"
+    assert main(["eigencheck", "--measure", "dirac(0.5)", "--k", "45..47", "--dim", "400",
+                 "--out", str(out)]) == 0
+    assert all(row["pass"] for row in read_json(out / "eigencheck.json"))
+
+
 def test_adjoint_disc_command(tmp_path):
     out = tmp_path / "a"
     assert main(["adjoint-disc", "--measure", "dirac(0)+0.5*lebesgue",
                  "--n", "4096", "--out", str(out)]) == 0
     payload = read_json(out / "adjoint_disc.json")
-    # beta is the exact weight limit; the tail fit is only reported beside it
+    # beta is the exact weight limit; the octave slopes of s_n are only
+    # reported beside it, within the O(1/n) harmonic correction of L
     assert payload["beta"] == payload["disc"]["center"] == payload["disc"]["radius"] == 0.5
     assert not payload["bounded"]
-    assert payload["fitted_beta"] == pytest.approx(0.5, abs=0.05)
-    assert payload["fit_residual"] >= 0.0
+    assert list(payload) == ["beta", "bounded", "beta_octaves", "disc"]
+    assert payload["beta_octaves"] == pytest.approx([0.5] * 3, abs=1e-3)
     none_out = tmp_path / "a2"
     assert main(["adjoint-disc", "--measure", "lebesgue(0.5)", "--n", "4096",
                  "--out", str(none_out)]) == 0
     payload = read_json(none_out / "adjoint_disc.json")
     assert (payload["beta"], payload["bounded"], payload["disc"]) == (0.0, True, None)
+    assert max(payload["beta_octaves"]) < 1e-100
 
 
 def test_region_command_cesaro(tmp_path):
@@ -560,13 +573,13 @@ def test_failed_check_is_status_ok_with_its_exit_code(tmp_path):
     (["hilbert", "--max-index", "4", "--dims", "0,64"], 1, "input error: --dims 0,64 "),
     # refused before the column checks build their 8191 x 8191 table
     (["hilbert", "--max-index", "4095", "--dims", "64,8193"], 1, "input error: --dims 64,8193 "),
-    # the numeric classification's tail fit refuses fewer than 64 terms
-    # itself, naming the floor and the count: its floor depends on --method
-    (["classify", "--measure", "dirac(0.5)", "--k", "0..5", "--n", "32", "--method", "numeric"],
-     1, "input error: tail fit needs at least 64 moments, got 32"),
-    # one term short of the floor is still refused
-    (["classify", "--measure", "dirac(0.5)", "--k", "0..5", "--n", "63", "--method", "numeric"],
-     1, "input error: tail fit needs at least 64 moments, got 63"),
+    # the numeric classification runs at any --n, and refuses what the
+    # analytic one refuses: an index past --n, after the indices before it
+    (["classify", "--measure", "dirac(0.5)", "--k", "0..40", "--n", "32", "--method", "numeric"],
+     1, "input error: eigenvalue index 32 out of range"),
+    # and a moment that underflowed below the normal range
+    (["classify", "--measure", "dirac(0.5)", "--k", "2000", "--method", "numeric"],
+     1, "input error: moment 2000 underflowed below the normal range"),
     # (-log t)^149 overflows float64 on the mapped interval: refused, not summed as nan
     (["moments", "--measure", "logpower(150)", "--quadrature", "--n", "8"],
      2, "numeric error: adaptive quadrature integrand is not finite"),
@@ -627,11 +640,12 @@ def test_failed_run_leaves_a_manifest_with_status_error(tmp_path, capsys, args, 
      "usage error: argument --n: 0 is below 1"),
     (["classify", "--measure", "lebesgue", "--k", "0", "--n", "-5"],
      "usage error: argument --n: -5 is below 1"),
-    # adjoint-disc's fitted_beta always fits the tail, which needs 64 terms
+    # adjoint-disc's beta_octaves needs four distinct ladder points, the
+    # first past index 0: 9 terms
     (["adjoint-disc", "--measure", "lebesgue", "--n", "0"],
-     "usage error: argument --n: 0 is below 64"),
-    (["adjoint-disc", "--measure", "dirac(0.5)", "--n", "32"],
-     "usage error: argument --n: 32 is below 64"),
+     "usage error: argument --n: 0 is below 9"),
+    (["adjoint-disc", "--measure", "dirac(0.5)", "--n", "8"],
+     "usage error: argument --n: 8 is below 9"),
     # the kernel-span check places 8 locations in the truncated dimensions
     (["invariance", "--measure", "lebesgue", "--dim", "7"],
      "usage error: argument --dim: 7 is below 8"),
