@@ -404,17 +404,26 @@ def test_eigenvector_renormalizations_match_the_loop_bit_for_bit(text, k):
     assert _outcome(eigenvector, ms, k, 4096) == _outcome(_reference_eigenvector, ms, k, 4096)
 
 
-def test_near_degenerate_moments_give_a_finite_eigenvector():
+def _assert_finite_near_degenerate_eigenvector(values, k):
     # absolute gaps of 4e-15 to 5e-15, relative gaps above DISTINCT_REL_GAP:
     # the recurrence runs on the ratio mu_k / gap, with no absolute floor
-    for values, k in (([1.0, 1e-3, 1e-3 - 5e-15, 1e-4], 1),
-                      ([1.0, 0.5, 1e-3 + 5e-15, 1e-3, 1e-3 - 4e-15, 1e-5], 2)):
-        ms = _handmade_moments(values)
-        vec = eigenvector(ms, k, len(values))
-        assert np.all(np.isfinite(vec)) and vec[k] == 1.0
-        assert _outcome(eigenvector, ms, k, len(values)) == \
-            _outcome(_reference_eigenvector, ms, k, len(values))
-        assert eigenvector_residual(ms, k, len(values)) <= 1e-12
+    ms = _handmade_moments(values)
+    vec = eigenvector(ms, k, len(values))
+    assert np.all(np.isfinite(vec)) and vec[k] == 1.0
+    assert _outcome(eigenvector, ms, k, len(values)) == \
+        _outcome(_reference_eigenvector, ms, k, len(values))
+    assert eigenvector_residual(ms, k, len(values)) <= 1e-12
+
+
+def test_eigenvector_recurrence_guard():
+    # a gap of 5e-15 just after k once tripped an absolute floor; now it runs
+    _assert_finite_near_degenerate_eigenvector([1.0, 1e-3, 1e-3 - 5e-15, 1e-4], 1)
+
+
+def test_eigenvector_guard_names_the_first_degenerate_index():
+    # two near-equal gaps past k: neither is refused, and the loop agrees
+    _assert_finite_near_degenerate_eigenvector(
+        [1.0, 0.5, 1e-3 + 5e-15, 1e-3, 1e-3 - 4e-15, 1e-5], 2)
 
 
 @settings(max_examples=60, deadline=None)
