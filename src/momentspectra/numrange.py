@@ -26,8 +26,9 @@ A matrix whose Hermitian part is positive semidefinite generates a
 contraction semigroup: ||exp(-tau A)|| <= 1 for all tau >= 0, checked with
 the exact spectral norm (the largest singular value).
 
-scipy.linalg is imported inside the functions that call it, which keeps it
-out of the CLI's start-up.
+The LAPACK routines come from `_lapack`, imported inside the function that
+calls them, which keeps them out of the CLI's start-up; no command imports
+the scipy.linalg package, and the matrix exponential is numpy's own.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def _terraced_support(m: np.ndarray, angles: np.ndarray):
     inverse iteration; zunmqr applies the Householder reflectors to those
     vectors.
     """
-    from scipy.linalg.lapack import zhetrd, zhetrd_lwork, zunmqr
+    from ._lapack import zhetrd, zhetrd_lwork, zunmqr
 
     n_angles, dim = angles.size, m.shape[0]
     if not np.isfinite(m).all():
@@ -153,22 +154,51 @@ class ContractionResult:
     max_norm: float
 
 
+#: Pade [13/13] numerator coefficients b_0..b_13, and the 1-norm bound theta_13
+#: up to which its backward error is at most the unit roundoff (Higham 2005)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(A) by scaling and squaring with the Pade [13/13] approximant
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 2005): A is scaled by 2^-s until
+    ||A||_1 <= theta_13, r_13 = (V - U)^{-1} (V + U) is formed from the even
+    powers A^2, A^4, A^6, and squared s times.  An overflow leaves non-finite
+    entries for the caller to check."""
+    s = max(0, math.frexp(np.abs(a).sum(axis=0).max() / _THETA13)[1])
+    a = np.ldexp(a, -s)
+    b = _PADE13
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 def contraction_check(matrix: np.ndarray, taus) -> ContractionResult:
     """||exp(-tau A)|| for each tau, via the scaling-and-squaring matrix
-    exponential and the exact spectral norm; reports the max."""
+    exponential (`_expm`) and the exact spectral norm; reports the max."""
     taus = np.asarray(list(taus), dtype=float)
     if taus.size == 0:
         raise ValueError("need at least one tau")
     if not np.all((taus > 0.0) & np.isfinite(taus)):
         raise ValueError("taus must be positive and finite")
-    import scipy.linalg
-
     m = np.asarray(matrix)
     norms = np.empty(taus.size)
     for i, tau in enumerate(taus):
         # an overflow is reported once, by the finiteness check below
         with np.errstate(over="ignore", invalid="ignore"):
-            exp_m = scipy.linalg.expm(-tau * m)
+            exp_m = _expm(-tau * m)
         if not np.all(np.isfinite(exp_m)):
             raise OverflowError(f"matrix exponential overflowed at tau={tau}")
         norms[i] = spectral_norm(exp_m)

@@ -339,7 +339,7 @@ def _tridiagonal_eigenpairs(d: np.ndarray, e: np.ndarray, indices):
     are scaled back.  info is LAPACK's, 0 on success; after a failure the
     remaining values are left 0 and their vectors unset.
     """
-    from scipy.linalg.lapack import dstebz, dstein
+    from ._lapack import dstebz, dstein
 
     exponent = math.frexp(max(np.abs(d).max(), np.abs(e).max(initial=0.0)))[1]
     d, e = np.ldexp(d, -exponent), np.ldexp(e, -exponent)
@@ -399,11 +399,11 @@ def _top_singular_value(apply, apply_adjoint, start: np.ndarray, method: str) ->
     has not stopped by then raises ArithmeticError naming the method: no
     unconverged estimate is returned.
     """
-    from scipy.linalg.blas import get_blas_funcs
+    from ._lapack import dnrm2, dznrm2
 
     n = start.size
     eps = np.finfo(float).eps
-    nrm2 = get_blas_funcs("nrm2", (start,))
+    nrm2 = dznrm2 if np.iscomplexobj(start) else dnrm2
     # row k of vs is v_{k+1}, grown by doubling: a short run never allocates n rows
     vs = np.empty((min(n, 16), n), dtype=start.dtype)
     alphas, betas = np.empty(n), np.empty(n)  # diagonal and superdiagonal
@@ -444,7 +444,7 @@ def _norm_of_inverse(diagonal: np.ndarray, weights: np.ndarray) -> float:
     A solve that overflows raises ArithmeticError, as does a run that has
     not converged by step n.
     """
-    from scipy.linalg.blas import dznrm2, ztbsv
+    from ._lapack import dznrm2, ztbsv
 
     n = diagonal.size
     # Fortran order: f2py copies a C-ordered band on every call

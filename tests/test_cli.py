@@ -8,10 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import momentspectra
-from momentspectra import cli, spectral
+from momentspectra import _lapack, cli, spectral
 
 from helpers import parse_complex
 from momentspectra.cli import main
@@ -325,7 +324,7 @@ def _failing_bisection(d, e, *args):
 
 def test_eigensolver_failure_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
     # the terraced fov path bisects each tridiagonal with LAPACK dstebz
-    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", _failing_bisection)
+    monkeypatch.setattr(_lapack, "dstebz", _failing_bisection)
     code = main(["fov", "--measure", "lebesgue", "--dim", "8", "--out", str(tmp_path / "f")])
     assert code == 2
     assert capsys.readouterr().err == ("numeric error: extreme eigenpairs of Re(e^(i theta) A) "
@@ -350,7 +349,7 @@ def test_hankel_contraction_overflow_exits_two_with_one_line(tmp_path, capsys):
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported inside the few functions that use it, so start-up
+    # _lapack is imported inside the few functions that use it, so start-up
     # pays for numpy alone
     src = Path(momentspectra.__file__).resolve().parents[1]
     probe = ("import sys\n"
@@ -364,6 +363,27 @@ def test_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n[]\n"
+
+
+def test_commands_load_only_the_compiled_routines(tmp_path):
+    # every command that calls BLAS or LAPACK takes it from momentspectra._lapack,
+    # which loads scipy's two extension modules and never the scipy.linalg package
+    src = Path(momentspectra.__file__).resolve().parents[1]
+    runs = [["pseudo", "--measure", "lebesgue", "--window=-0.5,1.5,-1,1", "--res", "2",
+             "--dim", "8"],
+            ["fov", "--measure", "lebesgue", "--dim", "8", "--angles", "8"],
+            ["contraction", "--measure", "lebesgue", "--dim", "8"],
+            ["contraction", "--kind", "hankel", "--measure", "lebesgue", "--dim", "8"],
+            ["hilbert", "--max-index", "2", "--dims", "4,8"]]
+    probe = ("import sys\n"
+             "from momentspectra import cli\n"
+             f"for i, args in enumerate({runs!r}):\n"
+             f"    assert cli.main(args + ['--out', {str(tmp_path)!r} + f'/{{i}}']) == 0, args\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "['scipy.linalg._fblas', 'scipy.linalg._flapack']\n"
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,68 @@
+"""momentspectra._lapack loads scipy's compiled BLAS and LAPACK wrappers
+without the scipy.linalg package: each routine it binds must give the same
+bits as its scipy.linalg.blas or scipy.linalg.lapack namesake."""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from momentspectra import _lapack
+
+
+def assert_same_outputs(ours, theirs):
+    ours = ours if isinstance(ours, tuple) else (ours,)
+    theirs = theirs if isinstance(theirs, tuple) else (theirs,)
+    assert len(ours) == len(theirs)
+    for a, b in zip(ours, theirs):
+        assert np.asarray(a).dtype == np.asarray(b).dtype
+        assert np.array_equal(a, b)
+
+
+@pytest.fixture
+def rng():
+    return np.random.default_rng(20240807)
+
+
+def test_nrm2_matches_blas(rng):
+    real = rng.standard_normal(257)
+    both = real + 1j * rng.standard_normal(257)
+    assert_same_outputs(_lapack.dnrm2(real), scipy.linalg.blas.dnrm2(real))
+    assert_same_outputs(_lapack.dznrm2(both), scipy.linalg.blas.dznrm2(both))
+
+
+@pytest.mark.parametrize("trans", [0, 2])
+def test_ztbsv_matches_blas(rng, trans):
+    # the banded lower triangular layout of spectral._norm_of_inverse, bandwidth 2
+    n = 64
+    band = np.asfortranarray(rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n)))
+    band[0] += 4.0
+    rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert_same_outputs(_lapack.ztbsv(2, band, rhs, lower=1, trans=trans),
+                        scipy.linalg.blas.ztbsv(2, band, rhs, lower=1, trans=trans))
+
+
+def test_dstebz_and_dstein_match_lapack(rng):
+    d, e = rng.standard_normal(40), rng.standard_normal(39)
+    tol = 2 * np.finfo(float).tiny
+    for index in (1, 17, 40):
+        ours = _lapack.dstebz(d, e, 2, 0.0, 0.0, index, index, tol, "B")
+        theirs = scipy.linalg.lapack.dstebz(d, e, 2, 0.0, 0.0, index, index, tol, "B")
+        assert_same_outputs(ours, theirs)
+        _, w, block, split, _ = ours
+        assert_same_outputs(_lapack.dstein(d, e, w[:1], block, split),
+                            scipy.linalg.lapack.dstein(d, e, w[:1], block, split))
+
+
+def test_zhetrd_and_zunmqr_match_lapack(rng):
+    n = 24
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = np.asfortranarray(a + a.conj().T)
+    lwork = _lapack.zhetrd_lwork(n, lower=1)
+    assert_same_outputs(lwork, scipy.linalg.lapack.zhetrd_lwork(n, lower=1))
+    lwork = int(lwork[0].real)
+    ours = _lapack.zhetrd(h, lower=1, lwork=lwork)
+    assert_same_outputs(ours, scipy.linalg.lapack.zhetrd(h, lower=1, lwork=lwork))
+    reflectors, _, _, tau, _ = ours
+    z = np.asfortranarray(rng.standard_normal((n - 1, 2)) + 0j)
+    assert_same_outputs(_lapack.zunmqr("L", "N", reflectors[1:, :-1], tau, z, 2),
+                        scipy.linalg.lapack.zunmqr("L", "N", reflectors[1:, :-1], tau, z, 2))

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from helpers import (
+    CATALOG_MEASURES,
     hankel_from_measure,
     random_complex,
     rhp_catalog_matrices,
@@ -10,10 +13,12 @@ from helpers import (
     terraced_from_measure,
 )
 from momentspectra import (
+    _lapack,
     contraction_check,
     fov_boundary,
     spectral_norm,
 )
+from momentspectra.numrange import _expm
 
 
 # --------------------------------------------------------------------------
@@ -175,13 +180,13 @@ def test_terraced_support_is_mirrored_exactly(n_angles):
 def test_terraced_fov_tridiagonalises_once_per_antipodal_pair(monkeypatch, n_angles, solves):
     # an even count pairs theta with pi - theta: N//4 + 1 solves; an odd one N//2 + 1
     calls = []
-    zhetrd = scipy.linalg.lapack.zhetrd
+    zhetrd = _lapack.zhetrd
 
     def counted(*args, **kwargs):
         calls.append(1)
         return zhetrd(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "zhetrd", counted)
+    monkeypatch.setattr(_lapack, "zhetrd", counted)
     fov_boundary(terraced_from_measure("lebesgue", 16).dense(), n_angles=n_angles)
     assert len(calls) == solves
 
@@ -276,6 +281,43 @@ def test_hankel_contraction_matches_expm_and_svd_norm(measure, shift):
         exact = np.linalg.svd(scipy.linalg.expm(-tau * matrix), compute_uv=False)[0]
         assert abs(norm - exact) <= 4 * dim * EPS * exact
     assert (result.max_norm > 1.0 + 1e-9) == (shift > 0.0)
+
+
+@pytest.mark.parametrize("name", ["lebesgue", "power-0.5", "power-2",
+                                  "delta0-plus-half-lebesgue", "hilbert", "hankel-dirac-0.5"])
+def test_expm_norms_match_scipy_on_the_catalog(name):
+    dim = 32
+    matrix = rhp_catalog_matrices(dim)[name]
+    for tau in (0.1, 1.0, 10.0):
+        ours = spectral_norm(_expm(-tau * matrix))
+        theirs = spectral_norm(scipy.linalg.expm(-tau * matrix))
+        assert abs(ours - theirs) <= 4 * dim * EPS * theirs
+
+
+@pytest.mark.parametrize("kind", ["terraced", "hankel"])
+@pytest.mark.parametrize("shift", [0.0, 0.1, 0.2, 0.3])
+def test_expm_norms_match_scipy_on_shifted_catalog_generators(kind, shift):
+    # at the README's --dim 64
+    dim = 64
+    build = terraced_from_measure if kind == "terraced" else hankel_from_measure
+    for text in CATALOG_MEASURES.values():
+        matrix = build(text, dim).dense() - shift * np.eye(dim)
+        for tau in (0.1, 1.0, 10.0):
+            ours = spectral_norm(_expm(-tau * matrix))
+            theirs = spectral_norm(scipy.linalg.expm(-tau * matrix))
+            assert abs(ours - theirs) <= 4 * dim * EPS * theirs, (text, tau)
+
+
+@pytest.mark.parametrize("dim", [32, 48, 64])
+@pytest.mark.parametrize("shift", [0.0, 0.1, 0.3])
+def test_expm_of_a_symmetric_hankel_matrix_has_the_exact_norm(dim, shift):
+    # ||exp(-tau (H - sI))|| = exp(-tau (lambda_min - s)) for the symmetric H
+    for text in CATALOG_MEASURES.values():
+        matrix = hankel_from_measure(text, dim).dense() - shift * np.eye(dim)
+        low = np.linalg.eigvalsh(matrix)[0]
+        for tau in (0.1, 1.0, 10.0):
+            exact = math.exp(-tau * low)
+            assert abs(spectral_norm(_expm(-tau * matrix)) - exact) <= 4 * dim * EPS * exact
 
 
 def test_contraction_overflow_reported():

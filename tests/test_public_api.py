@@ -1,6 +1,7 @@
 """Every name the package exports is used by the package or its benchmark:
 an export that only tests call is API to delete, not to keep.  And one
-module, serialize, owns the JSON layout."""
+module, serialize, owns the JSON layout, and one, _lapack, owns the lookup
+of scipy's compiled routines."""
 
 import ast
 from pathlib import Path
@@ -60,3 +61,23 @@ def test_only_serialize_lays_out_json():
     writers = {path.name: _json_writers(path) for path in sorted(package.rglob("*.py"))
                if path.name != "serialize.py"}
     assert {name: found for name, found in writers.items() if found} == {}
+
+
+def _scipy_imports(path: Path) -> list[str]:
+    """Each module of the scipy package that the code of `path` imports."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module)
+    return [name for name in found if name.split(".")[0] == "scipy"]
+
+
+def test_only_lapack_imports_scipy():
+    # one owner of the compiled-routine lookup: the package never imports the
+    # scipy.linalg package, whose import costs more than most commands
+    package = ROOT / "src" / "momentspectra"
+    imports = {path.name: _scipy_imports(path) for path in sorted(package.rglob("*.py"))
+               if path.name != "_lapack.py"}
+    assert {name: found for name, found in imports.items() if found} == {}

@@ -705,7 +705,7 @@ def test_long_sigma_min_run_keeps_one_lanczos_basis(monkeypatch):
 
     monkeypatch.setattr(spectral, "_top_ritz", counted)
     a = WeightSequence.cesaro(1024).values
-    smallest_singular_value(-0.3 - a, a)  # warm-up: scipy's imports are not counted
+    smallest_singular_value(-0.3 - a, a)  # warm-up: loading _lapack is not counted
     tracemalloc.start()
     try:
         sigma = smallest_singular_value(-0.3 - a, a)
