@@ -108,12 +108,14 @@ def monomial_invariance_check(matrix: np.ndarray, k: int) -> float:
 
 
 def kernel_span_rank(locations, dim: int) -> int:
-    """Numeric rank of the Gram matrix of truncated reproducing kernels
-    1/(1 - t z) at the given locations.
+    """Numeric rank of the truncated reproducing kernels 1/(1 - t z) at the
+    given locations: the rank of the dim x m matrix of their coefficients
+    t_i^n, n < dim.
 
-    The (i, j) entry is the geometric partial sum of (t_i t_j)^n over
-    n < dim; singular values at least RANK_REL_THRESHOLD times the largest
-    count toward the rank.
+    Singular values at least RANK_REL_THRESHOLD times the largest count
+    toward the rank.  The kernels' Gram matrix would square the conditioning:
+    for 8 equispaced locations in [0, 0.9] at dim 8 its smallest relative
+    singular value is 6.3e-12, the kernel matrix's 2.5e-6.
     """
     t = np.asarray(locations, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -126,9 +128,8 @@ def kernel_span_rank(locations, dim: int) -> int:
     np.fill_diagonal(diffs, np.inf)
     if diffs.min() == 0.0:
         raise ValueError("duplicate locations")
-    products = np.outer(t, t)  # strictly below 1 since every t is
-    gram = (1.0 - products**dim) / (1.0 - products)
-    singular = np.linalg.svd(gram, compute_uv=False)
+    kernels = np.power(t, np.arange(dim)[:, None])
+    singular = np.linalg.svd(kernels, compute_uv=False)
     return int(np.sum(singular >= RANK_REL_THRESHOLD * singular[0]))
 
 

@@ -127,9 +127,10 @@ def _terraced_support(m: np.ndarray, angles: np.ndarray):
         # (top, bottom) eigenvalue indices; pi/2 is its own antipode
         indices = (dim, 1) if j == 0 or (even and antipode != j) else (dim,)
         if info == 0:
-            w, z, info = _tridiagonal_eigenpairs(d, e, indices)
+            entries = np.concatenate((d, e))
+            w, z, info = _tridiagonal_eigenpairs(entries, indices, np.abs(entries).max())
         if info == 0:
-            z = z.astype(complex, order="F")
+            z = np.array(z, dtype=complex).T  # the eigenvectors as Fortran-ordered columns
             z[1:], _, info = zunmqr("L", "N", reflectors[1:, :-1], tau, z[1:], len(indices))
         if info:
             raise np.linalg.LinAlgError(f"extreme eigenpairs of Re(e^(i theta) A) failed "

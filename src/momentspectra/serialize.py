@@ -4,9 +4,12 @@ Every number is written as the shortest text that parses back to the same
 float64 (Python's float repr), except the quadrature bound of a moment row
 (`%.3e`).  Writers format whole columns: one C-level `%` over a row
 template repeated for a chunk of rows, so no Python code runs per entry and
-each artifact is joined once.  JSON artifacts are laid out by `json` alone,
-in this module only: `write_json` formats each float64 array in bulk and
-splices its rows in where json wrote a placeholder string.
+each artifact is joined once.  `matrix_csv` formats each distinct float64
+bit pattern of the matrix once and builds a chunk of rows at a time by
+indexing those texts: a Hankel or terraced matrix of side n holds at most
+2n distinct entries among its n^2.  JSON artifacts are laid out by `json`
+alone, in this module only: `write_json` formats each float64 array in bulk
+and splices its rows in where json wrote a placeholder string.
 """
 
 from __future__ import annotations
@@ -51,13 +54,28 @@ def moments_csv(ms: MomentSequence) -> str:
 
 def matrix_csv(matrix: np.ndarray) -> str:
     """One line per row of a real matrix, each entry as 're+0.0i', e.g.
-    '1.5+0.0i'; a complex matrix is refused."""
+    '1.5+0.0i'; a complex matrix is refused.  Entries are told apart by
+    their bits, so -0.0 and 0.0 keep their own texts."""
     m = np.asarray(matrix)
     if np.iscomplexobj(m):
         raise ValueError("matrix_csv writes a real matrix, got a complex one")
-    # a matrix without rows still writes its one newline
-    return "".join(_format_rows(",".join(["%r+0.0i"] * m.shape[1]) + "\n",
-                                m.astype(float))) or "\n"
+    bits = np.asarray(m, dtype=np.float64).view(np.int64)
+    rows, cols = bits.shape
+    if not bits.size:
+        # each row ends its empty line, and a matrix without rows writes one
+        return "\n" * max(rows, 1)
+    distinct = np.unique(bits)
+    texts = [f"{x!r}+0.0i" for x in distinct.view(np.float64).tolist()]
+    inner = np.array([text + "," for text in texts], dtype=object)
+    last = np.array([text + "\n" for text in texts], dtype=object)
+    step = max(1, CHUNK // cols)
+    chunks = []
+    for start in range(0, rows, step):
+        index = np.searchsorted(distinct, bits[start:start + step])
+        cells = inner[index]
+        cells[:, -1] = last[index[:, -1]]
+        chunks.append("".join(cells.ravel().tolist()))
+    return "".join(chunks)
 
 
 def grid_csv(grid: PseudospectrumGrid) -> str:

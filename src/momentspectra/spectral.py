@@ -328,33 +328,36 @@ def _start_vector(n: int) -> np.ndarray:
 _BISECTION_TOL = 2 * np.finfo(float).tiny
 
 
-def _tridiagonal_eigenpairs(d: np.ndarray, e: np.ndarray, indices):
-    """(values, vectors, info) of the real symmetric tridiagonal with
-    diagonal d and off-diagonal e: values[j] is its indices[j]-th smallest
-    eigenvalue (from 1) and vectors[:, j] a unit eigenvector for it.
+def _tridiagonal_eigenpairs(entries: np.ndarray, indices, largest: float):
+    """(values, vectors, info) of the m x m real symmetric tridiagonal whose
+    2m - 1 entries are `entries`, the diagonal and then the off-diagonal:
+    values[j] is its indices[j]-th smallest eigenvalue (from 1), a float,
+    and vectors[j] a unit eigenvector for it.
 
-    Each pair costs O(len(d)): bisection (dstebz) to _BISECTION_TOL, then
+    Each pair costs O(m): bisection (dstebz) to _BISECTION_TOL, then
     inverse iteration (dstein).  The bisection squares the entries, so they
-    are first scaled to order 1 by an exact power of two, and the values
-    are scaled back.  info is LAPACK's, 0 on success; after a failure the
-    remaining values are left 0 and their vectors unset.
+    are first scaled in place to order 1 by the exact power of two that
+    takes `largest`, the largest modulus among them, into [1/2, 1); the
+    values are scaled back.  info is LAPACK's, 0 on success; a failure ends
+    the lists at the pair that failed.
     """
     from ._lapack import dstebz, dstein
 
-    exponent = math.frexp(max(np.abs(d).max(), np.abs(e).max(initial=0.0)))[1]
-    d, e = np.ldexp(d, -exponent), np.ldexp(e, -exponent)
-    values = np.zeros(len(indices))
-    vectors = np.empty((d.size, len(indices)))
-    info = 0
-    for j, index in enumerate(indices):
+    exponent = math.frexp(largest)[1]
+    np.ldexp(entries, -exponent, out=entries)
+    m = (entries.size + 1) // 2
+    d, e = entries[:m], entries[m:]
+    values, vectors, info = [], [], 0
+    for index in indices:
         # info 0 means exactly the one eigenvalue asked for was found
         _, w, block, split, info = dstebz(d, e, 2, 0.0, 0.0, index, index, _BISECTION_TOL, "B")
         if info == 0:
             vector, info = dstein(d, e, w[:1], block, split)
         if info:
             break
-        values[j], vectors[:, j] = w[0], vector[:, 0]
-    return np.ldexp(values, exponent), vectors, info
+        values.append(math.ldexp(w[0], exponent))
+        vectors.append(vector[:, 0])
+    return values, vectors, info
 
 
 def _top_ritz(alphas: np.ndarray, betas: np.ndarray) -> tuple[float, float]:
@@ -367,24 +370,26 @@ def _top_ritz(alphas: np.ndarray, betas: np.ndarray) -> tuple[float, float]:
     +-theta_i and whose top eigenvector interleaves (z_1, y_1)/sqrt(2).
     Its top eigenpair costs O(k), where a dense SVD of the bidiagonal costs
     O(k^3), and bisection to the smallest absolute tolerance gives theta_1
-    to high relative accuracy.
+    to high relative accuracy.  The alphas and betas are norms, so the
+    largest entry is the off-diagonal's max.
     """
     k = alphas.size
-    diagonal = np.zeros(2 * k)
-    off = np.empty(2 * k - 1)
+    entries = np.zeros(4 * k - 1)  # the zero diagonal, then the off-diagonal
+    off = entries[2 * k:]
     off[0::2], off[1::2] = alphas, betas
-    w, vectors, info = _tridiagonal_eigenpairs(diagonal, off, (2 * k,))
+    w, vectors, info = _tridiagonal_eigenpairs(entries, (2 * k,), off.max())
     if info:
         raise np.linalg.LinAlgError(f"top singular triplet of the {k} x {k} bidiagonal "
                                     f"did not converge")
-    return float(w[0]), math.sqrt(2.0) * abs(vectors[-1, 0])
+    return w[0], math.sqrt(2.0) * abs(vectors[0][-1])
 
 
 def _top_singular_value(apply, apply_adjoint, start: np.ndarray, method: str) -> float:
     """||A|| = theta_1 by Golub-Kahan bidiagonalisation of A, given only
     apply(x) = A x and apply_adjoint(x) = A* x on vectors of start's dtype
     (Golub & Kahan, SIAM J. Numer. Anal. 2, 1965).  start is the unit first
-    right vector v_1; the same start gives byte-identical runs.
+    right vector v_1; the same start gives byte-identical runs.  A result of
+    apply or apply_adjoint may be a buffer that the next call overwrites.
 
     Step k applies A and A* once each, reorthogonalises the new right vector
     against the whole right basis, and takes the top singular triplet (theta_1,
@@ -452,15 +457,16 @@ def _norm_of_inverse(diagonal: np.ndarray, weights: np.ndarray) -> float:
     band[0, 0::2], band[0, 1::2] = diagonal, 1.0
     band[1, 0::2], band[1, 1:-1:2] = -1.0, -weights[1:]
     band[2, 1:-1:2] = -1.0
+    # each solve overwrites the one right-hand side and returns its even slots
     rhs = np.empty(2 * n, dtype=complex)
 
     def solve(b: np.ndarray, trans: int) -> np.ndarray:
         rhs[0::2], rhs[1::2] = b, 0.0
-        y = ztbsv(2, band, rhs, lower=1, trans=trans)[0::2]
-        if not math.isfinite(dznrm2(y)):
+        ztbsv(2, band, rhs, lower=1, trans=trans, overwrite_x=1)
+        if not math.isfinite(dznrm2(rhs, n=n, incx=2)):
             raise ArithmeticError("sigma_min below the float range: a triangular solve "
                                   "overflowed")
-        return y
+        return rhs[0::2]
 
     return _top_singular_value(lambda b: solve(b, 0), lambda b: solve(b, 2),
                                _start_vector(n), "inverse Lanczos for sigma_min")

@@ -159,6 +159,13 @@ def format_complex(z: complex) -> str:
     return f"{format_float(z.real)}{sign}{format_float(abs(z.imag))}i"
 
 
+def reference_matrix_csv(matrix) -> str:
+    """Reference matrix.csv: each cell of a real matrix formatted on its own
+    as '%r+0.0i', one line per row; a matrix without rows is one newline."""
+    rows = np.asarray(matrix, dtype=float).tolist()
+    return "".join(",".join("%r+0.0i" % x for x in row) + "\n" for row in rows) or "\n"
+
+
 def region_payload_lists(region) -> dict:
     """Reference form of serialize.region_payload: one [re, im] list per point."""
     return {

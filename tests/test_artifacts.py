@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import format_complex, format_float, region_payload_lists
+from helpers import (
+    format_float,
+    hankel_from_measure,
+    reference_matrix_csv,
+    region_payload_lists,
+    terraced_from_measure,
+)
 from momentspectra import FovResult, MomentSequence, SpectralRegion
 from momentspectra.cli import main
 from momentspectra.serialize import (
@@ -39,11 +45,6 @@ def reference_moments_csv(ms):
         lines.append(
             f"{n},{format_float(ms.values[n])},{format_float(ms.partial_sums[n])},{label}")
     return "\n".join(lines) + "\n"
-
-
-def reference_matrix_csv(matrix):
-    m = np.asarray(matrix, dtype=complex)
-    return "\n".join(",".join(format_complex(v) for v in row) for row in m) + "\n"
 
 
 def reference_grid_csv(grid):
@@ -251,6 +252,46 @@ def test_matrix_csv_matches_the_reference(data):
             matrix_csv(matrix.reshape(rows, cols))
         return
     matrix = _column(data.draw(ANY_POOLS), rows * cols).reshape(rows, cols)
+    assert _mismatch(matrix_csv(matrix), reference_matrix_csv(matrix)) is None
+
+
+@pytest.mark.parametrize("matrix", [
+    # operator matrices of side 300: several chunks of rows each
+    hankel_from_measure("lebesgue", 300).dense(),
+    hankel_from_measure("dirac(0)+0.5*lebesgue", 300).dense(),
+    terraced_from_measure("lebesgue", 300).dense(),
+    terraced_from_measure("dirac(0.5)", 300).dense(),
+    # a value-based unique merges -0.0 into 0.0 and writes one for the other
+    np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, 1.0]]),
+    np.array([[5e-324, -5e-324, 1e-310], [2.2250738585072014e-308, 0.0, -0.0]]),
+    np.array([[0.25]]),
+    np.zeros((0, 4)),
+    np.zeros((0, 0)),
+    np.zeros((3, 0)),
+    np.random.default_rng(5).standard_normal((97, 211)),
+    np.array([[math.nan, -math.nan, math.inf], [-math.inf, 1e308, -1e-5]]),
+], ids=["hilbert", "atom-hankel", "cesaro", "dirac-terraced", "signed-zeros", "subnormals",
+        "1x1", "0-rows", "0x0", "0-cols", "all-distinct", "non-finite"])
+def test_matrix_csv_matches_the_per_cell_reference(matrix):
+    assert _mismatch(matrix_csv(matrix), reference_matrix_csv(matrix)) is None
+
+
+def test_matrix_csv_keeps_signed_zeros_apart():
+    assert matrix_csv(np.array([[-0.0, 0.0], [0.0, -0.0]])) == ("-0.0+0.0i,0.0+0.0i\n"
+                                                               "0.0+0.0i,-0.0+0.0i\n")
+
+
+#: matrix entries: both zeros, subnormals of both signs and a nan
+SIGNED_ZERO_POOL = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 0.1, math.nan]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_matrix_csv_of_small_matrices_from_a_signed_zero_pool(data):
+    rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    entries = data.draw(st.lists(st.sampled_from(SIGNED_ZERO_POOL), min_size=rows * cols,
+                                 max_size=rows * cols))
+    matrix = np.array(entries, dtype=float).reshape(rows, cols)
     assert _mismatch(matrix_csv(matrix), reference_matrix_csv(matrix)) is None
 
 

@@ -255,6 +255,15 @@ def test_invariance_command(tmp_path):
             "terraced-monomial-defect", "hankel-monomial-defect", "kernel-span-rank"} <= names
 
 
+@pytest.mark.parametrize("dim", ["8", "9"])
+def test_invariance_passes_at_its_least_dims(tmp_path, dim):
+    # --dim 8 is the floor that the 8 kernel locations allow
+    out = tmp_path / "i"
+    assert main(["invariance", "--measure", "lebesgue", "--dim", dim, "--out", str(out)]) == 0
+    rank = next(c for c in read_json(out / "invariance.json") if c["check"] == "kernel-span-rank")
+    assert rank["deviation_or_defect"] == 8.0 and rank["pass"]
+
+
 def test_hilbert_command(tmp_path):
     out = tmp_path / "h"
     code = main(["hilbert", "--max-index", "8", "--dims", "16,32", "--out", str(out)])

@@ -172,6 +172,19 @@ def test_equispaced_kernels_span_their_count():
     assert int(np.sum(singular >= 1e-10 * singular[0])) == 8
 
 
+@pytest.mark.parametrize("dim", [8, 9, 10, 256, 100_000])
+def test_equispaced_kernels_span_their_count_at_every_dim(dim):
+    # the rank is read from the dim x 8 kernel matrix, whose smallest
+    # relative singular value is 2.5e-6 at dim 8; its Gram matrix's is
+    # 6.3e-12, below RANK_REL_THRESHOLD, and gave rank 7 at dims 8 and 9
+    locations = np.linspace(0.0, 0.9, 8)
+    assert kernel_span_rank(locations, dim) == 8
+    # rows past 4096 are below 0.9^4096 < 1e-187 and move no singular value
+    kernels = np.array([[t ** n for t in locations] for n in range(min(dim, 4096))])
+    singular = np.linalg.svd(kernels, compute_uv=False)
+    assert singular[-1] >= 1e-6 * singular[0]
+
+
 def test_kernel_span_rejects_duplicates_and_bad_locations():
     with pytest.raises(ValueError):
         kernel_span_rank([0.5, 0.5], 16)

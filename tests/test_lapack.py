@@ -66,3 +66,31 @@ def test_zhetrd_and_zunmqr_match_lapack(rng):
     z = np.asfortranarray(rng.standard_normal((n - 1, 2)) + 0j)
     assert_same_outputs(_lapack.zunmqr("L", "N", reflectors[1:, :-1], tau, z, 2),
                         scipy.linalg.lapack.zunmqr("L", "N", reflectors[1:, :-1], tau, z, 2))
+
+
+@pytest.mark.parametrize("trans", [0, 2])
+def test_ztbsv_in_place_matches_the_copying_call(rng, trans):
+    # the interleaved band of spectral._norm_of_inverse: T = diag(d) - L(a)
+    # in the unknowns (x_0, S_0, x_1, S_1, ...), b in the even slots
+    n = 48
+    a = 1.0 / np.arange(1.0, n + 1.0)
+    d = (0.3 + 0.4j) - a
+    band = np.zeros((3, 2 * n), dtype=complex, order="F")
+    band[0, 0::2], band[0, 1::2] = d, 1.0
+    band[1, 0::2], band[1, 1:-1:2] = -1.0, -a[1:]
+    band[2, 1:-1:2] = -1.0
+    rhs = np.empty(2 * n, dtype=complex)
+    for _ in range(3):
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        rhs[0::2], rhs[1::2] = b, 0.0
+        expected = _lapack.ztbsv(2, band, rhs, lower=1, trans=trans)
+        solved = _lapack.ztbsv(2, band, rhs, lower=1, trans=trans, overwrite_x=1)
+        assert solved is rhs or np.shares_memory(solved, rhs)
+        assert_same_outputs(rhs, expected)
+    # the solve leaves the partial sums in the odd slots: a right-hand side
+    # that does not zero them again solves another system
+    assert np.any(rhs[1::2] != 0.0)
+    rhs[0::2] = b
+    stale = _lapack.ztbsv(2, band, rhs, lower=1, trans=trans)
+    rhs[1::2] = 0.0
+    assert not np.array_equal(stale, _lapack.ztbsv(2, band, rhs, lower=1, trans=trans))

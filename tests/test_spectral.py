@@ -787,6 +787,32 @@ def test_pseudospectrum_grid_calls_sigma_min_once_per_point(build, monkeypatch):
     assert len(calls) == grid.sigma_min.size == 25
 
 
+#: float.hex of sigma_min at fixed points of each terraced family: every
+#: input that reaches dstebz, dstein and ztbsv fixes these bits, so a change
+#: to the Golub-Kahan step that moves any of them shows here
+SIGMA_MIN_BITS = [
+    ("cesaro", 96, 0.3 + 0.4j, "0x1.97179fb9e7bffp-6"),
+    ("cesaro", 96, 1.5 - 0.75j, "0x1.d725bcf0189c3p-2"),
+    ("cesaro", 96, -0.1 + 1.0j, "0x1.39c360e7360bdp-1"),
+    ("power:2", 64, 0.5 + 0.25j, "0x1.1b9d1074c10fep-2"),
+    ("power:2", 64, 0.05 + 0.1j, "0x1.ba7490af6eb3fp-5"),
+    # 175 steps: the longest run of the hypothesis examples above
+    ("cesaro", 200, -0.3 + 0.0j, "0x1.35c77953ae127p-2"),
+    ("dirac(0)+0.5*lebesgue", 640, 0.25 + 0.5j, "0x1.5bd95fff94ca0p-3"),
+]
+
+
+@pytest.mark.parametrize("family, dim, z, bits", SIGMA_MIN_BITS)
+def test_sigma_min_keeps_its_exact_bits(family, dim, z, bits):
+    if family == "cesaro":
+        a = WeightSequence.cesaro(dim).values
+    elif family == "power:2":
+        a = WeightSequence.power_law(2.0, dim).values
+    else:
+        a = measure_moments(family, dim).values
+    assert smallest_singular_value(z - a, a).hex() == bits
+
+
 # --------------------------------------------------------------------------
 # Hankel norms
 
@@ -814,6 +840,10 @@ def test_hilbert_norms_increase_below_pi():
     norms = [hankel_norm(hankel_from_measure("lebesgue", 2 ** j)) for j in range(14)]
     assert all(a <= b for a, b in zip(norms, norms[1:]))
     assert norms[-1] < math.pi
+
+
+def test_hankel_norm_of_hilbert_keeps_its_exact_bits():
+    assert hankel_norm(hankel_from_measure("lebesgue", 512)).hex() == "0x1.308d4ff8b4160p+1"
 
 
 def test_hankel_norm_work_is_bounded_by_dim_steps(monkeypatch):
