@@ -45,7 +45,6 @@ from .operators import (
     HankelMomentOperator,
     TerracedOperator,
     WeightSequence,
-    benchmark_apply,
     boundedness_report,
     check_dense_limit,
 )
@@ -499,20 +498,6 @@ def _cmd_hilbert(args, writer: ArtifactWriter):
     writer.write_json("hilbert.json", payload)
     code = 0 if ok and nondecreasing and within_bound else 2
     return code, {"column_tol": args.tol}
-
-
-@_command("bench", "kernel timing harness",
-          ("--dim", dict(type=_at_least(1), default=8192)),
-          ("--kernels", dict(default="terraced,terraced-dense,hankel,hankel-dense")),
-          ("--repeats", dict(type=_at_least(1), default=3)))
-def _cmd_bench(args, writer: ArtifactWriter):
-    rows = [
-        benchmark_apply(kernel.strip(), args.dim, repeats=args.repeats)
-        for kernel in args.kernels.split(",")
-        if kernel.strip()
-    ]
-    writer.write_json("bench.json", rows)
-    return 0, {}
 
 
 def build_parser() -> _Parser:

@@ -11,7 +11,6 @@ A real vector gives a real result for both families.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,10 +28,10 @@ VERDICT_COMPACT = "CompactIndicated"
 VERDICT_INAPPLICABLE = "TestInapplicable"
 
 
-def check_dense_limit(side: int, limit: int = DENSE_LIMIT) -> None:
-    """Refuse a side x side dense matrix above the limit, before allocating it."""
-    if side > limit:
-        raise ValueError(f"dim {side} exceeds dense limit {limit}")
+def check_dense_limit(side: int) -> None:
+    """Refuse a side x side dense matrix above DENSE_LIMIT, before allocating it."""
+    if side > DENSE_LIMIT:
+        raise ValueError(f"dim {side} exceeds dense limit {DENSE_LIMIT}")
 
 
 def prefix_sums(x: np.ndarray) -> np.ndarray:
@@ -116,8 +115,8 @@ class TerracedOperator:
     def row_weights(self) -> np.ndarray:
         return self.weights.values[: self.dim]
 
-    def dense(self, limit: int = DENSE_LIMIT) -> np.ndarray:
-        check_dense_limit(self.dim, limit)
+    def dense(self) -> np.ndarray:
+        check_dense_limit(self.dim)
         a = self.row_weights()
         return np.tril(np.ones((self.dim, self.dim))) * a[:, None]
 
@@ -144,8 +143,8 @@ class HankelMomentOperator:
     def from_moments(cls, ms: MomentSequence, dim: int) -> "HankelMomentOperator":
         return cls(ms.values, dim)
 
-    def dense(self, limit: int = DENSE_LIMIT) -> np.ndarray:
-        check_dense_limit(self.dim, limit)
+    def dense(self) -> np.ndarray:
+        check_dense_limit(self.dim)
         idx = np.add.outer(np.arange(self.dim), np.arange(self.dim))
         return self.moments[idx]
 
@@ -243,33 +242,3 @@ def boundedness_report(weights: WeightSequence, limit: float | None) -> Boundedn
     norm_bound = sup_weight + float(np.max(np.sqrt(n * (n + 1.0)) * a))
     return BoundednessReport(sup_weight, norm_bound,
                              VERDICT_BOUNDED if limit > 0.0 else VERDICT_COMPACT)
-
-
-def benchmark_apply(kernel: str, dim: int, repeats: int = 5) -> dict:
-    """Time one structured or dense apply; returns {dim, kernel, ns_per_apply}.
-
-    Kernels: terraced (Cesaro weights), hankel (Hilbert moments) and their
-    -dense variants, all applied to one fixed random complex x.  A -dense
-    variant builds the real matrix once with the operator's dense() and times
-    only its products with the real and imaginary parts of x: no cast is timed.
-    """
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    xr, xi = x.real.copy(), x.imag.copy()
-    if kernel in ("terraced", "terraced-dense"):
-        op, apply = TerracedOperator(WeightSequence.cesaro(dim), dim), terraced_apply
-    elif kernel in ("hankel", "hankel-dense"):
-        op, apply = HankelMomentOperator(1.0 / (np.arange(2 * dim - 1) + 1.0), dim), hankel_apply
-    else:
-        raise ValueError(f"unknown benchmark kernel {kernel!r}")
-    if kernel.endswith("-dense"):
-        mat = op.dense(limit=max(DENSE_LIMIT, dim))
-        fn = lambda: mat @ xr + 1j * (mat @ xi)
-    else:
-        fn = lambda: apply(op, x)
-    fn()  # warm up
-    start = time.perf_counter()
-    for _ in range(repeats):
-        fn()
-    elapsed = (time.perf_counter() - start) / repeats
-    return {"dim": dim, "kernel": kernel, "ns_per_apply": int(elapsed * 1e9)}

@@ -179,7 +179,7 @@ def eigenvector(ms: MomentSequence, k: int, dim: int) -> np.ndarray:
     x_k = 1, then x_{n+1} = mu_{n+1} mu_k / (mu_n (mu_k - mu_{n+1})) x_n.
 
     Whenever an entry exceeds OVERFLOW_GUARD, the entries so far are divided
-    by its modulus, so the vector is the eigenvector up to a positive scale.
+    by it, so the vector is the eigenvector up to a positive scale.
     """
     active = _validate_moments(ms)
     if not 0 <= k < dim:
@@ -199,20 +199,20 @@ def eigenvector(ms: MomentSequence, k: int, dim: int) -> np.ndarray:
     x[k] = 1.0
     start = k
     while start < dim - 1:
-        # x[start] is exactly 1 or -1 (x_k, or an entry divided by its own
-        # modulus), so scaling the running product by it repeats the
-        # one-entry-at-a-time recurrence bit for bit.  Entries past the first
-        # one above the guard may overflow (inf, or inf * 0 = nan against an
-        # underflowed ratio); they are discarded and redone from there
+        # no ratio is negative (the moments decrease strictly) and x[start] is
+        # exactly 1 (x_k, or an entry divided by itself), so the running product
+        # repeats the one-entry-at-a-time recurrence bit for bit.  Entries past
+        # the first one above the guard may overflow (inf, or inf * 0 = nan
+        # against an underflowed ratio); they are discarded and redone from there
         with np.errstate(over="ignore", invalid="ignore"):
-            segment = np.cumprod(ratio[start - k:]) * x[start]
-        above = np.flatnonzero(np.abs(segment) > OVERFLOW_GUARD)
+            segment = np.cumprod(ratio[start - k:])
+        above = np.flatnonzero(segment > OVERFLOW_GUARD)
         if above.size == 0:
             x[start + 1:] = segment
             break
         end = start + 1 + int(above[0])
         x[start + 1:end + 1] = segment[:above[0] + 1]
-        x[:end + 1] /= abs(x[end])
+        x[:end + 1] /= x[end]
         start = end
     return x
 

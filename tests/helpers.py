@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 from hypothesis import strategies as st
@@ -16,8 +17,10 @@ from momentspectra import (
     PowerDensity,
     TerracedOperator,
     WeightSequence,
+    hankel_apply,
     moments,
     parse_measure,
+    terraced_apply,
 )
 from momentspectra.spectral import (
     ANALYTIC,
@@ -121,6 +124,32 @@ def reference_classification(ms, limit: float, k: int, method: str) -> Classific
     elif last > -0.5 + L2_MARGIN and far > -0.5 + L2_MARGIN:
         verdict = NOT_IN_L2
     return ClassificationVerdict(verdict, last, NUMERIC_FIT)
+
+
+def ns_per_apply(kernel: str, dim: int, repeats: int) -> int:
+    """Nanoseconds per apply of one structured or dense kernel, the mean of
+    `repeats` calls after one warm-up call.  Kernels: terraced (Cesaro
+    weights), hankel (Hilbert moments) and their -dense variants, all applied
+    to one fixed random complex x.  A -dense variant builds the real matrix
+    once with the operator's dense() and times only its products with the
+    real and imaginary parts of x: no cast is timed."""
+    rng = np.random.default_rng(0)
+    x = random_complex(rng, dim)
+    xr, xi = x.real.copy(), x.imag.copy()
+    if kernel.startswith("terraced"):
+        op, apply = TerracedOperator(WeightSequence.cesaro(dim), dim), terraced_apply
+    else:
+        op, apply = HankelMomentOperator(1.0 / (np.arange(2 * dim - 1) + 1.0), dim), hankel_apply
+    if kernel.endswith("-dense"):
+        mat = op.dense()
+        fn = lambda: mat @ xr + 1j * (mat @ xi)
+    else:
+        fn = lambda: apply(op, x)
+    fn()  # warm up
+    start = time.perf_counter()
+    for _ in range(repeats):
+        fn()
+    return int((time.perf_counter() - start) / repeats * 1e9)
 
 
 def rhp_catalog_matrices(dim: int) -> dict[str, np.ndarray]:

@@ -288,16 +288,6 @@ def test_hilbert_norms_form_no_dense_matrix(tmp_path, monkeypatch):
     assert payload["norms_nondecreasing"] and payload["norms_within_bound"]
 
 
-def test_bench_command(tmp_path):
-    out = tmp_path / "b"
-    code = main(["bench", "--dim", "128", "--kernels", "terraced,hankel",
-                 "--repeats", "2", "--out", str(out)])
-    assert code == 0
-    rows = read_json(out / "bench.json")
-    assert [row["kernel"] for row in rows] == ["terraced", "hankel"]
-    assert all(row["dim"] == 128 and row["ns_per_apply"] >= 0 for row in rows)
-
-
 # --------------------------------------------------------------------------
 # error handling and exit codes
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import (
     MEASURE_SPECS,
     format_complex,
+    ns_per_apply,
     parse_complex,
     random_complex,
     terraced_from_measure,
@@ -25,12 +26,12 @@ from momentspectra import (
 )
 from momentspectra.operators import (
     CESARO_LIMIT,
+    DENSE_LIMIT,
     VERDICT_BOUNDED,
     VERDICT_COMPACT,
     VERDICT_INAPPLICABLE,
     FFT_THRESHOLD,
     _fast_len,
-    benchmark_apply,
     power_law_limit,
     prefix_sums,
     suffix_sums,
@@ -316,8 +317,10 @@ def test_dense_zero_weights_is_zero_matrix():
 
 
 def test_dense_respects_limit():
-    with pytest.raises(ValueError, match="dim 64 exceeds dense limit 32"):
-        TerracedOperator(WeightSequence.cesaro(64), 64).dense(limit=32)
+    # refused before the 8193 x 8193 matrix is allocated
+    big = DENSE_LIMIT + 1
+    with pytest.raises(ValueError, match=f"dim {big} exceeds dense limit {DENSE_LIMIT}"):
+        TerracedOperator(WeightSequence.cesaro(big), big).dense()
 
 
 def test_hankel_dense_is_exactly_symmetric():
@@ -438,6 +441,6 @@ def test_complex_csv_round_trip():
 
 def test_structured_apply_at_least_twenty_times_faster_than_dense():
     for kernel in ("terraced", "hankel"):
-        structured = benchmark_apply(kernel, 8192, repeats=3)
-        dense_run = benchmark_apply(f"{kernel}-dense", 8192, repeats=1)
-        assert structured["ns_per_apply"] * 20 <= dense_run["ns_per_apply"], kernel
+        structured = ns_per_apply(kernel, 8192, repeats=3)
+        dense_run = ns_per_apply(f"{kernel}-dense", 8192, repeats=1)
+        assert structured * 20 <= dense_run, kernel

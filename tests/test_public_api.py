@@ -1,13 +1,20 @@
 """Every name the package exports is used by the package or its benchmark:
-an export that only tests call is API to delete, not to keep.  And one
+an export that only tests call is API to delete, not to keep.  Every
+subcommand is a job of the benchmark's readme-cli workload.  And one
 module, serialize, owns the JSON layout, and one, _lapack, owns the lookup
 of scipy's compiled routines."""
 
 import ast
+import sys
 from pathlib import Path
+
+from momentspectra import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 INIT = ROOT / "src" / "momentspectra" / "__init__.py"
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
 
 
 def _exported_names() -> list[str]:
@@ -39,6 +46,11 @@ def _code_references() -> set[str]:
 def test_every_export_is_referenced_outside_tests():
     references = _code_references()
     assert [name for name in _exported_names() if name not in references] == []
+
+
+def test_every_subcommand_is_a_readme_cli_job():
+    # the benchmark times each subcommand at its README arguments
+    assert {job["argv"][0] for job in workloads.readme_jobs()} == set(cli._COMMANDS)
 
 
 def _json_writers(path: Path) -> list[str]:

@@ -129,6 +129,13 @@ _NUMERIC_CATALOG = [*CATALOG_MEASURES.values(), "power(2.5)", "dirac(0)+0.75*leb
         ("dirac(0)+0.5*lebesgue", 512),
         ("dirac(0)+0.75*lebesgue", 512),
         *((text, n) for n in (4096, 65536) for text in _NUMERIC_CATALOG),
+        # wrong with exit 0: a point mass near 1 still dominates the ladder's
+        # first octaves, and the chords settle on NotInL2 where L = 0 makes
+        # every index InL2
+        *(pytest.param(text, n, marks=pytest.mark.xfail(strict=True, raises=AssertionError))
+          for text, n in [("dirac(0.9)+logpower(2)", 9),  # k = 0
+                          ("dirac(0.99)+logpower(1.2)", 4096),  # k = 169..180
+                          ("dirac(0.99)+0.25*logpower(1.2)", 4096)]),  # k = 394..411
     ],
 )
 def test_analytic_and_numeric_paths_never_contradict(text, n):
@@ -761,7 +768,7 @@ def test_pseudospectrum_grid_hankel_matches_svd_at_every_point():
 
 
 def test_terraced_pseudo_never_materialises_the_matrix(tmp_path, monkeypatch):
-    def refuse(self, limit=DENSE_LIMIT):
+    def refuse(self):
         raise AssertionError("a terraced grid built the dense matrix")
 
     monkeypatch.setattr(TerracedOperator, "dense", refuse)
