@@ -71,6 +71,15 @@ from .svg import boundary_svg, heatmap_svg, region_svg
 HILBERT_NORM_BOUND = 3.1416
 #: invariance's kernel-span check needs as many truncated dimensions as locations
 KERNEL_LOCATIONS = 8
+#: the gates of the checks, fixed so that no run sets its own; each
+#: manifest's `tolerances` records the one its command used
+RESIDUAL_TOL = 1e-8
+CONTRACTION_TOL = 1e-9
+RHP_TOL = 1e-10
+INTEGRAL_TOL = 1e-11
+COLUMN_TOL = 1e-12
+#: invariance checks the monomials t^k for k up to this
+MONOMIAL_K_MAX = 8
 
 
 class _UsageError(Exception):
@@ -105,7 +114,7 @@ def _finite_float(text: str) -> float:
 
 
 def _tolerance(text: str) -> float:
-    """_finite_float refusing negatives too: the argparse type of every tolerance option."""
+    """_finite_float refusing negatives too: the argparse type of moments --tol."""
     value = _finite_float(text)
     if value < 0.0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative tolerance, got {text!r}")
@@ -272,8 +281,7 @@ def _cmd_classify(args, writer: ArtifactWriter):
           _MEASURE,
           ("--k", dict(required=True)),
           ("--dim", dict(type=_at_least(1), default=400)),
-          ("--embed", dict(type=_at_least(1), default=1)),
-          ("--tol", dict(type=_tolerance, default=1e-8)))
+          ("--embed", dict(type=_at_least(1), default=1)))
 def _cmd_eigencheck(args, writer: ArtifactWriter):
     spec = parse_measure(args.measure)
     ks = _parse_index_range("--k", args.k)
@@ -288,9 +296,9 @@ def _cmd_eigencheck(args, writer: ArtifactWriter):
         residual = eigenvector_residual(ms, k, args.dim, embed_factor=args.embed)
         worst = max(worst, residual)
         rows.append({"k": k, "mu_k": float(ms.values[k]), "residual": residual,
-                     "pass": residual <= args.tol})
+                     "pass": residual <= RESIDUAL_TOL})
     writer.write_json("eigencheck.json", rows)
-    return (0 if worst <= args.tol else 2), {"residual_tol": args.tol}
+    return (0 if worst <= RESIDUAL_TOL else 2), {"residual_tol": RESIDUAL_TOL}
 
 
 @_command("adjoint-disc", "guaranteed adjoint point-spectrum disc",
@@ -364,8 +372,7 @@ def _cmd_pseudo(args, writer: ArtifactWriter):
           *_OPERATOR,
           ("--dim", dict(type=_at_least(1), default=64)),
           ("--angles", dict(type=_at_least(4), default=256)),
-          ("--require-rhp", dict(type=_tolerance, default=None, nargs="?", const=1e-10,
-                                 help="fail (exit 2) when min Re W drops below -TOL")))
+          ("--require-rhp", dict(action="store_true", help=f"exit 2 if min Re W < -{RHP_TOL}")))
 def _cmd_fov(args, writer: ArtifactWriter):
     result = fov_boundary(_build_operator(args, args.dim).dense(), n_angles=args.angles)
     writer.write_text("fov.csv", fov_csv(result))
@@ -377,10 +384,8 @@ def _cmd_fov(args, writer: ArtifactWriter):
         "hermitian_min_eig": result.min_real_part,
     }
     writer.write_json("fov.json", payload)
-    code = 0
-    if args.require_rhp is not None and result.min_real_part < -args.require_rhp:
-        code = 2
-    return code, {"rhp_tol": args.require_rhp}
+    code = 2 if args.require_rhp and result.min_real_part < -RHP_TOL else 0
+    return code, {"rhp_tol": RHP_TOL if args.require_rhp else None}
 
 
 @_command("contraction", "semigroup contraction norms",
@@ -388,23 +393,20 @@ def _cmd_fov(args, writer: ArtifactWriter):
           ("--dim", dict(type=_at_least(1), default=64)),
           ("--taus", dict(default="0.1,1,10")),
           ("--shift", dict(type=_finite_float, default=0.0,
-                           help="check A - shift*I instead (negative control)")),
-          ("--tol", dict(type=_tolerance, default=1e-9)))
+                           help="check A - shift*I instead (negative control)")))
 def _cmd_contraction(args, writer: ArtifactWriter):
     matrix = _build_operator(args, args.dim).dense()
     if args.shift:
         matrix = matrix - args.shift * np.eye(args.dim)
     result = contraction_check(matrix, _parse_floats("--taus", args.taus))
     writer.write_json("contraction.json", contraction_payload(result))
-    code = 0 if result.max_norm <= 1.0 + args.tol else 2
-    return code, {"contraction_tol": args.tol}
+    code = 0 if result.max_norm <= 1.0 + CONTRACTION_TOL else 2
+    return code, {"contraction_tol": CONTRACTION_TOL}
 
 
 @_command("invariance", "integral representations and monomial defects",
           _MEASURE,
-          ("--dim", dict(type=_at_least(KERNEL_LOCATIONS), default=32)),
-          ("--k-max", dict(type=_at_least(0), default=8)),
-          ("--tol", dict(type=_tolerance, default=1e-11)))
+          ("--dim", dict(type=_at_least(KERNEL_LOCATIONS), default=32)))
 def _cmd_invariance(args, writer: ArtifactWriter):
     spec = parse_measure(args.measure)
     checks = []
@@ -427,19 +429,18 @@ def _cmd_invariance(args, writer: ArtifactWriter):
            dev, 1e-13, dev <= 1e-13)
 
     dev = cesaro_adjoint_integral_check(args.dim)
-    record("cesaro-adjoint-integral", {"dim": args.dim}, dev, args.tol, dev <= args.tol)
+    record("cesaro-adjoint-integral", {"dim": args.dim}, dev, INTEGRAL_TOL, dev <= INTEGRAL_TOL)
 
     ms = moments(spec, 2 * args.dim - 1)
     weights = WeightSequence.from_moments(ms)
     dev = rhaly_adjoint_integral_check(weights, args.dim)
     record("rhaly-adjoint-integral", {"dim": args.dim, "measure": args.measure},
-           dev, args.tol, dev <= args.tol)
+           dev, INTEGRAL_TOL, dev <= INTEGRAL_TOL)
 
     terraced = TerracedOperator(weights, args.dim).dense()
-    worst = max(
-        monomial_invariance_check(terraced, k) for k in range(min(args.k_max, args.dim - 1) + 1)
-    )
-    record("terraced-monomial-defect", {"k_max": args.k_max, "measure": args.measure},
+    worst = max(monomial_invariance_check(terraced, k)
+                for k in range(min(MONOMIAL_K_MAX, args.dim - 1) + 1))
+    record("terraced-monomial-defect", {"k_max": MONOMIAL_K_MAX, "measure": args.measure},
            worst, 1e-15, worst <= 1e-15)
 
     hankel = HankelMomentOperator.from_moments(ms, args.dim).dense()
@@ -454,13 +455,12 @@ def _cmd_invariance(args, writer: ArtifactWriter):
 
     writer.write_json("invariance.json", checks)
     code = 0 if all(c["pass"] for c in checks) else 2
-    return code, {"integral_tol": args.tol}
+    return code, {"integral_tol": INTEGRAL_TOL}
 
 
 @_command("hilbert", "Hilbert-matrix column identities and norm growth",
           ("--max-index", dict(type=_at_least(0), default=16)),
-          ("--dims", dict(default="64,128,256")),
-          ("--tol", dict(type=_tolerance, default=1e-12)))
+          ("--dims", dict(default="64,128,256")))
 def _cmd_hilbert(args, writer: ArtifactWriter):
     limit = operators_mod.DENSE_LIMIT
     largest = (limit - 1) // 2  # Bernstein table side 2 max-index + 1
@@ -475,7 +475,7 @@ def _cmd_hilbert(args, writer: ArtifactWriter):
     ok = True
     for n in range(dim):
         deviation = hilbert_column_check(n, dim)
-        passed = deviation <= args.tol
+        passed = deviation <= COLUMN_TOL
         ok = ok and passed
         columns.append({"n": n, "deviation": deviation, "pass": passed})
     norms = []
@@ -497,7 +497,7 @@ def _cmd_hilbert(args, writer: ArtifactWriter):
     }
     writer.write_json("hilbert.json", payload)
     code = 0 if ok and nondecreasing and within_bound else 2
-    return code, {"column_tol": args.tol}
+    return code, {"column_tol": COLUMN_TOL}
 
 
 def build_parser() -> _Parser:

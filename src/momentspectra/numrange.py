@@ -26,9 +26,9 @@ A matrix whose Hermitian part is positive semidefinite generates a
 contraction semigroup: ||exp(-tau A)|| <= 1 for all tau >= 0, checked with
 the exact spectral norm (the largest singular value).
 
-The LAPACK routines come from `_lapack`, imported inside the function that
-calls them, which keeps them out of the CLI's start-up; no command imports
-the scipy.linalg package, and the matrix exponential is numpy's own.
+The LAPACK routines come from `_lapack`, which loads them at their first
+use; no command imports the scipy.linalg package, and the matrix
+exponential is numpy's own.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .spectral import _tridiagonal_eigenpairs
 
 
@@ -107,8 +108,6 @@ def _terraced_support(m: np.ndarray, angles: np.ndarray):
     inverse iteration; zunmqr applies the Householder reflectors to those
     vectors.
     """
-    from ._lapack import zhetrd, zhetrd_lwork, zunmqr
-
     n_angles, dim = angles.size, m.shape[0]
     if not np.isfinite(m).all():
         raise ValueError("fov_boundary needs a finite matrix")
@@ -117,12 +116,12 @@ def _terraced_support(m: np.ndarray, angles: np.ndarray):
     support = np.empty(n_angles)
     vectors = np.empty((dim, half), dtype=complex)
     h = np.empty((dim, dim), dtype=complex, order="F")  # each zhetrd overwrites it
-    lwork = int(zhetrd_lwork(dim, lower=1)[0].real)
+    lwork = int(_lapack.zhetrd_lwork(dim, lower=1)[0].real)
     for j in range(n_angles // 4 + 1 if even else half):
         theta = angles[j]
         np.multiply(sym, math.cos(theta), out=h.real)
         np.multiply(skew, math.sin(theta), out=h.imag)
-        reflectors, d, e, tau, info = zhetrd(h, lower=1, lwork=lwork, overwrite_a=1)
+        reflectors, d, e, tau, info = _lapack.zhetrd(h, lower=1, lwork=lwork, overwrite_a=1)
         antipode = n_angles // 2 - j  # a grid index when N is even
         # (top, bottom) eigenvalue indices; pi/2 is its own antipode
         indices = (dim, 1) if j == 0 or (even and antipode != j) else (dim,)
@@ -131,7 +130,8 @@ def _terraced_support(m: np.ndarray, angles: np.ndarray):
             w, z, info = _tridiagonal_eigenpairs(entries, indices, np.abs(entries).max())
         if info == 0:
             z = np.array(z, dtype=complex).T  # the eigenvectors as Fortran-ordered columns
-            z[1:], _, info = zunmqr("L", "N", reflectors[1:, :-1], tau, z[1:], len(indices))
+            z[1:], _, info = _lapack.zunmqr("L", "N", reflectors[1:, :-1], tau, z[1:],
+                                           len(indices))
         if info:
             raise np.linalg.LinAlgError(f"extreme eigenpairs of Re(e^(i theta) A) failed "
                                         f"at theta = {theta:.6g} (LAPACK info {info})")

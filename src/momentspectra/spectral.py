@@ -33,6 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _lapack
 from .measures import MomentSequence, octave_ladder
 from .operators import (
     HankelMomentOperator,
@@ -341,8 +342,6 @@ def _tridiagonal_eigenpairs(entries: np.ndarray, indices, largest: float):
     values are scaled back.  info is LAPACK's, 0 on success; a failure ends
     the lists at the pair that failed.
     """
-    from ._lapack import dstebz, dstein
-
     exponent = math.frexp(largest)[1]
     np.ldexp(entries, -exponent, out=entries)
     m = (entries.size + 1) // 2
@@ -350,9 +349,10 @@ def _tridiagonal_eigenpairs(entries: np.ndarray, indices, largest: float):
     values, vectors, info = [], [], 0
     for index in indices:
         # info 0 means exactly the one eigenvalue asked for was found
-        _, w, block, split, info = dstebz(d, e, 2, 0.0, 0.0, index, index, _BISECTION_TOL, "B")
+        _, w, block, split, info = _lapack.dstebz(d, e, 2, 0.0, 0.0, index, index,
+                                                  _BISECTION_TOL, "B")
         if info == 0:
-            vector, info = dstein(d, e, w[:1], block, split)
+            vector, info = _lapack.dstein(d, e, w[:1], block, split)
         if info:
             break
         values.append(math.ldexp(w[0], exponent))
@@ -404,11 +404,9 @@ def _top_singular_value(apply, apply_adjoint, start: np.ndarray, method: str) ->
     has not stopped by then raises ArithmeticError naming the method: no
     unconverged estimate is returned.
     """
-    from ._lapack import dnrm2, dznrm2
-
     n = start.size
     eps = np.finfo(float).eps
-    nrm2 = dznrm2 if np.iscomplexobj(start) else dnrm2
+    nrm2 = _lapack.dznrm2 if np.iscomplexobj(start) else _lapack.dnrm2
     # row k of vs is v_{k+1}, grown by doubling: a short run never allocates n rows
     vs = np.empty((min(n, 16), n), dtype=start.dtype)
     alphas, betas = np.empty(n), np.empty(n)  # diagonal and superdiagonal
@@ -449,8 +447,6 @@ def _norm_of_inverse(diagonal: np.ndarray, weights: np.ndarray) -> float:
     A solve that overflows raises ArithmeticError, as does a run that has
     not converged by step n.
     """
-    from ._lapack import dznrm2, ztbsv
-
     n = diagonal.size
     # Fortran order: f2py copies a C-ordered band on every call
     band = np.zeros((3, 2 * n), dtype=complex, order="F")
@@ -462,8 +458,8 @@ def _norm_of_inverse(diagonal: np.ndarray, weights: np.ndarray) -> float:
 
     def solve(b: np.ndarray, trans: int) -> np.ndarray:
         rhs[0::2], rhs[1::2] = b, 0.0
-        ztbsv(2, band, rhs, lower=1, trans=trans, overwrite_x=1)
-        if not math.isfinite(dznrm2(rhs, n=n, incx=2)):
+        _lapack.ztbsv(2, band, rhs, lower=1, trans=trans, overwrite_x=1)
+        if not math.isfinite(_lapack.dznrm2(rhs, n=n, incx=2)):
             raise ArithmeticError("sigma_min below the float range: a triangular solve "
                                   "overflowed")
         return rhs[0::2]

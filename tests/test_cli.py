@@ -72,9 +72,12 @@ def test_eigencheck_pass_and_fail(tmp_path):
     ok = main(["eigencheck", "--measure", "dirac(0.5)", "--k", "0..3",
                "--dim", "200", "--out", str(tmp_path / "e1")])
     assert ok == 0
-    strict = main(["eigencheck", "--measure", "dirac(0.5)", "--k", "0..3",
-                   "--dim", "200", "--tol", "1e-30", "--out", str(tmp_path / "e2")])
-    assert strict == 2
+    # negative control: Lebesgue moments are not eigenvalues, which only an
+    # embedding shows (a truncation's own recurrence is exact)
+    control = main(["eigencheck", "--measure", "lebesgue", "--k", "0..3",
+                    "--dim", "200", "--embed", "2", "--out", str(tmp_path / "e2")])
+    assert control == 2
+    assert all(not row["pass"] for row in read_json(tmp_path / "e2" / "eigencheck.json"))
 
 
 def test_eigencheck_accepts_what_classify_confirms(tmp_path):
@@ -348,8 +351,8 @@ def test_hankel_contraction_overflow_exits_two_with_one_line(tmp_path, capsys):
 
 
 def test_import_loads_no_scipy():
-    # _lapack is imported inside the few functions that use it, so start-up
-    # pays for numpy alone
+    # _lapack loads scipy's routines at their first lookup, not at import, so
+    # start-up pays for numpy alone
     src = Path(momentspectra.__file__).resolve().parents[1]
     probe = ("import sys\n"
              "def scipy_modules():\n"
@@ -500,13 +503,13 @@ def test_config_file_provides_defaults_and_flags_override(tmp_path):
         ("measure = lebesgue\nkind = spiral\n", ["fov", "--config", "{config}"], 1, {}),
         ("measure = lebesgue\nn = four\n", ["moments", "--config", "{config}"], 1, {}),
         ("n = 4\n", ["moments", "--config", "{config}"], 1, {}),
-        # true is the bare flag, so --require-rhp takes its const; false adds nothing
+        # true is the bare flag and false adds nothing
         ("measure = lebesgue\nrequire_rhp = true\n",
          ["fov", "--config", "{config}", "--dim", "8", "--angles", "8"],
-         0, {"require_rhp": 1e-10}),
+         0, {"require_rhp": True}),
         ("measure = lebesgue\nrequire_rhp = false\n",
          ["fov", "--config", "{config}", "--dim", "8", "--angles", "8"],
-         0, {"require_rhp": None}),
+         0, {"require_rhp": False}),
         ("measure = lebesgue\ndump_matrix = true\nwindow = -0.5,2.5,-1.5,1.5\n",
          ["pseudo", "--config", "{config}", "--res", "4", "--dim", "8"],
          0, {"dump_matrix": True, "window": "-0.5,2.5,-1.5,1.5"}),
@@ -617,16 +620,17 @@ def test_failed_run_leaves_a_manifest_with_status_error(tmp_path, capsys, args, 
 @pytest.mark.parametrize("args, line", [
     (["moments", "--measure", "lebesgue", "--n", "8", "--quadrature", "--tol", "nan"],
      "usage error: argument --tol: expected a finite number, got 'nan'"),
-    (["fov", "--measure", "lebesgue", "--dim", "8", "--require-rhp", "nan"],
-     "usage error: argument --require-rhp: expected a finite number, got 'nan'"),
-    (["fov", "--measure", "lebesgue", "--dim", "8", "--require-rhp", "inf"],
-     "usage error: argument --require-rhp: expected a finite number, got 'inf'"),
-    (["eigencheck", "--measure", "dirac(0.5)", "--k", "0", "--dim", "8", "--tol", "nan"],
-     "usage error: argument --tol: expected a finite number, got 'nan'"),
-    (["contraction", "--measure", "lebesgue", "--dim", "8", "--tol", "nan"],
-     "usage error: argument --tol: expected a finite number, got 'nan'"),
-    (["hilbert", "--max-index", "2", "--dims", "8", "--tol", "nan"],
-     "usage error: argument --tol: expected a finite number, got 'nan'"),
+    (["moments", "--measure", "lebesgue", "--n", "8", "--quadrature", "--tol", "inf"],
+     "usage error: argument --tol: expected a finite number, got 'inf'"),
+    (["contraction", "--measure", "lebesgue", "--dim", "8", "--shift=-inf"],
+     "usage error: argument --shift: expected a finite number, got '-inf'"),
+    # a non-finite number is no integer either
+    (["hilbert", "--max-index", "nan", "--dims", "8"],
+     "usage error: argument --max-index: invalid int value: 'nan'"),
+    (["fov", "--measure", "lebesgue", "--dim", "8", "--angles", "inf"],
+     "usage error: argument --angles: invalid int value: 'inf'"),
+    (["pseudo", "--measure", "lebesgue", "--window=0,1,0,1", "--res", "nan", "--dim", "8"],
+     "usage error: argument --res: invalid int value: 'nan'"),
     (["contraction", "--measure", "lebesgue", "--dim", "8", "--taus", "0.1,inf"],
      "input error: --taus: expected a finite number, got 'inf'"),
     (["contraction", "--measure", "lebesgue", "--dim", "8", "--shift", "nan"],
@@ -637,23 +641,24 @@ def test_failed_run_leaves_a_manifest_with_status_error(tmp_path, capsys, args, 
      "input error: --weights: expected a finite number, got 'nan'"),
     (["hilbert", "--max-index", "-1", "--dims", "8"],
      "usage error: argument --max-index: -1 is below 0"),
-    (["invariance", "--measure", "lebesgue", "--dim", "8", "--k-max", "-3"],
-     "usage error: argument --k-max: -3 is below 0"),
+    (["fov", "--measure", "lebesgue", "--dim", "8", "--angles", "3"],
+     "usage error: argument --angles: 3 is below 4"),
     (["eigencheck", "--measure", "dirac(0.5)", "--k", "0", "--dim", "8", "--embed", "0"],
      "usage error: argument --embed: 0 is below 1"),
     # a tolerance bounds a distance, so a negative one can never be met
     (["moments", "--measure", "lebesgue", "--n", "8", "--quadrature", "--tol", "-1"],
      "usage error: argument --tol: expected a nonnegative tolerance, got '-1'"),
-    (["eigencheck", "--measure", "dirac(0.5)", "--k", "0", "--dim", "8", "--tol", "-1"],
-     "usage error: argument --tol: expected a nonnegative tolerance, got '-1'"),
-    (["invariance", "--measure", "dirac(0.5)", "--dim", "8", "--tol", "-1"],
-     "usage error: argument --tol: expected a nonnegative tolerance, got '-1'"),
-    (["contraction", "--measure", "lebesgue", "--dim", "8", "--tol", "-1"],
-     "usage error: argument --tol: expected a nonnegative tolerance, got '-1'"),
-    (["hilbert", "--max-index", "2", "--dims", "8", "--tol", "-1"],
-     "usage error: argument --tol: expected a nonnegative tolerance, got '-1'"),
-    (["fov", "--measure", "lebesgue", "--dim", "8", "--require-rhp", "-1"],
-     "usage error: argument --require-rhp: expected a nonnegative tolerance, got '-1'"),
+    # every --dim needs one row and every --res two points per axis
+    (["eigencheck", "--measure", "dirac(0.5)", "--k", "0", "--dim", "0"],
+     "usage error: argument --dim: 0 is below 1"),
+    (["pseudo", "--measure", "lebesgue", "--window=0,1,0,1", "--res", "1", "--dim", "8"],
+     "usage error: argument --res: 1 is below 2"),
+    (["pseudo", "--measure", "lebesgue", "--window=0,1,0,1", "--dim", "0"],
+     "usage error: argument --dim: 0 is below 1"),
+    (["fov", "--measure", "lebesgue", "--dim", "0"],
+     "usage error: argument --dim: 0 is below 1"),
+    (["contraction", "--measure", "lebesgue", "--dim", "-2"],
+     "usage error: argument --dim: -2 is below 1"),
     # every --n needs at least one term, a tail fit or not
     (["region", "--weights", "cesaro", "--n", "0"],
      "usage error: argument --n: 0 is below 1"),
@@ -679,6 +684,22 @@ def test_failed_run_leaves_a_manifest_with_status_error(tmp_path, capsys, args, 
 def test_non_finite_or_out_of_range_number_is_an_input_error(tmp_path, capsys, args, line):
     assert main(args + ["--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == line + "\n"
+
+
+@pytest.mark.parametrize("args, rest", [
+    (["eigencheck", "--measure", "dirac(0.5)", "--k", "0", "--tol", "1e-30"], "--tol 1e-30"),
+    (["contraction", "--measure", "lebesgue", "--tol", "1"], "--tol 1"),
+    (["invariance", "--measure", "lebesgue", "--tol", "1"], "--tol 1"),
+    (["invariance", "--measure", "lebesgue", "--k-max", "3"], "--k-max 3"),
+    (["hilbert", "--tol", "1"], "--tol 1"),
+    # --require-rhp is a bare flag: the number after it is left over
+    (["fov", "--measure", "lebesgue", "--require-rhp", "0.5"], "0.5"),
+])
+def test_no_run_sets_its_own_gate(tmp_path, capsys, args, rest):
+    # every gate is a fixed constant of cli, recorded in the manifest's tolerances
+    assert main(args + ["--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"usage error: unrecognized arguments: {rest}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_readme_commands_parse():

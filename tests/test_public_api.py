@@ -1,6 +1,7 @@
 """Every name the package exports is used by the package or its benchmark:
 an export that only tests call is API to delete, not to keep.  Every
-subcommand is a job of the benchmark's readme-cli workload.  And one
+subcommand is a job of the benchmark's readme-cli workload, and every
+option but a listed few is set by some benchmark job.  And one
 module, serialize, owns the JSON layout, and one, _lapack, owns the lookup
 of scipy's compiled routines."""
 
@@ -53,6 +54,27 @@ def test_every_subcommand_is_a_readme_cli_job():
     assert {job["argv"][0] for job in workloads.readme_jobs()} == set(cli._COMMANDS)
 
 
+#: the options that no benchmark job sets, each with the reason it stays
+UNSET_OPTIONS = {
+    ("moments", "--tol"): "the quadrature solver's tolerance, not a gate: it goes with "
+                          "the quadrature path (ROADMAP item 4)",
+    ("region", "--measure"): "an operator source shared through _SOURCE",
+    ("fov", "--weights"): "an operator source shared through _OPERATOR",
+    ("contraction", "--weights"): "an operator source shared through _OPERATOR",
+    ("contraction", "--kind"): "an operator source shared through _OPERATOR",
+}
+
+
+def test_every_option_is_set_by_a_benchmark_job():
+    # an option that no job sets is configuration that nothing runs
+    options = {(name, flag) for name, (_, _, flags) in cli._COMMANDS.items() for flag, _ in flags}
+    jobs = [job for make in workloads.WORKLOADS.values() for job in make()] + workloads.probe()
+    set_by_jobs = {(job["argv"][0], arg.partition("=")[0])
+                   for job in jobs if "argv" in job
+                   for arg in job["argv"][1:] if arg.startswith("--")}
+    assert options - set_by_jobs == set(UNSET_OPTIONS)
+
+
 def _json_writers(path: Path) -> list[str]:
     """Each json.dump, json.dumps or JSONEncoder the code of `path` reaches,
     as an attribute of json or a name imported from it."""
@@ -93,3 +115,15 @@ def test_only_lapack_imports_scipy():
     imports = {path.name: _scipy_imports(path) for path in sorted(package.rglob("*.py"))
                if path.name != "_lapack.py"}
     assert {name: found for name, found in imports.items() if found} == {}
+
+
+def test_no_module_imports_names_from_lapack():
+    # the package takes each routine as an attribute, `_lapack.dstebz`, which
+    # loads scipy's modules at its first use; `from ._lapack import dstebz`
+    # would load them wherever the import statement runs
+    package = ROOT / "src" / "momentspectra"
+    found = [path.name for path in sorted(package.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom)
+             and (node.level, node.module) in ((1, "_lapack"), (0, "momentspectra._lapack"))]
+    assert found == []
