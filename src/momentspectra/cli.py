@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _lapack
 from . import measures as measures_mod
 from . import operators as operators_mod
 from . import spectral as spectral_mod
@@ -175,7 +175,8 @@ class ArtifactWriter:
                        exit_code: int, error: str | None = None):
         """status is "ok" when the handler returned (exit_code then says
         whether its checks passed) and "error" with the one-line message when
-        it raised a numeric or input error."""
+        it raised a numeric or input error.  `environment` records numpy,
+        scipy and each BLAS the run loaded, with its thread count."""
         manifest = {
             "command": command,
             "status": "ok" if error is None else "error",
@@ -186,6 +187,7 @@ class ArtifactWriter:
             "outputs": sorted(self.files) + ["manifest.json"],
             "wall_time_ms": wall_ms,
             "tool_version": __version__,
+            "environment": _lapack.environment(),
         }
         write_json(self.out / "manifest.json", manifest)
 

@@ -388,6 +388,29 @@ def test_commands_load_only_the_compiled_routines(tmp_path):
     assert done.stdout == "['scipy.linalg._fblas', 'scipy.linalg._flapack']\n"
 
 
+@pytest.mark.parametrize("args", [
+    ["pseudo", "--measure", "lebesgue", "--kind", "hankel", "--window=-0.5,2.5,-1.5,1.5",
+     "--res", "16", "--dim", "256"],
+    ["fov", "--kind", "hankel", "--measure", "dirac(0)+0.5*lebesgue", "--dim", "256",
+     "--angles", "64"],
+])
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, args):
+    # _lapack pins numpy's and scipy's OpenBLAS to one thread whatever count
+    # the process starts with; two threads split the dense products another
+    # way and move the last bits of these grids and boundaries
+    src = Path(momentspectra.__file__).resolve().parents[1]
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "momentspectra", *args, "--out", str(out)],
+                       env=env, check=True)
+        blas = read_json(out / "manifest.json")["environment"]["blas"]
+        assert blas and all(copy["threads"] == 1 for copy in blas.values())
+        runs.append(artifact_bytes(out))
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize(
     "args, side",
     [
@@ -571,6 +594,10 @@ def test_manifest_written_last_and_lists_everything(tmp_path):
     assert isinstance(manifest["wall_time_ms"], int)
     assert manifest["status"] == "ok" and manifest["exit_code"] == 0
     assert "error" not in manifest
+    # a terraced fov runs scipy's zhetrd, so both BLAS copies are loaded
+    environment = manifest["environment"]
+    assert environment["numpy"] == np.__version__
+    assert environment["blas"].keys() == {"numpy", "scipy"}
 
 
 def test_failed_check_is_status_ok_with_its_exit_code(tmp_path):

@@ -1,11 +1,19 @@
 """momentspectra._lapack loads scipy's compiled BLAS and LAPACK wrappers
 without the scipy.linalg package: each routine it binds must give the same
-bits as its scipy.linalg.blas or scipy.linalg.lapack namesake."""
+bits as its scipy.linalg.blas or scipy.linalg.lapack namesake.  It also pins
+numpy's and scipy's OpenBLAS to one thread and records both."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import momentspectra
 from momentspectra import _lapack
 
 
@@ -94,3 +102,42 @@ def test_ztbsv_in_place_matches_the_copying_call(rng, trans):
     stale = _lapack.ztbsv(2, band, rhs, lower=1, trans=trans)
     rhs[1::2] = 0.0
     assert not np.array_equal(stale, _lapack.ztbsv(2, band, rhs, lower=1, trans=trans))
+
+
+def test_import_pins_numpy_blas_and_first_lookup_pins_scipy_blas():
+    # a process started with two BLAS threads: importing the package pins
+    # numpy's copy before any scipy module is loaded, the first routine
+    # lookup loads scipy's copy and pins it too
+    src = Path(momentspectra.__file__).resolve().parents[1]
+    probe = ("import json\n"
+             "import momentspectra\n"
+             "from momentspectra import _lapack\n"
+             "before = _lapack.environment()['blas']\n"
+             "_lapack.dstebz\n"
+             "print(json.dumps([before, _lapack.environment()['blas']]))\n")
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="2")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    before, after = json.loads(done.stdout)
+    assert before.keys() == {"numpy"} and after.keys() == {"numpy", "scipy"}
+    for copy in (before["numpy"], after["numpy"], after["scipy"]):
+        assert copy["pinned"] and copy["threads"] == 1
+        assert copy["config"].startswith("OpenBLAS ")
+
+
+def test_environment_reads_the_installed_versions():
+    environment = _lapack.environment()
+    assert (environment["numpy"], environment["scipy"]) == (np.__version__, scipy.__version__)
+
+
+def test_a_blas_without_a_known_setter_is_recorded_unpinned(monkeypatch, tmp_path):
+    # another vendor's BLAS, or none in a <package>.libs directory: left as
+    # it is, with no error
+    monkeypatch.setattr(_lapack, "_BLAS", {})
+    monkeypatch.setattr(_lapack, "_OPENBLAS_SYMBOLS",
+                        (("no_such_set_num_threads", "no_such_get_num_threads",
+                          "no_such_get_config"),))
+    _lapack._pin_blas("numpy", os.path.dirname(np.__file__))
+    _lapack._pin_blas("scipy", str(tmp_path / "scipy"))
+    assert _lapack.environment()["blas"] == {"numpy": {"pinned": False},
+                                             "scipy": {"pinned": False}}
