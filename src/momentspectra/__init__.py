@@ -35,7 +35,6 @@ from .spectral import (
     ClassificationVerdict,
     HypothesesNotMetError,
     SpectralRegion,
-    adjoint_disc,
     adjoint_eigenvector,
     adjoint_eigenvector_residual,
     classify_eigenvalue,

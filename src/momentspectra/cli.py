@@ -59,7 +59,6 @@ from .serialize import (
 )
 from .spectral import (
     HypothesesNotMetError,
-    adjoint_disc,
     classify_eigenvalue,
     eigenvector_residual,
     hankel_norm,
@@ -309,14 +308,13 @@ def _cmd_eigencheck(args, writer: ArtifactWriter):
 def _cmd_adjoint_disc(args, writer: ArtifactWriter):
     spec = parse_measure(args.measure)
     limit = spec.weight_limit()
-    region = adjoint_disc(limit)
+    # with s_n = L log n + O(1), exp(-(1+eps) gamma s_n) is summable exactly
+    # for gamma >= 1/L, so the disc has centre and radius L; L = 0 has none
     payload = {
         "beta": limit,
         "bounded": limit == 0.0,
         "beta_octaves": octave_ladder(moments(spec, args.n), args.n - 1)[1].tolist(),
-        "disc": None
-        if region is None
-        else {"center": region.disc_center, "radius": region.disc_radius},
+        "disc": None if limit == 0.0 else {"center": limit, "radius": limit},
     }
     writer.write_json("adjoint_disc.json", payload)
     return 0, {}
@@ -509,45 +507,16 @@ def build_parser() -> _Parser:
     for name, (_, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--out", required=True, help="output directory for artifacts")
-        p.add_argument("--config", default=None, help="key = value defaults file")
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
     return parser
 
 
-def _config_flags(path: str) -> list[str]:
-    """Each `key = value` line of a config file as the flag `--key=value`
-    (`_` in the key becomes `-`); `true` gives the bare `--key` and `false`
-    gives nothing, so argparse validates config values like typed flags."""
-    flags = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, eq, value = line.partition("=")
-        if not eq:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        flag = "--" + key.strip().replace("_", "-")
-        value = value.strip()
-        if value.lower() == "true":
-            flags.append(flag)
-        elif value.lower() != "false":
-            flags.append(f"{flag}={value}")
-    return flags
-
-
 def run(argv: list[str]) -> int:
-    pre = _Parser(add_help=False, allow_abbrev=False)
-    pre.add_argument("--config")
-    config = pre.parse_known_args(argv)[0].config
-    if config:
-        # right after the subcommand name, so flags given on the command line
-        # come later and win: argparse keeps the last value it sees
-        argv = argv[:1] + _config_flags(config) + argv[1:]
     args = build_parser().parse_args(argv)
     handler = _COMMANDS[args.command][0]
     writer = ArtifactWriter(args.out)
-    inputs = {k: v for k, v in vars(args).items() if k not in ("command", "out", "config")}
+    inputs = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
     start = time.perf_counter()
     try:
         code, tolerances = handler(args, writer)

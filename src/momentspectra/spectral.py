@@ -266,21 +266,6 @@ def adjoint_eigenvector_residual(ms: MomentSequence, nu: complex, dim: int) -> f
     return float(np.linalg.norm(r) / np.linalg.norm(x))
 
 
-def adjoint_disc(limit: float) -> SpectralRegion | None:
-    """Largest disc guaranteed inside the adjoint's point spectrum, from the
-    weight limit L.
-
-    With s_n = L log n + O(1) the summability condition
-    exp(-(1+eps)*gamma*s_n) in l^1 holds exactly for gamma >= 1/L, so the
-    best disc has center and radius L.  L = 0 (bounded partial sums) admits
-    no such gamma: None.
-    """
-    if limit == 0.0:
-        return None
-    return SpectralRegion(points=np.array([], dtype=complex),
-                          disc_center=limit, disc_radius=limit)
-
-
 def spectrum_region(weights: WeightSequence, limit: float | None) -> SpectralRegion:
     """Predicted spectrum of a terraced operator with positive distinct
     weights and weight limit L = lim (n+1) a_n: the weights plus the closed

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 the measured quantities (run pytest with -s to see them inline)."""
 
+import json
 import time
 
 import numpy as np
@@ -15,7 +16,6 @@ from helpers import (
 )
 from momentspectra import (
     WeightSequence,
-    adjoint_disc,
     cesaro_adjoint_integral_check,
     classify_eigenvalue,
     contraction_check,
@@ -74,17 +74,16 @@ def test_03_atom_plus_half_lebesgue_keeps_only_mu0():
     _report(3, "point spectrum of delta_0 + 0.5*lebesgue is exactly {1.5}")
 
 
-def test_04_adjoint_discs():
-    cesaro = adjoint_disc(_limit("lebesgue"))
-    assert cesaro is not None
-    assert cesaro.disc_center == cesaro.disc_radius == 1.0
-    mixed = adjoint_disc(_limit("dirac(0)+0.5*lebesgue"))
-    assert mixed is not None
-    assert mixed.disc_center == mixed.disc_radius == 0.5
-    truncated = adjoint_disc(_limit("lebesgue(0.5)"))
-    assert truncated is None
-    _report(4, f"discs ({cesaro.disc_center:.3f}) and ({mixed.disc_center:.3f}); "
-               "none for lebesgue(0.5)")
+def test_04_adjoint_discs(tmp_path):
+    discs = {}
+    for text in ("lebesgue", "dirac(0)+0.5*lebesgue", "lebesgue(0.5)"):
+        out = tmp_path / text
+        assert main(["adjoint-disc", "--measure", text, "--out", str(out)]) == 0
+        discs[text] = json.loads((out / "adjoint_disc.json").read_text())["disc"]
+    assert discs == {"lebesgue": {"center": 1.0, "radius": 1.0},
+                     "dirac(0)+0.5*lebesgue": {"center": 0.5, "radius": 0.5},
+                     "lebesgue(0.5)": None}
+    _report(4, "adjoint-disc writes discs (1.000) and (0.500); none for lebesgue(0.5)")
 
 
 def test_05_numerical_range_in_right_half_plane():

@@ -501,61 +501,24 @@ def test_help_exits_zero(capsys):
 
 
 # --------------------------------------------------------------------------
-# config file and environment
+# bare flags
 
-def test_config_file_provides_defaults_and_flags_override(tmp_path):
-    config = tmp_path / "defaults.conf"
-    config.write_text("n = 6\n# comment line\nmeasure = lebesgue\n")
-    out1 = tmp_path / "c1"
-    assert main(["moments", "--config", str(config), "--out", str(out1)]) == 0
-    assert len((out1 / "moments.csv").read_text().strip().splitlines()) == 7
-    out2 = tmp_path / "c2"
-    assert main(["moments", "--config", str(config), "--n", "3", "--out", str(out2)]) == 0
-    assert len((out2 / "moments.csv").read_text().strip().splitlines()) == 4
-
-
-@pytest.mark.parametrize(
-    "lines, argv, code, expect",
-    [
-        # an unknown key is an unrecognized flag
-        ("measure = lebesgue\nn = 4\nfoo = 1\n", ["moments", "--config", "{config}"], 1, {}),
-        # keys must be spelt in full: a prefix of measure is not measure
-        ("meas = lebesgue\nn = 4\n", ["moments", "--config", "{config}"], 1, {}),
-        ("measure = lebesgue\nn = 4\n", ["moments", "--config={config}"], 0, {"n": 4}),
-        # choices, types and required apply to config values
-        ("measure = lebesgue\nkind = spiral\n", ["fov", "--config", "{config}"], 1, {}),
-        ("measure = lebesgue\nn = four\n", ["moments", "--config", "{config}"], 1, {}),
-        ("n = 4\n", ["moments", "--config", "{config}"], 1, {}),
-        # true is the bare flag and false adds nothing
-        ("measure = lebesgue\nrequire_rhp = true\n",
-         ["fov", "--config", "{config}", "--dim", "8", "--angles", "8"],
-         0, {"require_rhp": True}),
-        ("measure = lebesgue\nrequire_rhp = false\n",
-         ["fov", "--config", "{config}", "--dim", "8", "--angles", "8"],
-         0, {"require_rhp": False}),
-        ("measure = lebesgue\ndump_matrix = true\nwindow = -0.5,2.5,-1.5,1.5\n",
-         ["pseudo", "--config", "{config}", "--res", "4", "--dim", "8"],
-         0, {"dump_matrix": True, "window": "-0.5,2.5,-1.5,1.5"}),
-        ("measure = lebesgue\ndump_matrix = false\nwindow = 0,1,0,1\n",
-         ["pseudo", "--config", "{config}", "--res", "4", "--dim", "8"],
-         0, {"dump_matrix": False}),
-    ],
-    ids=["unknown-key", "abbreviated-key", "config-equals-path", "bad-choice", "bad-type",
-         "missing-required", "true-is-bare-flag", "false-adds-nothing", "dump-matrix-negative-window",
-         "dump-matrix-false"],
-)
-def test_config_lines_are_parsed_as_flags(tmp_path, capsys, lines, argv, code, expect):
-    config = tmp_path / "run.conf"
-    config.write_text(lines)
+@pytest.mark.parametrize("args, flag, given", [
+    (["fov", "--measure", "lebesgue", "--dim", "8", "--angles", "8", "--require-rhp"],
+     "require_rhp", True),
+    (["fov", "--measure", "lebesgue", "--dim", "8", "--angles", "8"], "require_rhp", False),
+    (["pseudo", "--measure", "lebesgue", "--window=-0.5,2.5,-1.5,1.5", "--res", "4",
+      "--dim", "8", "--dump-matrix"], "dump_matrix", True),
+    (["pseudo", "--measure", "lebesgue", "--window=0,1,0,1", "--res", "4", "--dim", "8"],
+     "dump_matrix", False),
+], ids=["require-rhp", "no-require-rhp", "dump-matrix", "no-dump-matrix"])
+def test_bare_flags_are_recorded_as_booleans(tmp_path, args, flag, given):
     out = tmp_path / "out"
-    argv = [arg.format(config=config) for arg in argv] + ["--out", str(out)]
-    assert main(argv) == code
-    if code == 1:
-        assert capsys.readouterr().err.startswith("usage error: ")
-        return
+    assert main(args + ["--out", str(out)]) == 0
     inputs = read_json(out / "manifest.json")["inputs"]
-    assert {key: inputs[key] for key in expect} == expect
-    assert (out / "matrix.csv").exists() == bool(inputs.get("dump_matrix"))
+    assert inputs[flag] is given
+    # matrix.csv exists exactly when --dump-matrix is given
+    assert (out / "matrix.csv").exists() == (inputs.get("dump_matrix") is True)
 
 
 # --------------------------------------------------------------------------
@@ -721,6 +684,10 @@ def test_non_finite_or_out_of_range_number_is_an_input_error(tmp_path, capsys, a
     (["hilbert", "--tol", "1"], "--tol 1"),
     # --require-rhp is a bare flag: the number after it is left over
     (["fov", "--measure", "lebesgue", "--require-rhp", "0.5"], "0.5"),
+    # nor does a file: there is no --config, in either form
+    (["moments", "--measure", "lebesgue", "--n", "4", "--config", "run.conf"],
+     "--config run.conf"),
+    (["fov", "--measure", "lebesgue", "--config=run.conf"], "--config=run.conf"),
 ])
 def test_no_run_sets_its_own_gate(tmp_path, capsys, args, rest):
     # every gate is a fixed constant of cli, recorded in the manifest's tolerances

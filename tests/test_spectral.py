@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import sys
@@ -27,7 +28,6 @@ from momentspectra import (
     MeasureSpec,
     TerracedOperator,
     WeightSequence,
-    adjoint_disc,
     adjoint_eigenvector,
     adjoint_eigenvector_residual,
     classify_eigenvalue,
@@ -482,33 +482,29 @@ def test_adjoint_eigenvector_rejects_zero():
 # --------------------------------------------------------------------------
 # adjoint discs and spectral regions
 
-def _disc(text: str):
-    return adjoint_disc(parse_measure(text).weight_limit())
+def _disc(tmp_path, text: str):
+    """The disc that adjoint-disc writes for the measure `text`."""
+    out = tmp_path / text
+    assert main(["adjoint-disc", "--measure", text, "--n", "64", "--out", str(out)]) == 0
+    return json.loads((out / "adjoint_disc.json").read_text())["disc"]
 
 
-def test_adjoint_disc_cesaro():
-    region = _disc("lebesgue")
-    assert region is not None
-    assert region.disc_center == 1.0
-    assert region.disc_radius == region.disc_center
+def test_adjoint_disc_cesaro(tmp_path):
+    assert _disc(tmp_path, "lebesgue") == {"center": 1.0, "radius": 1.0}
 
 
-def test_adjoint_disc_power_density_family():
-    region = _disc("power(1)")
-    assert region is not None
-    assert region.disc_center == 1.0
+def test_adjoint_disc_power_density_family(tmp_path):
+    assert _disc(tmp_path, "power(1)") == {"center": 1.0, "radius": 1.0}
 
 
-def test_adjoint_disc_atom_plus_half_lebesgue():
-    region = _disc("dirac(0)+0.5*lebesgue")
-    assert region is not None
-    assert region.disc_center == 0.5
+def test_adjoint_disc_atom_plus_half_lebesgue(tmp_path):
+    assert _disc(tmp_path, "dirac(0)+0.5*lebesgue") == {"center": 0.5, "radius": 0.5}
 
 
-def test_adjoint_disc_absent_for_summable_moments():
-    assert _disc("lebesgue(0.5)") is None
-    assert _disc("dirac(0.5)") is None
-    assert _disc("logpower(1.5)") is None
+def test_adjoint_disc_absent_for_summable_moments(tmp_path):
+    assert _disc(tmp_path, "lebesgue(0.5)") is None
+    assert _disc(tmp_path, "dirac(0.5)") is None
+    assert _disc(tmp_path, "logpower(1.5)") is None
 
 
 def test_spectrum_region_cesaro():
