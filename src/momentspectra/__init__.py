@@ -22,19 +22,15 @@ from .measures import (
     parse_measure,
 )
 from .operators import (
-    BoundednessReport,
     HankelMomentOperator,
     TerracedOperator,
     WeightSequence,
-    boundedness_report,
     hankel_apply,
     terraced_apply,
     terraced_apply_adjoint,
 )
 from .spectral import (
     ClassificationVerdict,
-    HypothesesNotMetError,
-    SpectralRegion,
     adjoint_eigenvector,
     adjoint_eigenvector_residual,
     classify_eigenvalue,
@@ -43,7 +39,6 @@ from .spectral import (
     hankel_norm,
     pseudospectrum_grid,
     smallest_singular_value,
-    spectrum_region,
 )
 from .numrange import (
     ContractionResult,

@@ -45,7 +45,6 @@ from .operators import (
     HankelMomentOperator,
     TerracedOperator,
     WeightSequence,
-    boundedness_report,
     check_dense_limit,
 )
 from .serialize import (
@@ -54,16 +53,14 @@ from .serialize import (
     grid_csv,
     matrix_csv,
     moments_csv,
-    region_payload,
     write_json,
 )
 from .spectral import (
-    HypothesesNotMetError,
     classify_eigenvalue,
     eigenvector_residual,
+    first_coincidence,
     hankel_norm,
     pseudospectrum_grid,
-    spectrum_region,
 )
 from .svg import boundary_svg, heatmap_svg, region_svg
 
@@ -192,13 +189,16 @@ class ArtifactWriter:
 
 
 def _weights_from_family(family: str, n_terms: int) -> tuple[WeightSequence, float | None]:
-    """The family's first n_terms weights and their limit L = lim (n+1) a_n."""
-    name, _, param = family.partition(":")
+    """The family's first n_terms weights and their limit L = lim (n+1) a_n.
+    Only power takes a parameter, and needs it."""
+    name, colon, param = family.partition(":")
+    if name == "power":
+        s = _flag("--weights", _finite_float, param)
+        return WeightSequence.power_law(s, n_terms), operators_mod.power_law_limit(s)
+    if colon and name in ("cesaro", "leibowitz"):
+        raise ValueError(f"--weights: {name} takes no parameter, got {family!r}")
     if name == "cesaro":
         return WeightSequence.cesaro(n_terms), operators_mod.CESARO_LIMIT
-    if name == "power":
-        s = _flag("--weights", _finite_float, param or "2.0")
-        return WeightSequence.power_law(s, n_terms), operators_mod.power_law_limit(s)
     if name == "leibowitz":
         return WeightSequence.leibowitz_squares(n_terms), None
     raise ValueError(f"unknown weight family {family!r} (use cesaro, power:<s>, leibowitz)")
@@ -320,28 +320,51 @@ def _cmd_adjoint_disc(args, writer: ArtifactWriter):
     return 0, {}
 
 
+def _weight_test(weights: WeightSequence, limit: float | None):
+    """sup (n+1)|a_n|, Rhaly's bound adding sup sqrt(n(n+1))|a_n| (None without
+    L), and why region's hypotheses fail (None if they hold); its per-weight
+    temporaries are freed on return, before region draws its SVG."""
+    a = np.abs(weights.values)
+    n = np.arange(a.size)
+    sup_weight = float(((n + 1.0) * a).max())
+    bound = None if limit is None else sup_weight + float(np.max(np.sqrt(n * (n + 1.0)) * a))
+    if np.any(weights.values <= 0.0):
+        reason = "weights must be real and positive"
+    elif first_coincidence(np.sort(weights.values)[::-1]) is not None:
+        reason = "weights must be pairwise distinct"
+    elif limit is None:
+        reason = "(n+1) a_n has no limit"
+    else:
+        reason = None
+    return sup_weight, bound, reason
+
+
 @_command("region", "predicted spectral region from the weight limit",
           *_SOURCE,
           ("--n", dict(type=_at_least(1), default=256)))
 def _cmd_region(args, writer: ArtifactWriter):
+    # the predicted spectrum of a terraced operator with positive distinct
+    # weights a_n and limit L: the weights plus the closed disc |z - L| <= L,
+    # or plus {0} when L = 0
     weights, limit = _build_weights(args, args.n)
-    report = boundedness_report(weights, limit)
+    sup_weight, bound, reason = _weight_test(weights, limit)
     payload = {
-        "sup_weight": report.sup_weight,
+        "sup_weight": sup_weight,
         "limit_estimate": limit,
-        "rhaly_norm_bound": report.rhaly_norm_bound,
-        "verdict": report.verdict,
+        "rhaly_norm_bound": bound,
+        "verdict": ("TestInapplicable" if limit is None
+                    else "Bounded" if limit > 0.0 else "CompactIndicated"),
+        "hypotheses_met": reason is None,
     }
-    try:
-        region = spectrum_region(weights, limit)
+    if reason is None:
+        points = weights.values if limit else np.append(weights.values, 0.0)
+        disc = limit or None
         # written first, so that the SVG text is freed before the JSON is written
-        writer.write_text("region.svg",
-                          region_svg(region.points, region.disc_center, region.disc_radius))
-        payload["hypotheses_met"] = True
-        payload["region"] = region_payload(region)
-    except HypothesesNotMetError as exc:
-        payload["hypotheses_met"] = False
-        payload["reason"] = str(exc)
+        writer.write_text("region.svg", region_svg(points, disc))
+        payload["region"] = {"points": np.column_stack([points, np.zeros_like(points)]),
+                             "disc_center": disc, "disc_radius": disc}
+    else:
+        payload["reason"] = reason
     writer.write_json("region.json", payload)
     return 0, {}
 

@@ -23,11 +23,6 @@ DENSE_LIMIT = 8192
 #: below this size a direct Hankel multiply beats the FFT path
 FFT_THRESHOLD = 64
 
-VERDICT_BOUNDED = "Bounded"
-VERDICT_COMPACT = "CompactIndicated"
-VERDICT_INAPPLICABLE = "TestInapplicable"
-
-
 def check_dense_limit(side: int) -> None:
     """Refuse a side x side dense matrix above DENSE_LIMIT, before allocating it."""
     if side > DENSE_LIMIT:
@@ -213,32 +208,3 @@ def hankel_apply(op: HankelMomentOperator, x: np.ndarray) -> np.ndarray:
     spectrum = op._moment_spectrum * np.fft.rfft(parts[..., ::-1], length)
     y = np.fft.irfft(spectrum, length)[..., n - 1 : 2 * n - 1]
     return y[0] + 1j * y[1] if y.ndim == 2 else y
-
-
-@dataclass(frozen=True)
-class BoundednessReport:
-    """The (n+1)|a_n| boundedness test of a weight sequence with limit L.
-
-    sup_weight is the sup of (n+1)|a_n| over the weights, and
-    rhaly_norm_bound = sup_weight + sup sqrt(n(n+1))|a_n| whenever the test
-    applies.  Verdicts, read from the exact L: Bounded when L > 0,
-    CompactIndicated when L = 0, and TestInapplicable when (n+1) a_n has no
-    limit (L is None).
-    """
-
-    sup_weight: float
-    rhaly_norm_bound: float | None
-    verdict: str
-
-
-def boundedness_report(weights: WeightSequence, limit: float | None) -> BoundednessReport:
-    """The (n+1)|a_n| test over every weight of the sequence, with the
-    verdict read from its exact limit L = lim (n+1) a_n."""
-    a = np.abs(weights.values)
-    n = np.arange(a.size)
-    sup_weight = float(((n + 1.0) * a).max())
-    if limit is None:
-        return BoundednessReport(sup_weight, None, VERDICT_INAPPLICABLE)
-    norm_bound = sup_weight + float(np.max(np.sqrt(n * (n + 1.0)) * a))
-    return BoundednessReport(sup_weight, norm_bound,
-                             VERDICT_BOUNDED if limit > 0.0 else VERDICT_COMPACT)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .measures import MomentSequence
 from .numrange import ContractionResult, FovResult
-from .spectral import PseudospectrumGrid, SpectralRegion
+from .spectral import PseudospectrumGrid
 
 CHUNK = 1 << 14  # values per % operation: bounds the temporary tuple and text
 
@@ -90,14 +90,6 @@ def fov_csv(result: FovResult) -> str:
     body = _format_rows("%r,%r,%r,%r\n", result.angles, points.real, points.imag,
                         result.support_values)
     return "".join(["theta,re,im,h\n", *body])
-
-
-def region_payload(region: SpectralRegion) -> dict:
-    return {
-        "points": np.column_stack([region.points.real, region.points.imag]),
-        "disc_center": region.disc_center,
-        "disc_radius": region.disc_radius,
-    }
 
 
 def contraction_payload(result: ContractionResult) -> list[dict]:

@@ -1,4 +1,4 @@
-"""Point-spectrum classification, eigenvector construction, and spectral regions.
+"""Point-spectrum classification, eigenvector construction, and pseudospectra.
 
 For a terraced operator built from the moments (mu_n) of a positive measure
 on [0,1), the k-th moment is an eigenvalue exactly when the sequence
@@ -63,24 +63,11 @@ SLOWEST_RATIO = 0.95
 OVERFLOW_GUARD = 1e150
 
 
-class HypothesesNotMetError(ValueError):
-    """Weights are not positive/distinct or no weight limit exists."""
-
-
 @dataclass(frozen=True)
 class ClassificationVerdict:
     verdict: str
     slope: float | None
     method: str
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralRegion:
-    """A point set plus an optional closed disc |z - c| <= c on the real axis."""
-
-    points: np.ndarray
-    disc_center: float | None = None
-    disc_radius: float | None = None
 
 
 def _active_length(values: np.ndarray) -> int:
@@ -99,16 +86,22 @@ def _active_length(values: np.ndarray) -> int:
     return first
 
 
+def first_coincidence(values: np.ndarray) -> int | None:
+    """The first i with values[i] - values[i+1] <= DISTINCT_REL_GAP * values[i],
+    or None: entries of a nonincreasing array are pairwise distinct exactly
+    when no consecutive pair coincides."""
+    close = values[:-1] - values[1:] <= DISTINCT_REL_GAP * values[:-1]
+    return int(np.argmax(close)) if close.any() else None
+
+
 def _validate_moments(ms: MomentSequence) -> int:
     if ms.degenerate:
         raise ValueError("measure concentrated at 0: moments vanish past index 0")
     active = _active_length(ms.values)
     if active < 2:
         raise ValueError("need at least two positive moments")
-    vals = ms.values[:active]
-    gaps = vals[:-1] - vals[1:]
-    if np.any(gaps <= DISTINCT_REL_GAP * vals[:-1]):
-        bad = int(np.argmax(gaps <= DISTINCT_REL_GAP * vals[:-1]))
+    bad = first_coincidence(ms.values[:active])
+    if bad is not None:
         raise ValueError(
             f"moments {bad} and {bad + 1} coincide within relative gap {DISTINCT_REL_GAP}"
         )
@@ -264,25 +257,6 @@ def adjoint_eigenvector_residual(ms: MomentSequence, nu: complex, dim: int) -> f
     op = TerracedOperator(WeightSequence.from_moments(ms), dim)
     r = terraced_apply_adjoint(op, x) - x / nu
     return float(np.linalg.norm(r) / np.linalg.norm(x))
-
-
-def spectrum_region(weights: WeightSequence, limit: float | None) -> SpectralRegion:
-    """Predicted spectrum of a terraced operator with positive distinct
-    weights and weight limit L = lim (n+1) a_n: the weights plus the closed
-    disc |z - L| <= L; L = 0 degenerates to the weights plus {0}, and no
-    limit (None) fails the hypotheses."""
-    vals = weights.values
-    if np.any(vals <= 0.0):
-        raise HypothesesNotMetError("weights must be real and positive")
-    desc = np.sort(vals)[::-1]
-    gaps = desc[:-1] - desc[1:]
-    if np.any(gaps <= DISTINCT_REL_GAP * desc[:-1]):
-        raise HypothesesNotMetError("weights must be pairwise distinct")
-    if limit is None:
-        raise HypothesesNotMetError("(n+1) a_n has no limit")
-    if limit == 0.0:
-        return SpectralRegion(points=np.append(vals, 0.0))
-    return SpectralRegion(points=vals, disc_center=limit, disc_radius=limit)
 
 
 # --------------------------------------------------------------------------

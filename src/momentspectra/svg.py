@@ -90,21 +90,19 @@ def boundary_svg(points: np.ndarray) -> str:
     ])
 
 
-def region_svg(points: np.ndarray, disc_center: float | None,
-               disc_radius: float | None) -> str:
-    """Scatter of spectral points with an optional disc outline."""
+def region_svg(points: np.ndarray, disc: float | None) -> str:
+    """Scatter of spectral points with the outline of the disc |z - L| <= L,
+    L = disc, when one is given."""
     pts = np.asarray(points, dtype=complex)
-    if pts.size == 0 and disc_center is None:
+    if pts.size == 0 and disc is None:
         raise ValueError("empty data")
-    corners = ([complex(disc_center - disc_radius, -disc_radius),
-                complex(disc_center + disc_radius, disc_radius)]
-               if disc_center is not None and disc_radius is not None else [])
+    corners = [] if disc is None else [complex(0.0, -disc), complex(2.0 * disc, disc)]
     to_xy, scale = _plane_mapper(np.append(pts, corners))
     body = []
-    if disc_center is not None and disc_radius is not None:
-        cx, cy = to_xy(complex(disc_center, 0.0))
+    if disc is not None:
+        cx, cy = to_xy(complex(disc, 0.0))
         body.append(
-            f'<circle cx="{cx:.4f}" cy="{cy:.4f}" r="{disc_radius * scale:.4f}" '
+            f'<circle cx="{cx:.4f}" cy="{cy:.4f}" r="{disc * scale:.4f}" '
             f'fill="none" stroke="#c03020" stroke-width="1.5"/>\n'
         )
     body += _format_rows('<circle cx="%.4f" cy="%.4f" r="2.5" fill="#2050c0"/>\n',

@@ -195,15 +195,6 @@ def reference_matrix_csv(matrix) -> str:
     return "".join(",".join("%r+0.0i" % x for x in row) + "\n" for row in rows) or "\n"
 
 
-def region_payload_lists(region) -> dict:
-    """Reference form of serialize.region_payload: one [re, im] list per point."""
-    return {
-        "points": [[float(p.real), float(p.imag)] for p in region.points],
-        "disc_center": region.disc_center,
-        "disc_radius": region.disc_radius,
-    }
-
-
 def parse_complex(text: str) -> complex:
     """Inverse of format_complex: 're+imi' back to a complex."""
     body = text.strip()

@@ -114,8 +114,11 @@ def test_region_command_cesaro(tmp_path):
     out = tmp_path / "r"
     assert main(["region", "--weights", "cesaro", "--n", "256", "--out", str(out)]) == 0
     payload = read_json(out / "region.json")
-    assert payload["hypotheses_met"]
-    assert payload["region"]["disc_center"] == pytest.approx(1.0)
+    assert payload["hypotheses_met"] and payload["verdict"] == "Bounded"
+    assert payload["sup_weight"] == 1.0 and payload["rhaly_norm_bound"] < 2.0
+    assert payload["region"]["disc_center"] == payload["region"]["disc_radius"] == 1.0
+    # every weight sits inside the closed disc |z - 1| <= 1
+    assert all(abs(re - 1.0) <= 1.0 and im == 0.0 for re, im in payload["region"]["points"])
     svg = (out / "region.svg").read_text()
     assert svg.startswith("<svg") and "circle" in svg
 
@@ -127,7 +130,15 @@ def test_region_command_hypotheses_not_met(tmp_path):
     assert main(["region", "--weights", "leibowitz", "--n", "4096", "--out", str(out)]) == 0
     payload = read_json(out / "region.json")
     assert not payload["hypotheses_met"]
-    assert payload["verdict"] == "TestInapplicable"
+    assert payload["verdict"] == "TestInapplicable" and payload["rhaly_norm_bound"] is None
+    # zero weights off the squares: refused before the (absent) limit is read
+    assert "positive" in payload["reason"]
+    # moments 1e-13 apart coincide within DISTINCT_REL_GAP, though L = 0 exists
+    assert main(["region", "--measure", "dirac(0.9999999999999)", "--n", "8",
+                 "--out", str(out)]) == 0
+    payload = read_json(out / "region.json")
+    assert (payload["verdict"], payload["hypotheses_met"]) == ("CompactIndicated", False)
+    assert payload["reason"] == "weights must be pairwise distinct"
 
 
 @pytest.mark.parametrize("n", ["1024", "4096"])
@@ -184,13 +195,20 @@ def test_analytic_classify_below_the_fit_floor(tmp_path):
     (["--measure", "dirac(0.99)+0.01*lebesgue"], "Bounded", 0.01),
     (["--weights", "power:2"], "CompactIndicated", 0.0),
     (["--measure", "logpower(1.5)"], "CompactIndicated", 0.0),
+    # (n+1) a_n = (n+1)^(1/2) grows: no limit, so no bound and no region
+    (["--weights", "power:0.5"], "TestInapplicable", None),
+    (["--measure", "dirac(0.5)", "--n", "128"], "CompactIndicated", 0.0),
 ])
 def test_region_reads_the_exact_weight_limit(tmp_path, args, verdict, limit):
     out = tmp_path / "r"
     assert main(["region", *args, "--out", str(out)]) == 0
     payload = read_json(out / "region.json")
     assert (payload["verdict"], payload["limit_estimate"]) == (verdict, limit)
-    assert payload["hypotheses_met"]
+    if limit is None:
+        assert not payload["hypotheses_met"] and payload["rhaly_norm_bound"] is None
+        assert payload["reason"] == "(n+1) a_n has no limit"
+        return
+    assert payload["hypotheses_met"] and payload["rhaly_norm_bound"] is not None
     region = payload["region"]
     if limit:
         assert region["disc_center"] == region["disc_radius"] == limit
@@ -595,6 +613,15 @@ def test_failed_check_is_status_ok_with_its_exit_code(tmp_path):
     # (-log t)^149 overflows float64 on the mapped interval: refused, not summed as nan
     (["moments", "--measure", "logpower(150)", "--quadrature", "--n", "8"],
      2, "numeric error: adaptive quadrature integrand is not finite"),
+    # only power takes a parameter, and it has no default
+    (["region", "--weights", "cesaro:3", "--n", "8"],
+     1, "input error: --weights: cesaro takes no parameter, got 'cesaro:3'"),
+    (["region", "--weights", "leibowitz:x", "--n", "8"],
+     1, "input error: --weights: leibowitz takes no parameter, got 'leibowitz:x'"),
+    (["region", "--weights", "power", "--n", "8"],
+     1, "input error: --weights: expected a finite number, got ''"),
+    (["region", "--weights", "power:", "--n", "8"],
+     1, "input error: --weights: expected a finite number, got ''"),
 ])
 def test_failed_run_leaves_a_manifest_with_status_error(tmp_path, capsys, args, code, line):
     out = tmp_path / "err"
@@ -785,7 +812,7 @@ def test_boundary_svg_degenerate_point():
         boundary_svg(np.array([], dtype=complex))
 
 
-@pytest.mark.parametrize("render", [boundary_svg, lambda pts: region_svg(pts, None, None)])
+@pytest.mark.parametrize("render", [boundary_svg, lambda pts: region_svg(pts, None)])
 def test_plane_plots_refuse_a_nan_imaginary_part_after_the_first_point(render):
     # a nan that is not first escapes Python's min and max, so each part is checked
     with pytest.raises(ValueError, match="non-finite data"):
@@ -794,5 +821,5 @@ def test_plane_plots_refuse_a_nan_imaginary_part_after_the_first_point(render):
 
 def test_region_svg_disc_and_points():
     points = 1.0 / (np.arange(1, 6, dtype=float))
-    svg = region_svg(points.astype(complex), 1.0, 1.0)
+    svg = region_svg(points.astype(complex), 1.0)
     assert svg.count("<circle") == 6  # disc outline plus five points

@@ -17,7 +17,6 @@ from momentspectra import (
     HankelMomentOperator,
     TerracedOperator,
     WeightSequence,
-    boundedness_report,
     hankel_apply,
     moments,
     parse_measure,
@@ -25,11 +24,7 @@ from momentspectra import (
     terraced_apply_adjoint,
 )
 from momentspectra.operators import (
-    CESARO_LIMIT,
     DENSE_LIMIT,
-    VERDICT_BOUNDED,
-    VERDICT_COMPACT,
-    VERDICT_INAPPLICABLE,
     FFT_THRESHOLD,
     _fast_len,
     power_law_limit,
@@ -348,7 +343,7 @@ def test_truncation_spectrum_is_exactly_the_weights():
 
 
 # --------------------------------------------------------------------------
-# factorization and boundedness diagnostics
+# factorization
 
 def _factorization_deviation(weights: WeightSequence, dim: int) -> float:
     """Max entry of D_a C - R_a with D_a = diag((n+1) a_n): exact but for rounding."""
@@ -368,41 +363,6 @@ def test_factorization_identity_power_law():
 
 def test_factorization_identity_leibowitz():
     assert _factorization_deviation(WeightSequence.leibowitz_squares(64), 64) <= 1e-15
-
-
-def test_boundedness_cesaro():
-    report = boundedness_report(WeightSequence.cesaro(256), CESARO_LIMIT)
-    assert report.sup_weight == 1.0
-    assert report.rhaly_norm_bound < 2.0
-    assert report.verdict == VERDICT_BOUNDED
-
-
-def test_boundedness_power_law_indicates_compact():
-    report = boundedness_report(WeightSequence.power_law(2.0, 4096), power_law_limit(2.0))
-    assert report.verdict == VERDICT_COMPACT
-    assert report.rhaly_norm_bound is not None
-
-
-def test_boundedness_leibowitz_inapplicable():
-    report = boundedness_report(WeightSequence.leibowitz_squares(4096), None)
-    assert report.verdict == VERDICT_INAPPLICABLE
-    assert report.rhaly_norm_bound is None
-
-
-def test_boundedness_without_a_limit_is_inapplicable():
-    # (n+1) a_n alternates between 1 and 3: bounded, with no limit
-    n = np.arange(512)
-    values = (2.0 + (-1.0) ** n) / (n + 1.0)
-    report = boundedness_report(WeightSequence(values), None)
-    assert report.sup_weight == pytest.approx(3.0, rel=1e-15)
-    assert report.verdict == VERDICT_INAPPLICABLE
-    assert report.rhaly_norm_bound is None
-
-
-def test_boundedness_zero_weights():
-    report = boundedness_report(WeightSequence(np.zeros(64)), 0.0)
-    assert report.verdict == VERDICT_COMPACT
-    assert (report.sup_weight, report.rhaly_norm_bound) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("s, limit", [(0.5, None), (0.999, None), (1.0, 1.0), (1.001, 0.0),

@@ -22,7 +22,6 @@ from helpers import (
     terraced_from_measure,
 )
 from momentspectra import (
-    HypothesesNotMetError,
     Lebesgue,
     LogPowerDensity,
     MeasureSpec,
@@ -37,7 +36,6 @@ from momentspectra import (
     parse_measure,
     pseudospectrum_grid,
     smallest_singular_value,
-    spectrum_region,
     terraced_apply,
 )
 from momentspectra import spectral
@@ -505,38 +503,6 @@ def test_adjoint_disc_absent_for_summable_moments(tmp_path):
     assert _disc(tmp_path, "lebesgue(0.5)") is None
     assert _disc(tmp_path, "dirac(0.5)") is None
     assert _disc(tmp_path, "logpower(1.5)") is None
-
-
-def test_spectrum_region_cesaro():
-    weights = WeightSequence.cesaro(256)
-    region = spectrum_region(weights, 1.0)
-    assert region.disc_center == 1.0
-    assert region.disc_radius == 1.0
-    # every weight sits inside the closed disc
-    assert np.all(np.abs(region.points - region.disc_center) <= region.disc_radius + 1e-12)
-
-
-def test_spectrum_region_dirac_weights_degenerate_to_points():
-    weights = WeightSequence(0.5 ** np.arange(128))
-    region = spectrum_region(weights, 0.0)
-    assert region.disc_center is None
-    assert 0.0 in region.points
-    assert np.isin(0.5 ** np.arange(4), region.points).all()
-
-
-def test_spectrum_region_rejects_leibowitz():
-    # zero weights off the squares: refused before the (absent) limit is read
-    weights = WeightSequence.leibowitz_squares(256)
-    with pytest.raises(HypothesesNotMetError, match="positive"):
-        spectrum_region(weights, None)
-
-
-def test_spectrum_region_requires_a_limit():
-    n = np.arange(512)
-    weights = WeightSequence((2.0 + (-1.0) ** n) / (n + 1.0))
-    # (n+1) a_n alternates between 1 and 3: no limit
-    with pytest.raises(HypothesesNotMetError, match="no limit"):
-        spectrum_region(weights, None)
 
 
 # --------------------------------------------------------------------------
