@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import time
 
@@ -22,6 +23,7 @@ from momentspectra import (
     parse_measure,
     terraced_apply,
 )
+from momentspectra.cli import main
 from momentspectra.spectral import (
     ANALYTIC,
     FLAT_STEP,
@@ -62,6 +64,13 @@ MEASURE_SPECS = st.lists(
 
 def measure_moments(text: str, n_terms: int):
     return moments(parse_measure(text), n_terms)
+
+
+def region_json(tmp_path, *args: str) -> dict:
+    """The region.json that `region *args` writes under tmp_path."""
+    out = tmp_path / "region"
+    assert main(["region", *args, "--out", str(out)]) == 0
+    return json.loads((out / "region.json").read_text())
 
 
 def terraced_from_measure(text: str, dim: int) -> TerracedOperator:

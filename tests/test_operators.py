@@ -11,6 +11,7 @@ from helpers import (
     ns_per_apply,
     parse_complex,
     random_complex,
+    region_json,
     terraced_from_measure,
 )
 from momentspectra import (
@@ -343,7 +344,7 @@ def test_truncation_spectrum_is_exactly_the_weights():
 
 
 # --------------------------------------------------------------------------
-# factorization
+# factorization and boundedness diagnostics
 
 def _factorization_deviation(weights: WeightSequence, dim: int) -> float:
     """Max entry of D_a C - R_a with D_a = diag((n+1) a_n): exact but for rounding."""
@@ -363,6 +364,33 @@ def test_factorization_identity_power_law():
 
 def test_factorization_identity_leibowitz():
     assert _factorization_deviation(WeightSequence.leibowitz_squares(64), 64) <= 1e-15
+
+
+def test_boundedness_cesaro(tmp_path):
+    payload = region_json(tmp_path, "--weights", "cesaro", "--n", "256")
+    assert payload["sup_weight"] == 1.0
+    assert payload["rhaly_norm_bound"] < 2.0
+    assert payload["verdict"] == "Bounded"
+
+
+def test_boundedness_power_law_indicates_compact(tmp_path):
+    payload = region_json(tmp_path, "--weights", "power:2", "--n", "4096")
+    assert payload["verdict"] == "CompactIndicated"
+    assert payload["rhaly_norm_bound"] is not None
+
+
+def test_boundedness_leibowitz_inapplicable(tmp_path):
+    payload = region_json(tmp_path, "--weights", "leibowitz", "--n", "4096")
+    assert payload["verdict"] == "TestInapplicable"
+    assert payload["rhaly_norm_bound"] is None
+
+
+def test_boundedness_without_a_limit_is_inapplicable(tmp_path):
+    # (n+1) a_n = (n+1)^(1/2) grows without a limit
+    payload = region_json(tmp_path, "--weights", "power:0.5", "--n", "512")
+    assert payload["sup_weight"] == pytest.approx(math.sqrt(512), rel=1e-15)
+    assert payload["verdict"] == "TestInapplicable"
+    assert payload["rhaly_norm_bound"] is None
 
 
 @pytest.mark.parametrize("s, limit", [(0.5, None), (0.999, None), (1.0, 1.0), (1.001, 0.0),

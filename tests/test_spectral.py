@@ -19,6 +19,7 @@ from helpers import (
     measure_moments,
     measure_text,
     reference_classification,
+    region_json,
     terraced_from_measure,
 )
 from momentspectra import (
@@ -503,6 +504,35 @@ def test_adjoint_disc_absent_for_summable_moments(tmp_path):
     assert _disc(tmp_path, "lebesgue(0.5)") is None
     assert _disc(tmp_path, "dirac(0.5)") is None
     assert _disc(tmp_path, "logpower(1.5)") is None
+
+
+def test_spectrum_region_cesaro(tmp_path):
+    region = region_json(tmp_path, "--weights", "cesaro", "--n", "256")["region"]
+    assert region["disc_center"] == 1.0
+    assert region["disc_radius"] == 1.0
+    # every weight sits inside the closed disc
+    assert all(abs(complex(re, im) - 1.0) <= 1.0 for re, im in region["points"])
+
+
+def test_spectrum_region_dirac_weights_degenerate_to_points(tmp_path):
+    region = region_json(tmp_path, "--measure", "dirac(0.5)", "--n", "128")["region"]
+    assert region["disc_center"] is None
+    assert [0.0, 0.0] in region["points"]
+    assert all([0.5 ** k, 0.0] in region["points"] for k in range(4))
+
+
+def test_spectrum_region_rejects_leibowitz(tmp_path):
+    # zero weights off the squares: refused before the (absent) limit is read
+    payload = region_json(tmp_path, "--weights", "leibowitz", "--n", "256")
+    assert not payload["hypotheses_met"]
+    assert "positive" in payload["reason"]
+
+
+def test_spectrum_region_requires_a_limit(tmp_path):
+    # (n+1) a_n = (n+1)^(1/2) grows: no limit
+    payload = region_json(tmp_path, "--weights", "power:0.5", "--n", "512")
+    assert not payload["hypotheses_met"] and "region" not in payload
+    assert payload["reason"] == "(n+1) a_n has no limit"
 
 
 # --------------------------------------------------------------------------
