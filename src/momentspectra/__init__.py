@@ -41,11 +41,9 @@ from .spectral import (
     smallest_singular_value,
 )
 from .numrange import (
-    ContractionResult,
     FovResult,
     contraction_check,
     fov_boundary,
-    spectral_norm,
 )
 from .invariance import (
     cesaro_adjoint_integral_check,

@@ -47,19 +47,13 @@ from .operators import (
     WeightSequence,
     check_dense_limit,
 )
-from .serialize import (
-    contraction_payload,
-    fov_csv,
-    grid_csv,
-    matrix_csv,
-    moments_csv,
-    write_json,
-)
+from .serialize import fov_csv, grid_csv, matrix_csv, moments_csv, write_json
 from .spectral import (
     classify_eigenvalue,
     eigenvector_residual,
     first_coincidence,
     hankel_norm,
+    normal_prefix,
     pseudospectrum_grid,
 )
 from .svg import boundary_svg, heatmap_svg, region_svg
@@ -68,12 +62,16 @@ HILBERT_NORM_BOUND = 3.1416
 #: invariance's kernel-span check needs as many truncated dimensions as locations
 KERNEL_LOCATIONS = 8
 #: the gates of the checks, fixed so that no run sets its own; each
-#: manifest's `tolerances` records the one its command used
+#: manifest's `tolerances` records the ones its command applied
 RESIDUAL_TOL = 1e-8
 CONTRACTION_TOL = 1e-9
 RHP_TOL = 1e-10
 INTEGRAL_TOL = 1e-11
 COLUMN_TOL = 1e-12
+SEMIGROUP_TOL = 1e-13
+TERRACED_DEFECT_TOL = 1e-15
+#: the Hankel monomial defect must exceed this floor: no monomial is invariant
+HANKEL_DEFECT_FLOOR = 1e-12
 #: invariance checks the monomials t^k for k up to this
 MONOMIAL_K_MAX = 8
 
@@ -269,13 +267,14 @@ def _cmd_classify(args, writer: ArtifactWriter):
     rows = [{"k": k, "mu_k": float(ms.values[k]), **asdict(verdict)}
             for k, verdict in zip(ks, verdicts)]
     writer.write_json("verdicts.json", rows)
-    return 0, {
+    # the settle constants gate only the numeric chords
+    settle = {} if args.method == "analytic" else {
         "l2_margin": spectral_mod.L2_MARGIN,
         "geometric_step": spectral_mod.GEOMETRIC_STEP,
         "flat_step": spectral_mod.FLAT_STEP,
         "slowest_ratio": spectral_mod.SLOWEST_RATIO,
-        "distinct_rel_gap": spectral_mod.DISTINCT_REL_GAP,
     }
+    return 0, {**settle, "distinct_rel_gap": spectral_mod.DISTINCT_REL_GAP}
 
 
 @_command("eigencheck", "eigenvector residuals",
@@ -328,7 +327,10 @@ def _weight_test(weights: WeightSequence, limit: float | None):
     n = np.arange(a.size)
     sup_weight = float(((n + 1.0) * a).max())
     bound = None if limit is None else sup_weight + float(np.max(np.sqrt(n * (n + 1.0)) * a))
-    if np.any(weights.values <= 0.0):
+    tail = normal_prefix(weights.values)
+    if tail and tail < a.size:
+        reason = f"weights underflow below the normal range from index {tail}"
+    elif np.any(weights.values <= 0.0):
         reason = "weights must be real and positive"
     elif first_coincidence(np.sort(weights.values)[::-1]) is not None:
         reason = "weights must be pairwise distinct"
@@ -412,18 +414,21 @@ def _cmd_fov(args, writer: ArtifactWriter):
 
 
 @_command("contraction", "semigroup contraction norms",
-          *_OPERATOR,
+          _MEASURE,
           ("--dim", dict(type=_at_least(1), default=64)),
           ("--taus", dict(default="0.1,1,10")),
           ("--shift", dict(type=_finite_float, default=0.0,
                            help="check A - shift*I instead (negative control)")))
 def _cmd_contraction(args, writer: ArtifactWriter):
-    matrix = _build_operator(args, args.dim).dense()
+    weights = WeightSequence.from_moments(moments(parse_measure(args.measure), args.dim))
+    matrix = TerracedOperator(weights, args.dim).dense()
     if args.shift:
         matrix = matrix - args.shift * np.eye(args.dim)
-    result = contraction_check(matrix, _parse_floats("--taus", args.taus))
-    writer.write_json("contraction.json", contraction_payload(result))
-    code = 0 if result.max_norm <= 1.0 + CONTRACTION_TOL else 2
+    taus = _parse_floats("--taus", args.taus)
+    norms = contraction_check(matrix, taus)
+    writer.write_json("contraction.json",
+                      [{"tau": tau, "norm": norm} for tau, norm in zip(taus, norms.tolist())])
+    code = 0 if norms.max() <= 1.0 + CONTRACTION_TOL else 2
     return code, {"contraction_tol": CONTRACTION_TOL}
 
 
@@ -449,7 +454,7 @@ def _cmd_invariance(args, writer: ArtifactWriter):
     left = composition_matrix_phi(s_t[0], args.dim) @ composition_matrix_phi(s_t[1], args.dim)
     dev = float(np.max(np.abs(left - composition_matrix_phi(s_t[0] + s_t[1], args.dim))))
     record("composition-semigroup", {"s": s_t[0], "t": s_t[1], "dim": args.dim},
-           dev, 1e-13, dev <= 1e-13)
+           dev, SEMIGROUP_TOL, dev <= SEMIGROUP_TOL)
 
     dev = cesaro_adjoint_integral_check(args.dim)
     record("cesaro-adjoint-integral", {"dim": args.dim}, dev, INTEGRAL_TOL, dev <= INTEGRAL_TOL)
@@ -464,12 +469,12 @@ def _cmd_invariance(args, writer: ArtifactWriter):
     worst = max(monomial_invariance_check(terraced, k)
                 for k in range(min(MONOMIAL_K_MAX, args.dim - 1) + 1))
     record("terraced-monomial-defect", {"k_max": MONOMIAL_K_MAX, "measure": args.measure},
-           worst, 1e-15, worst <= 1e-15)
+           worst, TERRACED_DEFECT_TOL, worst <= TERRACED_DEFECT_TOL)
 
     hankel = HankelMomentOperator.from_moments(ms, args.dim).dense()
     defect = monomial_invariance_check(hankel, 1)
     record("hankel-monomial-defect", {"k": 1, "measure": args.measure},
-           defect, 1e-12, defect > 1e-12)
+           defect, HANKEL_DEFECT_FLOOR, defect > HANKEL_DEFECT_FLOOR)
 
     locations = list(np.linspace(0.0, 0.9, KERNEL_LOCATIONS))
     rank = kernel_span_rank(locations, args.dim)
@@ -478,7 +483,9 @@ def _cmd_invariance(args, writer: ArtifactWriter):
 
     writer.write_json("invariance.json", checks)
     code = 0 if all(c["pass"] for c in checks) else 2
-    return code, {"integral_tol": INTEGRAL_TOL}
+    return code, {"semigroup_tol": SEMIGROUP_TOL, "integral_tol": INTEGRAL_TOL,
+                  "terraced_defect_tol": TERRACED_DEFECT_TOL,
+                  "hankel_defect_floor": HANKEL_DEFECT_FLOOR}
 
 
 @_command("hilbert", "Hilbert-matrix column identities and norm growth",
@@ -520,7 +527,7 @@ def _cmd_hilbert(args, writer: ArtifactWriter):
     }
     writer.write_json("hilbert.json", payload)
     code = 0 if ok and nondecreasing and within_bound else 2
-    return code, {"column_tol": COLUMN_TOL}
+    return code, {"column_tol": COLUMN_TOL, "norm_bound": HILBERT_NORM_BOUND}
 
 
 def build_parser() -> _Parser:

@@ -143,18 +143,6 @@ def _terraced_support(m: np.ndarray, angles: np.ndarray):
     return support, vectors, min_real
 
 
-def spectral_norm(matrix: np.ndarray) -> float:
-    """Spectral norm ||A||_2: the largest singular value, exact to rounding."""
-    return float(np.linalg.norm(matrix, 2))
-
-
-@dataclass(frozen=True, eq=False)
-class ContractionResult:
-    taus: np.ndarray
-    norms: np.ndarray
-    max_norm: float
-
-
 #: Pade [13/13] numerator coefficients b_0..b_13, and the 1-norm bound theta_13
 #: up to which its backward error is at most the unit roundoff (Higham 2005)
 _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
@@ -186,9 +174,10 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def contraction_check(matrix: np.ndarray, taus) -> ContractionResult:
-    """||exp(-tau A)|| for each tau, via the scaling-and-squaring matrix
-    exponential (`_expm`) and the exact spectral norm; reports the max."""
+def contraction_check(matrix: np.ndarray, taus) -> np.ndarray:
+    """||exp(-tau A)||_2 for each tau, as a float64 array: the
+    scaling-and-squaring matrix exponential (`_expm`) and its largest
+    singular value."""
     taus = np.asarray(list(taus), dtype=float)
     if taus.size == 0:
         raise ValueError("need at least one tau")
@@ -202,5 +191,5 @@ def contraction_check(matrix: np.ndarray, taus) -> ContractionResult:
             exp_m = _expm(-tau * m)
         if not np.all(np.isfinite(exp_m)):
             raise OverflowError(f"matrix exponential overflowed at tau={tau}")
-        norms[i] = spectral_norm(exp_m)
-    return ContractionResult(taus=taus, norms=norms, max_norm=float(norms.max()))
+        norms[i] = np.linalg.norm(exp_m, 2)
+    return norms

@@ -20,7 +20,7 @@ import os
 import numpy as np
 
 from .measures import MomentSequence
-from .numrange import ContractionResult, FovResult
+from .numrange import FovResult
 from .spectral import PseudospectrumGrid
 
 CHUNK = 1 << 14  # values per % operation: bounds the temporary tuple and text
@@ -90,13 +90,6 @@ def fov_csv(result: FovResult) -> str:
     body = _format_rows("%r,%r,%r,%r\n", result.angles, points.real, points.imag,
                         result.support_values)
     return "".join(["theta,re,im,h\n", *body])
-
-
-def contraction_payload(result: ContractionResult) -> list[dict]:
-    return [
-        {"tau": float(tau), "norm": float(norm)}
-        for tau, norm in zip(result.taus, result.norms)
-    ]
 
 
 def _array_layout(shape: tuple, level: int) -> str:

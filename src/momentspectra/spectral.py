@@ -70,20 +70,25 @@ class ClassificationVerdict:
     method: str
 
 
+def normal_prefix(values: np.ndarray) -> int | None:
+    """Length of the prefix of positive normal floats when no normal float
+    follows it, so that the rest is an underflow tail; None otherwise."""
+    normal = values >= np.finfo(float).tiny
+    first = normal.size if normal.all() else int(np.argmin(normal))
+    return None if normal[first:].any() else first
+
+
 def _active_length(values: np.ndarray) -> int:
     """Length of the prefix of normal floats; the rest must be an underflow
     tail of subnormals and zeros.  A subnormal moment keeps too few bits for
     its neighbours to be told apart: 0.75^n repeats values before n = 4096."""
     if np.any(values < 0.0):
         raise ValueError("moments must be nonnegative")
-    normal = values >= np.finfo(float).tiny
-    if normal.all():
-        return values.size
-    first = int(np.argmin(normal))
-    if normal[first:].any():
+    active = normal_prefix(values)
+    if active is None:
         raise ValueError("moments must be nonincreasing: an underflowed entry before a "
                          "normal one")
-    return first
+    return active
 
 
 def first_coincidence(values: np.ndarray) -> int | None:

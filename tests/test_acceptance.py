@@ -25,7 +25,6 @@ from momentspectra import (
     monomial_invariance_check,
     parse_measure,
     rhaly_adjoint_integral_check,
-    spectral_norm,
     terraced_apply,
     terraced_apply_adjoint,
 )
@@ -100,9 +99,9 @@ def test_06_contraction_semigroups():
     taus = [0.1, 1.0, 10.0]
     worst = 0.0
     for name, matrix in rhp_catalog_matrices(64).items():
-        result = contraction_check(matrix, taus)
-        worst = max(worst, result.max_norm)
-        assert result.max_norm <= 1.0 + 1e-9, name
+        norms = contraction_check(matrix, taus)
+        worst = max(worst, norms.max())
+        assert norms.max() <= 1.0 + 1e-9, name
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     _report(6, f"max ||exp(-tau A)|| over catalog = {worst:.12f} in {elapsed:.2f}s")
@@ -181,7 +180,7 @@ def test_11_hilbert_norm_growth():
     norms = []
     for n in (64, 128, 256):
         matrix = hankel_from_measure("lebesgue", n).dense()
-        norms.append(spectral_norm(matrix))
+        norms.append(np.linalg.norm(matrix, 2))
     assert all(a <= b for a, b in zip(norms, norms[1:]))
     assert all(norm <= 3.1416 for norm in norms)
     _report(11, f"hilbert norms {[f'{v:.6f}' for v in norms]} nondecreasing, below 3.1416")

@@ -134,6 +134,20 @@ def test_region_command_hypotheses_not_met(tmp_path):
     payload = read_json(out / "region.json")
     assert (payload["verdict"], payload["hypotheses_met"]) == ("CompactIndicated", False)
     assert payload["reason"] == "weights must be pairwise distinct"
+    # a positive normal run of weights followed by subnormals or zeros is an
+    # underflow, not a sign error; 0.5^n leaves the normal range at n = 1023
+    for source, n, first in ((["--measure", "dirac(0.5)"], "1024", 1023),
+                             (["--measure", "dirac(0.5)"], "1076", 1023),
+                             (["--weights", "power:1000"], "8", 2)):
+        assert main(["region", *source, "--n", n, "--out", str(out)]) == 0
+        payload = read_json(out / "region.json")
+        assert not payload["hypotheses_met"]
+        assert payload["reason"] == f"weights underflow below the normal range from index {first}"
+    assert main(["region", "--measure", "dirac(0.5)", "--n", "1023", "--out", str(out)]) == 0
+    assert read_json(out / "region.json")["hypotheses_met"]
+    # the sparse squares' zeros come before normal weights: a sign error
+    assert main(["region", "--weights", "leibowitz", "--n", "8", "--out", str(out)]) == 0
+    assert read_json(out / "region.json")["reason"] == "weights must be real and positive"
 
 
 @pytest.mark.parametrize("n", ["1024", "4096"])
@@ -348,14 +362,6 @@ def test_hankel_eigensolver_failure_exits_two_with_one_line(tmp_path, capsys, mo
     assert capsys.readouterr().err == "numeric error: Eigenvalues did not converge\n"
 
 
-def test_hankel_contraction_overflow_exits_two_with_one_line(tmp_path, capsys):
-    # exp(-1e6 (H - 5I)) overflows for the symmetric Hankel matrix as for a terraced one
-    code = main(["contraction", "--kind", "hankel", "--measure", "lebesgue", "--dim", "64",
-                 "--taus", "1e6", "--shift", "5", "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert capsys.readouterr().err == "numeric error: matrix exponential overflowed at tau=1000000.0\n"
-
-
 def test_import_loads_no_scipy():
     # _lapack loads scipy's routines at their first lookup, not at import, so
     # start-up pays for numpy alone
@@ -381,7 +387,6 @@ def test_commands_load_only_the_compiled_routines(tmp_path):
              "--dim", "8"],
             ["fov", "--measure", "lebesgue", "--dim", "8", "--angles", "8"],
             ["contraction", "--measure", "lebesgue", "--dim", "8"],
-            ["contraction", "--kind", "hankel", "--measure", "lebesgue", "--dim", "8"],
             ["hilbert", "--max-index", "2", "--dims", "4,8"]]
     probe = ("import sys\n"
              "from momentspectra import cli\n"
@@ -569,6 +574,31 @@ def test_manifest_written_last_and_lists_everything(tmp_path):
     assert environment["blas"].keys() == {"numpy", "scipy"}
 
 
+def test_manifest_records_every_gate_its_run_applied(tmp_path):
+    def tolerances(args):
+        out = tmp_path / args[0] / str(len(args))
+        assert main(args + ["--out", str(out)]) == 0
+        return read_json(out / "manifest.json")["tolerances"], out
+
+    recorded, out = tolerances(["invariance", "--measure", "lebesgue", "--dim", "8"])
+    assert recorded == {"semigroup_tol": cli.SEMIGROUP_TOL, "integral_tol": cli.INTEGRAL_TOL,
+                        "terraced_defect_tol": cli.TERRACED_DEFECT_TOL,
+                        "hankel_defect_floor": cli.HANKEL_DEFECT_FLOOR}
+    # every tolerance a row was checked against, but the kernel rank's location count
+    rows = read_json(out / "invariance.json")
+    assert {row["tolerance"] for row in rows[:-1]} == set(recorded.values())
+    recorded, _ = tolerances(["hilbert", "--max-index", "2", "--dims", "4,8"])
+    assert recorded == {"column_tol": cli.COLUMN_TOL, "norm_bound": cli.HILBERT_NORM_BOUND}
+    # the settle constants gate only the numeric chords
+    recorded, _ = tolerances(["classify", "--measure", "lebesgue", "--k", "0", "--n", "64"])
+    assert recorded == {"distinct_rel_gap": spectral.DISTINCT_REL_GAP}
+    recorded, _ = tolerances(["classify", "--measure", "lebesgue", "--k", "0", "--n", "64",
+                              "--method", "numeric"])
+    assert recorded == {"l2_margin": spectral.L2_MARGIN, "geometric_step": spectral.GEOMETRIC_STEP,
+                        "flat_step": spectral.FLAT_STEP, "slowest_ratio": spectral.SLOWEST_RATIO,
+                        "distinct_rel_gap": spectral.DISTINCT_REL_GAP}
+
+
 def test_failed_check_is_status_ok_with_its_exit_code(tmp_path):
     # the handler ran to the end; only its contraction gate failed
     out = tmp_path / "neg"
@@ -703,6 +733,9 @@ def test_non_finite_or_out_of_range_number_is_an_input_error(tmp_path, capsys, a
     (["moments", "--measure", "lebesgue", "--n", "4", "--config", "run.conf"],
      "--config run.conf"),
     (["fov", "--measure", "lebesgue", "--config=run.conf"], "--config=run.conf"),
+    # contraction builds the terraced matrix of --measure and takes no other source
+    (["contraction", "--measure", "lebesgue", "--weights", "cesaro"], "--weights cesaro"),
+    (["contraction", "--measure", "lebesgue", "--kind", "hankel"], "--kind hankel"),
 ])
 def test_no_run_sets_its_own_gate(tmp_path, capsys, args, rest):
     # every gate is a fixed constant of cli, recorded in the manifest's tolerances

@@ -61,10 +61,10 @@ UNSET_OPTIONS = {
                           "at the default MOMENT_TOL the per-term share falls below the "
                           "rounding floor, so --quadrature stalls on 120*lebesgue and runs "
                           "at --tol 1e-9; it goes with the quadrature path (ROADMAP item 4)",
-    ("region", "--measure"): "an operator source shared through _SOURCE",
-    ("fov", "--weights"): "an operator source shared through _OPERATOR",
-    ("contraction", "--weights"): "an operator source shared through _OPERATOR",
-    ("contraction", "--kind"): "an operator source shared through _OPERATOR",
+    ("region", "--measure"): "the moment weights of a measure, which ROADMAP item 11 gives "
+                             "traffic when region writes both discs of --measure",
+    ("fov", "--weights"): "the weight families, which ROADMAP item 7 gives traffic through "
+                          "its power:2 negative control of the self-commutator",
 }
 
 
@@ -93,6 +93,8 @@ def test_every_option_is_set_by_a_benchmark_job():
                    for job in jobs if "argv" in job
                    for arg in job["argv"][1:] + ["--out"] if arg.startswith("--")}
     assert _parser_options() - set_by_jobs == set(UNSET_OPTIONS)
+    # contraction builds the terraced matrix of --measure: no other source comes back
+    assert {("contraction", "--weights"), ("contraction", "--kind")}.isdisjoint(_parser_options())
 
 
 def _json_writers(path: Path) -> list[str]:
