@@ -46,7 +46,6 @@ from .numrange import (
     fov_boundary,
 )
 from .invariance import (
-    cesaro_adjoint_integral_check,
     composition_matrix_phi,
     hilbert_column_check,
     kernel_span_rank,

@@ -23,10 +23,8 @@ import numpy as np
 
 from . import __version__, _lapack
 from . import measures as measures_mod
-from . import operators as operators_mod
 from . import spectral as spectral_mod
 from .invariance import (
-    cesaro_adjoint_integral_check,
     composition_matrix_phi,
     hilbert_column_check,
     kernel_span_rank,
@@ -42,6 +40,7 @@ from .measures import (
 )
 from .numrange import contraction_check, fov_boundary
 from .operators import (
+    DENSE_LIMIT,
     HankelMomentOperator,
     TerracedOperator,
     WeightSequence,
@@ -187,16 +186,19 @@ class ArtifactWriter:
 
 
 def _weights_from_family(family: str, n_terms: int) -> tuple[WeightSequence, float | None]:
-    """The family's first n_terms weights and their limit L = lim (n+1) a_n.
+    """The family's first n_terms weights and their limit L = lim (n+1) a_n:
+    1 for cesaro; lim (n+1)^(1-s) for power:s, which is 1 at s = 1, 0 above
+    and None below, where (n+1) a_n grows without bound; None for leibowitz.
     Only power takes a parameter, and needs it."""
     name, colon, param = family.partition(":")
     if name == "power":
         s = _flag("--weights", _finite_float, param)
-        return WeightSequence.power_law(s, n_terms), operators_mod.power_law_limit(s)
+        limit = None if s < 1.0 else 1.0 if s == 1.0 else 0.0
+        return WeightSequence.power_law(s, n_terms), limit
     if colon and name in ("cesaro", "leibowitz"):
         raise ValueError(f"--weights: {name} takes no parameter, got {family!r}")
     if name == "cesaro":
-        return WeightSequence.cesaro(n_terms), operators_mod.CESARO_LIMIT
+        return WeightSequence.cesaro(n_terms), 1.0
     if name == "leibowitz":
         return WeightSequence.leibowitz_squares(n_terms), None
     raise ValueError(f"unknown weight family {family!r} (use cesaro, power:<s>, leibowitz)")
@@ -206,18 +208,16 @@ def _build_weights(args, n_terms: int) -> tuple[WeightSequence, float | None]:
     """The weights of --weights or of --measure's moments, and their limit L."""
     if args.weights:
         return _weights_from_family(args.weights, n_terms)
-    if args.measure:
-        spec = parse_measure(args.measure)
-        return WeightSequence.from_moments(moments(spec, n_terms)), spec.weight_limit()
+    if args.spec is not None:
+        return WeightSequence(moments(args.spec, n_terms).values), args.spec.weight_limit()
     raise ValueError("provide --measure or --weights")
 
 
 def _build_operator(args, dim: int):
     if args.kind == "hankel":
-        if not args.measure:
+        if args.spec is None:
             raise ValueError("a hankel operator needs --measure")
-        ms = moments(parse_measure(args.measure), 2 * dim - 1)
-        return HankelMomentOperator.from_moments(ms, dim)
+        return HankelMomentOperator.from_moments(moments(args.spec, 2 * dim - 1), dim)
     return TerracedOperator(_build_weights(args, dim)[0], dim)
 
 
@@ -246,9 +246,8 @@ _OPERATOR = _SOURCE + (("--kind", dict(choices=("terraced", "hankel"), default="
           ("--quadrature", dict(action="store_true", help="force the adaptive-quadrature path")),
           ("--tol", dict(type=_tolerance, default=measures_mod.MOMENT_TOL)))
 def _cmd_moments(args, writer: ArtifactWriter):
-    spec = parse_measure(args.measure)
     method = "quadrature" if args.quadrature else "closed"
-    ms = moments(spec, args.n, method=method, tol=args.tol)
+    ms = moments(args.spec, args.n, method=method, tol=args.tol)
     writer.write_text("moments.csv", moments_csv(ms))
     return 0, {"moment_tol": args.tol}
 
@@ -259,10 +258,9 @@ def _cmd_moments(args, writer: ArtifactWriter):
           ("--n", dict(type=_at_least(1), default=4096)),
           ("--method", dict(choices=("analytic", "numeric"), default="analytic")))
 def _cmd_classify(args, writer: ArtifactWriter):
-    spec = parse_measure(args.measure)
-    ms = moments(spec, args.n)
+    ms = moments(args.spec, args.n)
     ks = _parse_index_range("--k", args.k)
-    verdicts = classify_eigenvalue(ms, spec.weight_limit(), ks, args.method)
+    verdicts = classify_eigenvalue(ms, args.spec.weight_limit(), ks, args.method)
     # each row is {k, mu_k, verdict, slope, method}
     rows = [{"k": k, "mu_k": float(ms.values[k]), **asdict(verdict)}
             for k, verdict in zip(ks, verdicts)]
@@ -283,13 +281,12 @@ def _cmd_classify(args, writer: ArtifactWriter):
           ("--dim", dict(type=_at_least(1), default=400)),
           ("--embed", dict(type=_at_least(1), default=1)))
 def _cmd_eigencheck(args, writer: ArtifactWriter):
-    spec = parse_measure(args.measure)
     ks = _parse_index_range("--k", args.k)
     # the range's first refused index, refused before the first residual
     first_bad = ks[0] if not 0 <= ks[0] < args.dim else args.dim
     if first_bad in ks:
         raise ValueError(f"index {first_bad} out of range for dim {args.dim}")
-    ms = moments(spec, args.embed * args.dim)
+    ms = moments(args.spec, args.embed * args.dim)
     rows = []
     worst = 0.0
     for k in ks:
@@ -305,14 +302,13 @@ def _cmd_eigencheck(args, writer: ArtifactWriter):
           _MEASURE,
           ("--n", dict(type=_at_least(measures_mod.LADDER_MIN_TERMS), default=4096)))
 def _cmd_adjoint_disc(args, writer: ArtifactWriter):
-    spec = parse_measure(args.measure)
-    limit = spec.weight_limit()
+    limit = args.spec.weight_limit()
     # with s_n = L log n + O(1), exp(-(1+eps) gamma s_n) is summable exactly
     # for gamma >= 1/L, so the disc has centre and radius L; L = 0 has none
     payload = {
         "beta": limit,
         "bounded": limit == 0.0,
-        "beta_octaves": octave_ladder(moments(spec, args.n), args.n - 1)[1].tolist(),
+        "beta_octaves": octave_ladder(moments(args.spec, args.n), args.n - 1)[1].tolist(),
         "disc": None if limit == 0.0 else {"center": limit, "radius": limit},
     }
     writer.write_json("adjoint_disc.json", payload)
@@ -403,7 +399,7 @@ def _cmd_fov(args, writer: ArtifactWriter):
     writer.write_text("fov.csv", fov_csv(result))
     writer.write_text("fov.svg", boundary_svg(result.boundary_points))
     payload = {
-        "dim": result.dim,
+        "dim": args.dim,
         "n_angles": args.angles,
         "min_real_part": result.min_real_part,
         "hermitian_min_eig": result.min_real_part,
@@ -420,7 +416,7 @@ def _cmd_fov(args, writer: ArtifactWriter):
           ("--shift", dict(type=_finite_float, default=0.0,
                            help="check A - shift*I instead (negative control)")))
 def _cmd_contraction(args, writer: ArtifactWriter):
-    weights = WeightSequence.from_moments(moments(parse_measure(args.measure), args.dim))
+    weights = WeightSequence(moments(args.spec, args.dim).values)
     matrix = TerracedOperator(weights, args.dim).dense()
     if args.shift:
         matrix = matrix - args.shift * np.eye(args.dim)
@@ -436,7 +432,6 @@ def _cmd_contraction(args, writer: ArtifactWriter):
           _MEASURE,
           ("--dim", dict(type=_at_least(KERNEL_LOCATIONS), default=32)))
 def _cmd_invariance(args, writer: ArtifactWriter):
-    spec = parse_measure(args.measure)
     checks = []
 
     def record(check: str, params: dict, value: float, tolerance: float, passed: bool):
@@ -456,11 +451,11 @@ def _cmd_invariance(args, writer: ArtifactWriter):
     record("composition-semigroup", {"s": s_t[0], "t": s_t[1], "dim": args.dim},
            dev, SEMIGROUP_TOL, dev <= SEMIGROUP_TOL)
 
-    dev = cesaro_adjoint_integral_check(args.dim)
+    dev = rhaly_adjoint_integral_check(WeightSequence.cesaro(args.dim), args.dim)
     record("cesaro-adjoint-integral", {"dim": args.dim}, dev, INTEGRAL_TOL, dev <= INTEGRAL_TOL)
 
-    ms = moments(spec, 2 * args.dim - 1)
-    weights = WeightSequence.from_moments(ms)
+    ms = moments(args.spec, 2 * args.dim - 1)
+    weights = WeightSequence(ms.values)
     dev = rhaly_adjoint_integral_check(weights, args.dim)
     record("rhaly-adjoint-integral", {"dim": args.dim, "measure": args.measure},
            dev, INTEGRAL_TOL, dev <= INTEGRAL_TOL)
@@ -492,7 +487,7 @@ def _cmd_invariance(args, writer: ArtifactWriter):
           ("--max-index", dict(type=_at_least(0), default=16)),
           ("--dims", dict(default="64,128,256")))
 def _cmd_hilbert(args, writer: ArtifactWriter):
-    limit = operators_mod.DENSE_LIMIT
+    limit = DENSE_LIMIT
     largest = (limit - 1) // 2  # Bernstein table side 2 max-index + 1
     if args.max_index > largest:
         raise ValueError(f"--max-index {args.max_index} exceeds {largest} (dense limit)")
@@ -500,19 +495,16 @@ def _cmd_hilbert(args, writer: ArtifactWriter):
     dims = _parse_ints("--dims", args.dims)
     if not (all(a < b for a, b in zip(dims, dims[1:])) and 1 <= dims[0] and dims[-1] <= limit):
         raise ValueError(f"--dims {args.dims} must increase strictly, each entry in 1..{limit}")
-    dim = args.max_index + 1
-    columns = []
-    ok = True
-    for n in range(dim):
-        deviation = hilbert_column_check(n, dim)
-        passed = deviation <= COLUMN_TOL
-        ok = ok and passed
-        columns.append({"n": n, "deviation": deviation, "pass": passed})
+    deviations = hilbert_column_check(args.max_index + 1).tolist()
+    columns = [{"n": n, "deviation": deviation, "pass": deviation <= COLUMN_TOL}
+               for n, deviation in enumerate(deviations)]
+    ok = all(column["pass"] for column in columns)
     norms = []
     previous = 0.0
     nondecreasing = True
+    # the Hilbert matrix of each dim d reads the first 2d - 1 of these moments
+    ms = moments(parse_measure("lebesgue"), 2 * dims[-1] - 1)
     for d in dims:
-        ms = moments(parse_measure("lebesgue"), 2 * d - 1)
         norm = hankel_norm(HankelMomentOperator.from_moments(ms, d))
         nondecreasing = nondecreasing and norm >= previous
         previous = norm
@@ -549,6 +541,11 @@ def run(argv: list[str]) -> int:
     inputs = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
     start = time.perf_counter()
     try:
+        # --measure is parsed here alone, so its errors come first; every
+        # handler and builder reads the spec
+        args.spec = None if getattr(args, "measure", None) is None else parse_measure(args.measure)
+        if args.spec is not None and getattr(args, "weights", None) is not None:
+            raise ValueError("give --measure or --weights, not both")
         code, tolerances = handler(args, writer)
     except _REPORTED as exc:
         wall_ms = int((time.perf_counter() - start) * 1000)

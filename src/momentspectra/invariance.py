@@ -73,13 +73,6 @@ def _bernstein_integrals(degree: int) -> np.ndarray:
     return integrals
 
 
-def cesaro_adjoint_integral_check(dim: int) -> float:
-    """Max deviation between the integral of e^{-t} C_{phi_t} over t >= 0 and
-    the adjoint Cesaro matrix (entries 1/(n+1) for m <= n): the Rhaly check
-    with the Cesaro weights a_n = 1/(n+1), for which D is the identity."""
-    return rhaly_adjoint_integral_check(WeightSequence.cesaro(dim), dim)
-
-
 def rhaly_adjoint_integral_check(weights: WeightSequence, dim: int) -> float:
     """Max deviation between the integral of e^{-t} C_{phi_t} D applied first
     (D = diag((n+1) a_n)) and the transpose of the real terraced matrix.
@@ -133,11 +126,12 @@ def kernel_span_rank(locations, dim: int) -> int:
     return int(np.sum(singular >= RANK_REL_THRESHOLD * singular[0]))
 
 
-def hilbert_column_check(n: int, dim: int) -> float:
-    """Max deviation over m < dim between the integral over t of the
-    weighted-composition column expansion C(n+m, m) t^n (1-t)^m, the
-    Bernstein polynomial b_{n,n+m}(t), and the Hankel entries 1/(n+m+1)."""
-    if not 0 <= n < dim:
-        raise ValueError(f"column {n} out of range for dim {dim}")
-    integrals = _bernstein_integrals(2 * dim - 2)[n, n : n + dim]
-    return float(np.max(np.abs(integrals - 1.0 / (n + np.arange(dim) + 1.0))))
+def hilbert_column_check(dim: int) -> np.ndarray:
+    """Per column n < dim, the max deviation over m < dim between the integral
+    over t of the weighted-composition column expansion C(n+m, m) t^n (1-t)^m,
+    the Bernstein polynomial b_{n,n+m}(t), and the Hankel entry 1/(n+m+1).
+    Entry (n, n+m) of the cached Bernstein table is that integral."""
+    n = np.arange(dim)[:, None]
+    index = n + np.arange(dim)  # n + m
+    integrals = _bernstein_integrals(2 * dim - 2)[n, index]
+    return np.max(np.abs(integrals - 1.0 / (index + 1.0)), axis=1)

@@ -44,7 +44,7 @@ from .spectral import _tridiagonal_eigenpairs
 
 @dataclass(frozen=True, eq=False)
 class FovResult:
-    """Support-function samples of the numerical range at dimension dim.
+    """Support-function samples of the numerical range.
 
     boundary_points[j] = <A v, v> for the extreme unit eigenvector v at
     angle theta_j; min_real_part is the smallest eigenvalue of the symmetric
@@ -55,7 +55,6 @@ class FovResult:
     support_values: np.ndarray
     boundary_points: np.ndarray
     min_real_part: float
-    dim: int
 
 
 def fov_boundary(matrix: np.ndarray, n_angles: int = 256) -> FovResult:
@@ -71,7 +70,6 @@ def fov_boundary(matrix: np.ndarray, n_angles: int = 256) -> FovResult:
         raise ValueError("fov_boundary needs a real matrix, got a complex array")
     m = m.astype(np.float64, copy=False)
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    dim = m.shape[0]
     # exact test A == A^T: the Hankel moment matrix passes, a terraced one does not
     if np.array_equal(m, m.T):
         lam = np.linalg.eigvalsh(m)
@@ -93,7 +91,6 @@ def fov_boundary(matrix: np.ndarray, n_angles: int = 256) -> FovResult:
         support_values=support,
         boundary_points=boundary,
         min_real_part=min_real,
-        dim=dim,
     )
 
 

@@ -45,9 +45,10 @@ def suffix_sums(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class WeightSequence:
-    """Row weights a_n of a terraced matrix: one real float64 vector, as for
-    moments of a positive measure and the Cesaro, power-law and Leibowitz
-    families.  A complex array is refused, not cast."""
+    """Row weights a_n of a terraced matrix: one real, finite float64 vector,
+    as for moments of a positive measure and the Cesaro, power-law and
+    Leibowitz families.  A complex array is refused, not cast, and so is an
+    infinite or nan weight."""
 
     values: np.ndarray
 
@@ -57,6 +58,8 @@ class WeightSequence:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         if self.values.ndim != 1 or self.values.size < 1:
             raise ValueError("weight sequence must be a nonempty vector")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("weights must be finite")
 
     @classmethod
     def cesaro(cls, n: int) -> "WeightSequence":
@@ -64,7 +67,9 @@ class WeightSequence:
 
     @classmethod
     def power_law(cls, s: float, n: int) -> "WeightSequence":
-        return cls(np.power(np.arange(n) + 1.0, -s))
+        # an overflow is inf, which the constructor refuses
+        with np.errstate(over="ignore"):
+            return cls(np.power(np.arange(n) + 1.0, -s))
 
     @classmethod
     def leibowitz_squares(cls, n: int) -> "WeightSequence":
@@ -76,22 +81,6 @@ class WeightSequence:
             vals[k * k] = float(k * k) ** -0.875
             k += 1
         return cls(vals)
-
-    @classmethod
-    def from_moments(cls, ms: MomentSequence) -> "WeightSequence":
-        return cls(ms.values)
-
-
-#: L = lim (n+1) a_n of the Cesaro weights
-CESARO_LIMIT = 1.0
-
-
-def power_law_limit(s: float) -> float | None:
-    """L = lim (n+1)^(1-s) of the power-law weights: 1 at s = 1, 0 above,
-    and None below, where (n+1) a_n grows without bound."""
-    if s < 1.0:
-        return None
-    return 1.0 if s == 1.0 else 0.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -231,7 +231,7 @@ def eigenvector_residual(ms: MomentSequence, k: int, dim: int,
         raise ValueError(f"need {big} moments for the embedded residual")
     x = np.zeros(big)
     x[:dim] = eigenvector(ms, k, dim)
-    op = TerracedOperator(WeightSequence.from_moments(ms), big)
+    op = TerracedOperator(WeightSequence(ms.values), big)
     r = terraced_apply(op, x) - ms.values[k] * x
     # pairwise sums of squares: a BLAS dot over 32768 entries near 1 drops
     # their low bits and put ||x|| 27 eps off an exactly summed norm
@@ -259,7 +259,7 @@ def adjoint_eigenvector(ms: MomentSequence, nu: complex, dim: int) -> np.ndarray
 def adjoint_eigenvector_residual(ms: MomentSequence, nu: complex, dim: int) -> float:
     """Relative residual ||R* x - x/nu|| / ||x|| via the suffix-sum kernel."""
     x = adjoint_eigenvector(ms, nu, dim)
-    op = TerracedOperator(WeightSequence.from_moments(ms), dim)
+    op = TerracedOperator(WeightSequence(ms.values), dim)
     r = terraced_apply_adjoint(op, x) - x / nu
     return float(np.linalg.norm(r) / np.linalg.norm(x))
 

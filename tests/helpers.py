@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import shlex
 import time
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -66,6 +68,15 @@ def measure_moments(text: str, n_terms: int):
     return moments(parse_measure(text), n_terms)
 
 
+def readme_commands() -> list[list[str]]:
+    """The argv of each `momentspectra ...` line of the README's CLI block,
+    continuations joined and the program name dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("momentspectra ")]
+
+
 def region_json(tmp_path, *args: str) -> dict:
     """The region.json that `region *args` writes under tmp_path."""
     out = tmp_path / "region"
@@ -75,7 +86,7 @@ def region_json(tmp_path, *args: str) -> dict:
 
 def terraced_from_measure(text: str, dim: int) -> TerracedOperator:
     ms = measure_moments(text, dim)
-    return TerracedOperator(WeightSequence.from_moments(ms), dim)
+    return TerracedOperator(WeightSequence(ms.values), dim)
 
 
 def hankel_from_measure(text: str, dim: int) -> HankelMomentOperator:

@@ -307,7 +307,7 @@ def test_grid_csv_matches_the_reference(data):
 def test_fov_csv_matches_the_reference(data):
     n = data.draw(_lengths(4))
     result = FovResult(_column(data.draw(ANY_POOLS), n), _column(data.draw(ANY_POOLS), n),
-                       _complex(data.draw(ANY_POOLS), data.draw(IMAG_POOLS), n), 0.0, 1)
+                       _complex(data.draw(ANY_POOLS), data.draw(IMAG_POOLS), n), 0.0)
     assert _mismatch(fov_csv(result), reference_fov_csv(result)) is None
 
 

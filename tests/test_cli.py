@@ -1,6 +1,5 @@
 import json
 import os
-import shlex
 import subprocess
 import sys
 import time
@@ -12,7 +11,7 @@ import pytest
 import momentspectra
 from momentspectra import _lapack, cli, spectral
 
-from helpers import parse_complex
+from helpers import parse_complex, readme_commands
 from momentspectra.cli import main
 from momentspectra.svg import boundary_svg, heatmap_svg, region_svg
 
@@ -640,6 +639,15 @@ def test_failed_check_is_status_ok_with_its_exit_code(tmp_path):
      1, "input error: --weights: expected a finite number, got ''"),
     (["region", "--weights", "power:", "--n", "8"],
      1, "input error: --weights: expected a finite number, got ''"),
+    # one operator source: --measure and --weights exclude each other
+    (["region", "--measure", "lebesgue", "--weights", "cesaro", "--n", "8"],
+     1, "input error: give --measure or --weights, not both"),
+    (["pseudo", "--measure", "lebesgue", "--weights", "cesaro", "--window=0,1,0,1",
+      "--res", "2", "--dim", "8"], 1, "input error: give --measure or --weights, not both"),
+    (["fov", "--measure", "lebesgue", "--weights", "cesaro", "--kind", "hankel", "--dim", "8"],
+     1, "input error: give --measure or --weights, not both"),
+    # --measure is parsed before any other input of the run
+    (["pseudo", "--window=bad", "--measure", "bad(", "--dim", "8"], 1, "measure error: "),
 ])
 def test_failed_run_leaves_a_manifest_with_status_error(tmp_path, capsys, args, code, line):
     out = tmp_path / "err"
@@ -715,6 +723,13 @@ def test_failed_run_leaves_a_manifest_with_status_error(tmp_path, capsys, args, 
      "input error: --k: invalid int value: 'x'"),
     (["hilbert", "--dims", "64,x"],
      "input error: --dims: invalid int value: 'x'"),
+    # (n+1)^400 overflows from n = 5: refused as weights, with no overflow warning
+    (["region", "--weights", "power:-400", "--n", "16"],
+     "input error: weights must be finite"),
+    (["pseudo", "--weights", "power:-400", "--window=0,1,0,1", "--res", "2", "--dim", "16"],
+     "input error: weights must be finite"),
+    (["fov", "--weights", "power:-400", "--dim", "16", "--angles", "8"],
+     "input error: weights must be finite"),
 ])
 def test_non_finite_or_out_of_range_number_is_an_input_error(tmp_path, capsys, args, line):
     assert main(args + ["--out", str(tmp_path / "o")]) == 1
@@ -746,10 +761,7 @@ def test_no_run_sets_its_own_gate(tmp_path, capsys, args, rest):
 
 def test_readme_commands_parse():
     # every command of the README's CLI block, parsed but not run
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    commands = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
-                if line.startswith("momentspectra ")]
+    commands = readme_commands()
     assert {argv[0] for argv in commands} == set(cli._COMMANDS)
     parser = cli.build_parser()
     for argv in commands:

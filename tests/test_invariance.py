@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -7,13 +8,13 @@ import pytest
 from helpers import hankel_from_measure, random_complex, terraced_from_measure
 from momentspectra import (
     WeightSequence,
-    cesaro_adjoint_integral_check,
     composition_matrix_phi,
     hilbert_column_check,
     kernel_span_rank,
     monomial_invariance_check,
     rhaly_adjoint_integral_check,
 )
+from momentspectra.cli import main
 from momentspectra.invariance import _bernstein
 
 
@@ -100,12 +101,18 @@ def test_composition_rejects_negative_time():
 
 def test_cesaro_adjoint_integral_small_columns():
     # column 0 integrates e^{-t} to 1; column 1 reproduces (1/2, 1/2)
-    assert cesaro_adjoint_integral_check(1) <= 1e-15
-    assert cesaro_adjoint_integral_check(2) <= 1e-12
+    assert rhaly_adjoint_integral_check(WeightSequence.cesaro(1), 1) <= 1e-15
+    assert rhaly_adjoint_integral_check(WeightSequence.cesaro(2), 2) <= 1e-12
 
 
-def test_cesaro_adjoint_integral_at_dim_32():
-    assert cesaro_adjoint_integral_check(32) <= 1e-11
+def test_cesaro_adjoint_integral_at_dim_32(tmp_path):
+    # the invariance command records the Rhaly check on the Cesaro weights
+    out = tmp_path / "inv"
+    assert main(["invariance", "--measure", "lebesgue", "--dim", "32", "--out", str(out)]) == 0
+    [row] = [c for c in json.loads((out / "invariance.json").read_text())
+             if c["check"] == "cesaro-adjoint-integral"]
+    deviation = rhaly_adjoint_integral_check(WeightSequence.cesaro(32), 32)
+    assert row["deviation_or_defect"] == deviation <= 1e-11
 
 
 def test_rhaly_adjoint_integral_power_law():
@@ -198,19 +205,14 @@ def test_kernel_span_rejects_duplicates_and_bad_locations():
 # Hilbert-matrix columns
 
 def test_hilbert_column_corner_cases():
-    assert hilbert_column_check(0, 1) <= 1e-15  # integral of 1 equals 1
+    assert hilbert_column_check(1)[0] <= 1e-15  # integral of 1 equals 1
     # m = 1 row of column 0: integral of (1 - t) equals the (1, 0) entry 1/2
-    assert hilbert_column_check(0, 2) <= 1e-15
+    assert hilbert_column_check(2)[0] <= 1e-15
 
 
 def test_hilbert_columns_up_to_sixteen():
-    worst = max(hilbert_column_check(n, 17) for n in range(17))
-    assert worst <= 1e-12
-
-
-def test_hilbert_column_validates_index():
-    with pytest.raises(ValueError):
-        hilbert_column_check(5, 5)
+    deviations = hilbert_column_check(17)
+    assert deviations.shape == (17,) and deviations.max() <= 1e-12
 
 
 # --------------------------------------------------------------------------

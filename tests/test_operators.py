@@ -28,7 +28,6 @@ from momentspectra.operators import (
     DENSE_LIMIT,
     FFT_THRESHOLD,
     _fast_len,
-    power_law_limit,
     prefix_sums,
     suffix_sums,
 )
@@ -47,7 +46,7 @@ def test_weight_sequence_refuses_a_complex_array():
 def test_weights_and_the_terraced_matrix_are_float64():
     ms = moments(parse_measure("dirac(0)+0.5*lebesgue"), 32)
     for weights in (WeightSequence.cesaro(32), WeightSequence.power_law(1.5, 32),
-                    WeightSequence.leibowitz_squares(32), WeightSequence.from_moments(ms),
+                    WeightSequence.leibowitz_squares(32), WeightSequence(ms.values),
                     WeightSequence(np.arange(32))):
         assert weights.values.dtype == np.float64
         assert TerracedOperator(weights, 32).dense().dtype == np.float64
@@ -278,7 +277,7 @@ def test_structured_applies_match_dense_within_summation_bound(spec, n, kind, se
     if kind == "hankel":
         op, coeffs = HankelMomentOperator.from_moments(ms, n), ms.values
     else:
-        op = TerracedOperator(WeightSequence.from_moments(ms), n)
+        op = TerracedOperator(WeightSequence(ms.values), n)
         coeffs = op.row_weights()
     x = random_complex(np.random.default_rng(seed), n)
     y = _APPLIES[kind](op, x)
@@ -395,8 +394,9 @@ def test_boundedness_without_a_limit_is_inapplicable(tmp_path):
 
 @pytest.mark.parametrize("s, limit", [(0.5, None), (0.999, None), (1.0, 1.0), (1.001, 0.0),
                                       (2.0, 0.0)])
-def test_power_law_limit(s, limit):
-    assert power_law_limit(s) == limit
+def test_power_law_limit(tmp_path, s, limit):
+    # L = lim (n+1)^(1-s): 1 at s = 1, 0 above and none below
+    assert region_json(tmp_path, "--weights", f"power:{s}", "--n", "64")["limit_estimate"] == limit
 
 
 def test_leibowitz_weights_shape():

@@ -1,15 +1,16 @@
 """Every name the package exports is used by the package or its benchmark:
 an export that only tests call is API to delete, not to keep.  Every
-subcommand is a job of the benchmark's readme-cli workload, and every
-option but a listed few is set by some benchmark job.  And one
-module, serialize, owns the JSON layout, and one, _lapack, owns the lookup
-of scipy's compiled routines."""
+subcommand is a job of the benchmark's readme-cli workload, whose job list
+is the README's CLI block, and every option but a listed few is set by
+some benchmark job.  And one module, serialize, owns the JSON layout, and
+one, _lapack, owns the lookup of scipy's compiled routines."""
 
 import argparse
 import ast
 import sys
 from pathlib import Path
 
+from helpers import readme_commands
 from momentspectra import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,6 +54,20 @@ def test_every_export_is_referenced_outside_tests():
 def test_every_subcommand_is_a_readme_cli_job():
     # the benchmark times each subcommand at its README arguments
     assert {job["argv"][0] for job in workloads.readme_jobs()} == set(cli._COMMANDS)
+
+
+def test_readme_cli_block_is_the_readme_cli_job_list():
+    # the readme-cli workload times the README's commands, less each --out
+    # DIR; its pseudo grid is --res 16 --dim 64, the README's --res 64 --dim 256
+    smaller = {("--res", "64"): "16", ("--dim", "256"): "64"}
+    commands = []
+    for argv in readme_commands():
+        at = argv.index("--out")
+        argv = argv[:at] + argv[at + 2:]
+        if argv[0] == "pseudo":
+            argv = [smaller.get(pair, pair[1]) for pair in zip([""] + argv, argv)]
+        commands.append(argv)
+    assert commands == [job["argv"] for job in workloads.readme_jobs()]
 
 
 #: the options that no benchmark job sets, each with the reason it stays

@@ -38,6 +38,7 @@ from momentspectra import (
     pseudospectrum_grid,
     smallest_singular_value,
     terraced_apply,
+    terraced_apply_adjoint,
 )
 from momentspectra import spectral
 from momentspectra.cli import main
@@ -345,7 +346,7 @@ def test_embedded_residual_norm_matches_a_compensated_sum_at_dim_32768():
     ms = measure_moments("lebesgue", 2 * dim)
     x = np.zeros(2 * dim)
     x[:dim] = eigenvector(ms, k, dim)
-    r = terraced_apply(TerracedOperator(WeightSequence.from_moments(ms), 2 * dim), x) \
+    r = terraced_apply(TerracedOperator(WeightSequence(ms.values), 2 * dim), x) \
         - ms.values[k] * x
     compensated = math.sqrt(math.fsum(r * r)) / math.sqrt(math.fsum(x * x))
     residual = eigenvector_residual(ms, k, dim, embed_factor=2)
@@ -859,3 +860,48 @@ def test_hankel_norm_work_is_bounded_by_dim_steps(monkeypatch):
                        match="^Lanczos for the Hankel norm did not converge in 12 steps$"):
         hankel_norm(hankel_from_measure("lebesgue", 12))
     assert steps == list(range(1, 13))
+
+
+# --------------------------------------------------------------------------
+# Rhaly truncation norms through the same Golub-Kahan loop
+
+#: ROADMAP's item-9 measures: L = 1, 1, 0.5, 0 and 0.01
+RHALY_NORM_MEASURES = ("lebesgue", "power(2.5)", "dirac(0)+0.5*lebesgue", "logpower(1.5)",
+                       "dirac(0.99)+0.01*lebesgue")
+
+
+def _rhaly_norm(op: TerracedOperator) -> float:
+    """||R_N|| from terraced_apply and its adjoint, started as hankel_norm is."""
+    start = spectral._start_vector(op.dim).real
+    return spectral._top_singular_value(
+        lambda x: terraced_apply(op, x), lambda x: terraced_apply_adjoint(op, x),
+        start / np.linalg.norm(start), "Lanczos for the Rhaly norm")
+
+
+@pytest.mark.parametrize("dim", [1, 16, 256, 1024])
+@pytest.mark.parametrize("text", [*RHALY_NORM_MEASURES, "cesaro"])
+def test_rhaly_norm_matches_the_dense_norm(text, dim):
+    op = (TerracedOperator(WeightSequence.cesaro(dim), dim) if text == "cesaro"
+          else terraced_from_measure(text, dim))
+    dense = np.linalg.norm(op.dense(), 2)
+    assert abs(_rhaly_norm(op) - dense) <= 4 * np.finfo(float).eps * dense
+
+
+def test_cesaro_truncation_norms_increase_below_two():
+    # Hardy's inequality: the Cesaro operator has norm 2 on l^2
+    norms = [_rhaly_norm(TerracedOperator(WeightSequence.cesaro(n), n))
+             for n in (256, 4096, 65536)]
+    assert norms == sorted(norms) and norms[-1] < 2.0
+
+
+@pytest.mark.parametrize("text", RHALY_NORM_MEASURES)
+def test_rhaly_norms_increase_between_the_largest_weight_and_the_bound(tmp_path, text):
+    # R_N is the leading block of R_M for N < M, so its norm cannot fall; a
+    # unit vector e_n gives ||R_N|| >= a_n, and Rhaly's bound caps it
+    norms = []
+    for n in (256, 4096, 65536):
+        op = terraced_from_measure(text, n)
+        norms.append(_rhaly_norm(op))
+        bound = region_json(tmp_path, "--measure", text, "--n", str(n))["rhaly_norm_bound"]
+        assert op.row_weights().max() <= norms[-1] <= bound
+    assert norms == sorted(norms)
