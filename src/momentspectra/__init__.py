@@ -1,7 +1,7 @@
 """Spectral diagnostics for terraced (Rhaly) and Hankel moment operators.
 
-Builds structured operator truncations from measure/weight specifications
-and verifies, at finite truncation, their predicted spectral behaviour:
+Builds structured operator truncations from the moments of a measure and
+verifies, at finite truncation, their predicted spectral behaviour:
 point-spectrum membership, adjoint eigenvalue discs, spectral regions,
 numerical-range containment in the closed right half-plane, contraction
 semigroups, and invariant-subspace structure.

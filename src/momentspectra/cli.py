@@ -185,40 +185,15 @@ class ArtifactWriter:
         write_json(self.out / "manifest.json", manifest)
 
 
-def _weights_from_family(family: str, n_terms: int) -> tuple[WeightSequence, float | None]:
-    """The family's first n_terms weights and their limit L = lim (n+1) a_n:
-    1 for cesaro; lim (n+1)^(1-s) for power:s, which is 1 at s = 1, 0 above
-    and None below, where (n+1) a_n grows without bound; None for leibowitz.
-    Only power takes a parameter, and needs it."""
-    name, colon, param = family.partition(":")
-    if name == "power":
-        s = _flag("--weights", _finite_float, param)
-        limit = None if s < 1.0 else 1.0 if s == 1.0 else 0.0
-        return WeightSequence.power_law(s, n_terms), limit
-    if colon and name in ("cesaro", "leibowitz"):
-        raise ValueError(f"--weights: {name} takes no parameter, got {family!r}")
-    if name == "cesaro":
-        return WeightSequence.cesaro(n_terms), 1.0
-    if name == "leibowitz":
-        return WeightSequence.leibowitz_squares(n_terms), None
-    raise ValueError(f"unknown weight family {family!r} (use cesaro, power:<s>, leibowitz)")
-
-
-def _build_weights(args, n_terms: int) -> tuple[WeightSequence, float | None]:
-    """The weights of --weights or of --measure's moments, and their limit L."""
-    if args.weights:
-        return _weights_from_family(args.weights, n_terms)
-    if args.spec is not None:
-        return WeightSequence(moments(args.spec, n_terms).values), args.spec.weight_limit()
-    raise ValueError("provide --measure or --weights")
+def _build_weights(spec, n_terms: int) -> tuple[WeightSequence, float]:
+    """The first n_terms moments of the measure as weights, and their limit L."""
+    return WeightSequence(moments(spec, n_terms).values), spec.weight_limit()
 
 
 def _build_operator(args, dim: int):
     if args.kind == "hankel":
-        if args.spec is None:
-            raise ValueError("a hankel operator needs --measure")
         return HankelMomentOperator.from_moments(moments(args.spec, 2 * dim - 1), dim)
-    return TerracedOperator(_build_weights(args, dim)[0], dim)
+    return TerracedOperator(_build_weights(args.spec, dim)[0], dim)
 
 
 # --------------------------------------------------------------------------
@@ -236,8 +211,8 @@ def _command(name: str, help: str, *options):
 
 
 _MEASURE = ("--measure", dict(required=True))
-_SOURCE = (("--measure", {}), ("--weights", {}))
-_OPERATOR = _SOURCE + (("--kind", dict(choices=("terraced", "hankel"), default="terraced")),)
+_SOURCE = (("--measure", {}), ("--weights", dict(choices=("cesaro",))))
+_KIND = ("--kind", dict(choices=("terraced", "hankel"), default="terraced"))
 
 
 @_command("moments", "moment sequence CSV for a measure",
@@ -315,14 +290,14 @@ def _cmd_adjoint_disc(args, writer: ArtifactWriter):
     return 0, {}
 
 
-def _weight_test(weights: WeightSequence, limit: float | None):
-    """sup (n+1)|a_n|, Rhaly's bound adding sup sqrt(n(n+1))|a_n| (None without
-    L), and why region's hypotheses fail (None if they hold); its per-weight
-    temporaries are freed on return, before region draws its SVG."""
+def _weight_test(weights: WeightSequence):
+    """sup (n+1)|a_n|, Rhaly's bound adding sup sqrt(n(n+1))|a_n|, and why
+    region's hypotheses fail (None if they hold); its per-weight temporaries
+    are freed on return, before region draws its SVG."""
     a = np.abs(weights.values)
     n = np.arange(a.size)
     sup_weight = float(((n + 1.0) * a).max())
-    bound = None if limit is None else sup_weight + float(np.max(np.sqrt(n * (n + 1.0)) * a))
+    bound = sup_weight + float(np.max(np.sqrt(n * (n + 1.0)) * a))
     tail = normal_prefix(weights.values)
     if tail and tail < a.size:
         reason = f"weights underflow below the normal range from index {tail}"
@@ -330,8 +305,6 @@ def _weight_test(weights: WeightSequence, limit: float | None):
         reason = "weights must be real and positive"
     elif first_coincidence(np.sort(weights.values)[::-1]) is not None:
         reason = "weights must be pairwise distinct"
-    elif limit is None:
-        reason = "(n+1) a_n has no limit"
     else:
         reason = None
     return sup_weight, bound, reason
@@ -344,14 +317,13 @@ def _cmd_region(args, writer: ArtifactWriter):
     # the predicted spectrum of a terraced operator with positive distinct
     # weights a_n and limit L: the weights plus the closed disc |z - L| <= L,
     # or plus {0} when L = 0
-    weights, limit = _build_weights(args, args.n)
-    sup_weight, bound, reason = _weight_test(weights, limit)
+    weights, limit = _build_weights(args.spec, args.n)
+    sup_weight, bound, reason = _weight_test(weights)
     payload = {
         "sup_weight": sup_weight,
         "limit_estimate": limit,
         "rhaly_norm_bound": bound,
-        "verdict": ("TestInapplicable" if limit is None
-                    else "Bounded" if limit > 0.0 else "CompactIndicated"),
+        "verdict": "Bounded" if limit > 0.0 else "CompactIndicated",
         "hypotheses_met": reason is None,
     }
     if reason is None:
@@ -368,7 +340,7 @@ def _cmd_region(args, writer: ArtifactWriter):
 
 
 @_command("pseudo", "sigma_min grid over a complex window",
-          *_OPERATOR,
+          *_SOURCE, _KIND,
           ("--window", dict(required=True, help="re0,re1,im0,im1")),
           ("--res", dict(type=_at_least(2), default=64)),
           ("--dim", dict(type=_at_least(1), default=256)),
@@ -390,7 +362,7 @@ def _cmd_pseudo(args, writer: ArtifactWriter):
 
 
 @_command("fov", "field-of-values boundary and right-half-plane check",
-          *_OPERATOR,
+          _MEASURE, _KIND,
           ("--dim", dict(type=_at_least(1), default=64)),
           ("--angles", dict(type=_at_least(4), default=256)),
           ("--require-rhp", dict(action="store_true", help=f"exit 2 if min Re W < -{RHP_TOL}")))
@@ -416,8 +388,7 @@ def _cmd_fov(args, writer: ArtifactWriter):
           ("--shift", dict(type=_finite_float, default=0.0,
                            help="check A - shift*I instead (negative control)")))
 def _cmd_contraction(args, writer: ArtifactWriter):
-    weights = WeightSequence(moments(args.spec, args.dim).values)
-    matrix = TerracedOperator(weights, args.dim).dense()
+    matrix = TerracedOperator(_build_weights(args.spec, args.dim)[0], args.dim).dense()
     if args.shift:
         matrix = matrix - args.shift * np.eye(args.dim)
     taus = _parse_floats("--taus", args.taus)
@@ -542,10 +513,15 @@ def run(argv: list[str]) -> int:
     start = time.perf_counter()
     try:
         # --measure is parsed here alone, so its errors come first; every
-        # handler and builder reads the spec
+        # handler and builder reads the spec.  --weights cesaro is read as
+        # --measure lebesgue, whose moments are Cesaro's 1/(n+1) bit for bit
         args.spec = None if getattr(args, "measure", None) is None else parse_measure(args.measure)
-        if args.spec is not None and getattr(args, "weights", None) is not None:
-            raise ValueError("give --measure or --weights, not both")
+        if getattr(args, "weights", None) is not None:
+            if args.spec is not None:
+                raise ValueError("give --measure or --weights, not both")
+            args.spec = parse_measure("lebesgue")
+        elif args.spec is None and hasattr(args, "weights"):
+            raise ValueError("provide --measure or --weights")
         code, tolerances = handler(args, writer)
     except _REPORTED as exc:
         wall_ms = int((time.perf_counter() - start) * 1000)

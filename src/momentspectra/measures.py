@@ -140,6 +140,11 @@ class MeasureSpec:
         for weight, _ in self.terms:
             if not (weight > 0.0) or not math.isfinite(weight):
                 raise MeasureParameterError(f"term weights must be positive, got {weight}")
+        # every moment is at most this sum, summed in the order moments adds
+        # the terms, so a finite sum keeps every moment finite
+        total = sum(weight for weight, _ in self.terms)
+        if not math.isfinite(total):
+            raise MeasureParameterError(f"term weights must have a finite sum, got {total}")
 
     def weight_limit(self) -> float:
         """L = lim (n+1) mu_n: the summed weights of the atoms whose Laplace

@@ -46,8 +46,8 @@ def suffix_sums(x: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class WeightSequence:
     """Row weights a_n of a terraced matrix: one real, finite float64 vector,
-    as for moments of a positive measure and the Cesaro, power-law and
-    Leibowitz families.  A complex array is refused, not cast, and so is an
+    such as the moments of a positive measure; Cesaro's 1/(n+1) are those of
+    Lebesgue measure.  A complex array is refused, not cast, and so is an
     infinite or nan weight."""
 
     values: np.ndarray
@@ -64,23 +64,6 @@ class WeightSequence:
     @classmethod
     def cesaro(cls, n: int) -> "WeightSequence":
         return cls(1.0 / (np.arange(n) + 1.0))
-
-    @classmethod
-    def power_law(cls, s: float, n: int) -> "WeightSequence":
-        # an overflow is inf, which the constructor refuses
-        with np.errstate(over="ignore"):
-            return cls(np.power(np.arange(n) + 1.0, -s))
-
-    @classmethod
-    def leibowitz_squares(cls, n: int) -> "WeightSequence":
-        # n^(-7/8) at perfect squares, 0 otherwise; index 0 maps to 0.  Its
-        # (n+1) a_n grows like n^(1/8) along the squares: no weight limit
-        vals = np.zeros(n)
-        k = 1
-        while k * k < n:
-            vals[k * k] = float(k * k) ** -0.875
-            k += 1
-        return cls(vals)
 
 
 @dataclass(frozen=True, eq=False)

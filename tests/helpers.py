@@ -68,6 +68,15 @@ def measure_moments(text: str, n_terms: int):
     return moments(parse_measure(text), n_terms)
 
 
+def sparse_squares(n: int) -> np.ndarray:
+    """Leibowitz's weights: k^(-7/8) at the perfect squares k = 1, 4, 9, ...
+    below n and 0 elsewhere, index 0 included; no measure has these moments."""
+    weights = np.zeros(n)
+    squares = np.arange(1, math.isqrt(n - 1) + 1) ** 2
+    weights[squares] = squares ** -0.875
+    return weights
+
+
 def readme_commands() -> list[list[str]]:
     """The argv of each `momentspectra ...` line of the README's CLI block,
     continuations joined and the program name dropped."""

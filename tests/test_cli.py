@@ -28,6 +28,11 @@ def artifact_bytes(out: Path) -> dict[str, bytes]:
     }
 
 
+#: term weights that sum past float64: 1e308 written out, twice
+OVERFLOWING_MEASURE = "+".join(["1" + "0" * 308 + "*lebesgue"] * 2)
+OVERFLOWING_SUM = "measure error: term weights must have a finite sum, got inf"
+
+
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -119,14 +124,22 @@ def test_region_command_cesaro(tmp_path):
     assert svg.startswith("<svg") and "circle" in svg
 
 
+@pytest.mark.parametrize("args", [
+    ["region", "--n", "4096"],
+    ["pseudo", "--window=-0.25,2.25,-1.25,1.25", "--res", "8", "--dim", "256"],
+], ids=["region", "pseudo"])
+def test_weights_cesaro_writes_the_bytes_of_measure_lebesgue(tmp_path, args):
+    # Cesaro's weights 1/(n+1) are the moments of Lebesgue measure, bit for bit
+    outs = []
+    for source in (["--weights", "cesaro"], ["--measure", "lebesgue"]):
+        outs.append(tmp_path / source[1])
+        assert main([*args, *source, "--out", str(outs[-1])]) == 0
+    assert artifact_bytes(outs[0]) == artifact_bytes(outs[1])
+    assert len(artifact_bytes(outs[0])) == 2
+
+
 def test_region_command_hypotheses_not_met(tmp_path):
-    # the sparse-squares weights need a long window before the sup's growth
-    # becomes visible
     out = tmp_path / "rl"
-    assert main(["region", "--weights", "leibowitz", "--n", "4096", "--out", str(out)]) == 0
-    payload = read_json(out / "region.json")
-    assert not payload["hypotheses_met"]
-    assert payload["verdict"] == "TestInapplicable"
     # moments 1e-13 apart coincide within DISTINCT_REL_GAP, though L = 0 exists
     assert main(["region", "--measure", "dirac(0.9999999999999)", "--n", "8",
                  "--out", str(out)]) == 0
@@ -137,15 +150,17 @@ def test_region_command_hypotheses_not_met(tmp_path):
     # underflow, not a sign error; 0.5^n leaves the normal range at n = 1023
     for source, n, first in ((["--measure", "dirac(0.5)"], "1024", 1023),
                              (["--measure", "dirac(0.5)"], "1076", 1023),
-                             (["--weights", "power:1000"], "8", 2)):
+                             (["--measure", "logpower(1000)"], "8", 2)):
         assert main(["region", *source, "--n", n, "--out", str(out)]) == 0
         payload = read_json(out / "region.json")
         assert not payload["hypotheses_met"]
         assert payload["reason"] == f"weights underflow below the normal range from index {first}"
     assert main(["region", "--measure", "dirac(0.5)", "--n", "1023", "--out", str(out)]) == 0
     assert read_json(out / "region.json")["hypotheses_met"]
-    # the sparse squares' zeros come before normal weights: a sign error
-    assert main(["region", "--weights", "leibowitz", "--n", "8", "--out", str(out)]) == 0
+    # zeros after a subnormal start, with no normal weight before them: a sign error
+    subnormal = "0." + "0" * 319 + "1"
+    assert main(["region", "--measure", f"{subnormal}*lebesgue", "--n", "8192",
+                 "--out", str(out)]) == 0
     assert read_json(out / "region.json")["reason"] == "weights must be real and positive"
 
 
@@ -201,7 +216,7 @@ def test_analytic_classify_below_the_fit_floor(tmp_path):
 @pytest.mark.parametrize("args, verdict, limit", [
     (["--measure", "power(2.5)", "--n", "1024"], "Bounded", 1.0),
     (["--measure", "dirac(0.99)+0.01*lebesgue"], "Bounded", 0.01),
-    (["--weights", "power:2"], "CompactIndicated", 0.0),
+    (["--measure", "logpower(2)"], "CompactIndicated", 0.0),
     (["--measure", "logpower(1.5)"], "CompactIndicated", 0.0),
 ])
 def test_region_reads_the_exact_weight_limit(tmp_path, args, verdict, limit):
@@ -630,24 +645,25 @@ def test_failed_check_is_status_ok_with_its_exit_code(tmp_path):
     # (-log t)^149 overflows float64 on the mapped interval: refused, not summed as nan
     (["moments", "--measure", "logpower(150)", "--quadrature", "--n", "8"],
      2, "numeric error: adaptive quadrature integrand is not finite"),
-    # only power takes a parameter, and it has no default
-    (["region", "--weights", "cesaro:3", "--n", "8"],
-     1, "input error: --weights: cesaro takes no parameter, got 'cesaro:3'"),
-    (["region", "--weights", "leibowitz:x", "--n", "8"],
-     1, "input error: --weights: leibowitz takes no parameter, got 'leibowitz:x'"),
-    (["region", "--weights", "power", "--n", "8"],
-     1, "input error: --weights: expected a finite number, got ''"),
-    (["region", "--weights", "power:", "--n", "8"],
-     1, "input error: --weights: expected a finite number, got ''"),
+    # term weights that sum past float64: refused before any moment is built
+    (["moments", "--measure", OVERFLOWING_MEASURE, "--n", "3"], 1, OVERFLOWING_SUM),
+    (["classify", "--measure", OVERFLOWING_MEASURE, "--k", "0"], 1, OVERFLOWING_SUM),
+    (["region", "--measure", OVERFLOWING_MEASURE, "--n", "16"], 1, OVERFLOWING_SUM),
+    (["pseudo", "--measure", OVERFLOWING_MEASURE, "--window=0,1,0,1", "--res", "2",
+      "--dim", "16"], 1, OVERFLOWING_SUM),
     # one operator source: --measure and --weights exclude each other
     (["region", "--measure", "lebesgue", "--weights", "cesaro", "--n", "8"],
      1, "input error: give --measure or --weights, not both"),
     (["pseudo", "--measure", "lebesgue", "--weights", "cesaro", "--window=0,1,0,1",
       "--res", "2", "--dim", "8"], 1, "input error: give --measure or --weights, not both"),
-    (["fov", "--measure", "lebesgue", "--weights", "cesaro", "--kind", "hankel", "--dim", "8"],
+    (["pseudo", "--measure", "lebesgue", "--weights", "cesaro", "--kind", "hankel",
+      "--window=0,1,0,1", "--res", "2", "--dim", "8"],
      1, "input error: give --measure or --weights, not both"),
     # --measure is parsed before any other input of the run
     (["pseudo", "--window=bad", "--measure", "bad(", "--dim", "8"], 1, "measure error: "),
+    # the overflowing sum on fov too
+    (["fov", "--measure", OVERFLOWING_MEASURE, "--dim", "16", "--angles", "8"],
+     1, OVERFLOWING_SUM),
 ])
 def test_failed_run_leaves_a_manifest_with_status_error(tmp_path, capsys, args, code, line):
     out = tmp_path / "err"
@@ -681,7 +697,7 @@ def test_failed_run_leaves_a_manifest_with_status_error(tmp_path, capsys, args, 
     (["pseudo", "--measure", "lebesgue", "--window=0,1,0,nan", "--res", "2", "--dim", "8"],
      "input error: --window: expected a finite number, got 'nan'"),
     (["region", "--weights", "power:nan", "--n", "64"],
-     "input error: --weights: expected a finite number, got 'nan'"),
+     "usage error: argument --weights: invalid choice: 'power:nan' (choose from 'cesaro')"),
     (["hilbert", "--max-index", "-1", "--dims", "8"],
      "usage error: argument --max-index: -1 is below 0"),
     (["fov", "--measure", "lebesgue", "--dim", "8", "--angles", "3"],
@@ -723,13 +739,11 @@ def test_failed_run_leaves_a_manifest_with_status_error(tmp_path, capsys, args, 
      "input error: --k: invalid int value: 'x'"),
     (["hilbert", "--dims", "64,x"],
      "input error: --dims: invalid int value: 'x'"),
-    # (n+1)^400 overflows from n = 5: refused as weights, with no overflow warning
-    (["region", "--weights", "power:-400", "--n", "16"],
-     "input error: weights must be finite"),
-    (["pseudo", "--weights", "power:-400", "--window=0,1,0,1", "--res", "2", "--dim", "16"],
-     "input error: weights must be finite"),
-    (["fov", "--weights", "power:-400", "--dim", "16", "--angles", "8"],
-     "input error: weights must be finite"),
+    # --weights names one measure's moments, cesaro's, and no other family
+    (["region", "--weights", "power:2", "--n", "64"],
+     "usage error: argument --weights: invalid choice: 'power:2' (choose from 'cesaro')"),
+    (["pseudo", "--weights", "leibowitz", "--window=0,1,0,1", "--res", "2", "--dim", "8"],
+     "usage error: argument --weights: invalid choice: 'leibowitz' (choose from 'cesaro')"),
 ])
 def test_non_finite_or_out_of_range_number_is_an_input_error(tmp_path, capsys, args, line):
     assert main(args + ["--out", str(tmp_path / "o")]) == 1
@@ -751,6 +765,8 @@ def test_non_finite_or_out_of_range_number_is_an_input_error(tmp_path, capsys, a
     # contraction builds the terraced matrix of --measure and takes no other source
     (["contraction", "--measure", "lebesgue", "--weights", "cesaro"], "--weights cesaro"),
     (["contraction", "--measure", "lebesgue", "--kind", "hankel"], "--kind hankel"),
+    # fov takes --measure only
+    (["fov", "--measure", "lebesgue", "--weights", "cesaro"], "--weights cesaro"),
 ])
 def test_no_run_sets_its_own_gate(tmp_path, capsys, args, rest):
     # every gate is a fixed constant of cli, recorded in the manifest's tolerances
@@ -814,11 +830,11 @@ def test_heatmap_checkerboard_two_fill_levels():
 
 
 def test_heatmap_draws_zeros_black_and_scales_over_the_positive_values(tmp_path):
-    # z = 0 is a Leibowitz weight, so sigma_min is exactly 0 there; floored
-    # at 1e-300 it once stretched the scale so far that 79 of 81 cells drew
-    # within two gray levels of white
-    out = tmp_path / "leib"
-    assert main(["pseudo", "--weights", "leibowitz", "--window=-0.5,1.5,-1,1", "--res", "9",
+    # z = 0 is a weight of dirac(0), whose moments are 1, 0, 0, ..., so
+    # sigma_min is exactly 0 there; floored at 1e-300 it once stretched the
+    # scale so far that 79 of 81 cells drew within two gray levels of white
+    out = tmp_path / "dirac0"
+    assert main(["pseudo", "--measure", "dirac(0)", "--window=-0.5,1.5,-1,1", "--res", "9",
                  "--dim", "100", "--out", str(out)]) == 0
     values = [float(line.split(",")[2])
               for line in (out / "pseudo.csv").read_text().splitlines()[1:]]

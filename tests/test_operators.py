@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from helpers import (
     MEASURE_SPECS,
     format_complex,
+    measure_moments,
     ns_per_apply,
     parse_complex,
     random_complex,
     region_json,
+    sparse_squares,
     terraced_from_measure,
 )
 from momentspectra import (
@@ -45,9 +47,8 @@ def test_weight_sequence_refuses_a_complex_array():
 
 def test_weights_and_the_terraced_matrix_are_float64():
     ms = moments(parse_measure("dirac(0)+0.5*lebesgue"), 32)
-    for weights in (WeightSequence.cesaro(32), WeightSequence.power_law(1.5, 32),
-                    WeightSequence.leibowitz_squares(32), WeightSequence(ms.values),
-                    WeightSequence(np.arange(32))):
+    for weights in (WeightSequence.cesaro(32), WeightSequence(sparse_squares(32)),
+                    WeightSequence(ms.values), WeightSequence(np.arange(32))):
         assert weights.values.dtype == np.float64
         assert TerracedOperator(weights, 32).dense().dtype == np.float64
 
@@ -358,11 +359,12 @@ def test_factorization_identity_cesaro():
 
 
 def test_factorization_identity_power_law():
-    assert _factorization_deviation(WeightSequence.power_law(2.0, 64), 64) <= 1e-15
+    weights = WeightSequence(measure_moments("logpower(2)", 64).values)
+    assert _factorization_deviation(weights, 64) <= 1e-15
 
 
 def test_factorization_identity_leibowitz():
-    assert _factorization_deviation(WeightSequence.leibowitz_squares(64), 64) <= 1e-15
+    assert _factorization_deviation(WeightSequence(sparse_squares(64)), 64) <= 1e-15
 
 
 def test_boundedness_cesaro(tmp_path):
@@ -373,38 +375,18 @@ def test_boundedness_cesaro(tmp_path):
 
 
 def test_boundedness_power_law_indicates_compact(tmp_path):
-    payload = region_json(tmp_path, "--weights", "power:2", "--n", "4096")
+    # logpower(2)'s moments are the power law (n+1)^-2
+    payload = region_json(tmp_path, "--measure", "logpower(2)", "--n", "4096")
     assert payload["verdict"] == "CompactIndicated"
     assert payload["rhaly_norm_bound"] is not None
 
 
-def test_boundedness_leibowitz_inapplicable(tmp_path):
-    payload = region_json(tmp_path, "--weights", "leibowitz", "--n", "4096")
-    assert payload["verdict"] == "TestInapplicable"
-    assert payload["rhaly_norm_bound"] is None
-
-
-def test_boundedness_without_a_limit_is_inapplicable(tmp_path):
-    # (n+1) a_n = (n+1)^(1/2) grows without a limit
-    payload = region_json(tmp_path, "--weights", "power:0.5", "--n", "512")
-    assert payload["sup_weight"] == pytest.approx(math.sqrt(512), rel=1e-15)
-    assert payload["verdict"] == "TestInapplicable"
-    assert payload["rhaly_norm_bound"] is None
-
-
-@pytest.mark.parametrize("s, limit", [(0.5, None), (0.999, None), (1.0, 1.0), (1.001, 0.0),
-                                      (2.0, 0.0)])
+@pytest.mark.parametrize("s, limit", [(1.0, 1.0), (1.001, 0.0), (2.0, 0.0)])
 def test_power_law_limit(tmp_path, s, limit):
-    # L = lim (n+1)^(1-s): 1 at s = 1, 0 above and none below
-    assert region_json(tmp_path, "--weights", f"power:{s}", "--n", "64")["limit_estimate"] == limit
-
-
-def test_leibowitz_weights_shape():
-    w = WeightSequence.leibowitz_squares(50).values
-    assert w[0] == 0.0
-    assert w[1] == 1.0
-    assert w[4] == pytest.approx(4.0**-0.875)
-    assert w[5] == 0.0
+    # L = lim (n+1)^(1-s) of the moments (n+1)^-s: lebesgue's at s = 1, 1;
+    # logpower(s)'s above, 0
+    text = "lebesgue" if s == 1.0 else f"logpower({s})"
+    assert region_json(tmp_path, "--measure", text, "--n", "64")["limit_estimate"] == limit
 
 
 # --------------------------------------------------------------------------

@@ -78,8 +78,6 @@ UNSET_OPTIONS = {
                           "at --tol 1e-9; it goes with the quadrature path (ROADMAP item 4)",
     ("region", "--measure"): "the moment weights of a measure, which ROADMAP item 11 gives "
                              "traffic when region writes both discs of --measure",
-    ("fov", "--weights"): "the weight families, which ROADMAP item 7 gives traffic through "
-                          "its power:2 negative control of the self-commutator",
 }
 
 
@@ -108,8 +106,9 @@ def test_every_option_is_set_by_a_benchmark_job():
                    for job in jobs if "argv" in job
                    for arg in job["argv"][1:] + ["--out"] if arg.startswith("--")}
     assert _parser_options() - set_by_jobs == set(UNSET_OPTIONS)
-    # contraction builds the terraced matrix of --measure: no other source comes back
-    assert {("contraction", "--weights"), ("contraction", "--kind")}.isdisjoint(_parser_options())
+    # contraction and fov build their operators from --measure: no other source comes back
+    assert {("contraction", "--weights"), ("contraction", "--kind"),
+            ("fov", "--weights")}.isdisjoint(_parser_options())
 
 
 def _json_writers(path: Path) -> list[str]:

@@ -20,6 +20,7 @@ from helpers import (
     measure_text,
     reference_classification,
     region_json,
+    sparse_squares,
     terraced_from_measure,
 )
 from momentspectra import (
@@ -523,17 +524,12 @@ def test_spectrum_region_dirac_weights_degenerate_to_points(tmp_path):
 
 
 def test_spectrum_region_rejects_leibowitz(tmp_path):
-    # zero weights off the squares: refused before the (absent) limit is read
-    payload = region_json(tmp_path, "--weights", "leibowitz", "--n", "256")
-    assert not payload["hypotheses_met"]
-    assert "positive" in payload["reason"]
-
-
-def test_spectrum_region_requires_a_limit(tmp_path):
-    # (n+1) a_n = (n+1)^(1/2) grows: no limit
-    payload = region_json(tmp_path, "--weights", "power:0.5", "--n", "512")
+    # zero weights, like Leibowitz's off the squares: 1e-320 / (n+1) starts
+    # subnormal and rounds to 0 from n = 4047
+    subnormal = "0." + "0" * 319 + "1"
+    payload = region_json(tmp_path, "--measure", f"{subnormal}*lebesgue", "--n", "8192")
     assert not payload["hypotheses_met"] and "region" not in payload
-    assert payload["reason"] == "(n+1) a_n has no limit"
+    assert "positive" in payload["reason"]
 
 
 # --------------------------------------------------------------------------
@@ -638,7 +634,7 @@ def _assert_grid_matches_svd(grid, matrix: np.ndarray):
     (TerracedOperator(WeightSequence.cesaro(128), 128), CESARO_WINDOW, 9),
     (terraced_from_measure("dirac(0)+0.5*lebesgue", 96), CESARO_WINDOW, 7),
     # zero weights: those rows of zI - R are z e_n, and z = 0 is a grid point
-    (TerracedOperator(WeightSequence.leibowitz_squares(100), 100), (-0.5, 1.5, -1.0, 1.0), 9),
+    (TerracedOperator(WeightSequence(sparse_squares(100)), 100), (-0.5, 1.5, -1.0, 1.0), 9),
 ], ids=["cesaro128", "atom-plus-lebesgue96", "leibowitz100"])
 def test_pseudospectrum_grid_terraced_matches_svd_at_every_point(op, window, res):
     grid = pseudospectrum_grid(op, window, res, op.dim)
@@ -650,7 +646,7 @@ def test_sigma_min_is_exactly_zero_where_z_is_a_weight():
     grid = pseudospectrum_grid(op, (0.0, 2.0, -1.0, 1.0), 3, 64)  # centre z = 1 = a_0
     assert grid.sigma_min[1, 1] == 0.0
     assert np.all(np.delete(grid.sigma_min.ravel(), 4) > 0.0)
-    leibowitz = WeightSequence.leibowitz_squares(50).values
+    leibowitz = sparse_squares(50)
     assert smallest_singular_value(0j - leibowitz, leibowitz) == 0.0  # z = 0 = a_0
 
 
@@ -807,7 +803,8 @@ def test_sigma_min_keeps_its_exact_bits(family, dim, z, bits):
     if family == "cesaro":
         a = WeightSequence.cesaro(dim).values
     elif family == "power:2":
-        a = WeightSequence.power_law(2.0, dim).values
+        # logpower(2)'s moments are the power law (n+1)^-2
+        a = measure_moments("logpower(2)", dim).values
     else:
         a = measure_moments(family, dim).values
     assert smallest_singular_value(z - a, a).hex() == bits
