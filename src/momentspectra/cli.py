@@ -52,7 +52,7 @@ from .spectral import (
     eigenvector_residual,
     first_coincidence,
     hankel_norm,
-    normal_prefix,
+    normal_length,
     pseudospectrum_grid,
 )
 from .svg import boundary_svg, heatmap_svg, region_svg
@@ -185,15 +185,15 @@ class ArtifactWriter:
         write_json(self.out / "manifest.json", manifest)
 
 
-def _build_weights(spec, n_terms: int) -> tuple[WeightSequence, float]:
-    """The first n_terms moments of the measure as weights, and their limit L."""
-    return WeightSequence(moments(spec, n_terms).values), spec.weight_limit()
+def _build_weights(spec, n_terms: int) -> WeightSequence:
+    """The first n_terms moments of the measure as weights."""
+    return WeightSequence(moments(spec, n_terms).values)
 
 
-def _build_operator(args, dim: int):
-    if args.kind == "hankel":
-        return HankelMomentOperator.from_moments(moments(args.spec, 2 * dim - 1), dim)
-    return TerracedOperator(_build_weights(args.spec, dim)[0], dim)
+def _build_operator(spec, kind: str, dim: int):
+    if kind == "hankel":
+        return HankelMomentOperator.from_moments(moments(spec, 2 * dim - 1), dim)
+    return TerracedOperator(_build_weights(spec, dim), dim)
 
 
 # --------------------------------------------------------------------------
@@ -290,24 +290,14 @@ def _cmd_adjoint_disc(args, writer: ArtifactWriter):
     return 0, {}
 
 
-def _weight_test(weights: WeightSequence):
-    """sup (n+1)|a_n|, Rhaly's bound adding sup sqrt(n(n+1))|a_n|, and why
-    region's hypotheses fail (None if they hold); its per-weight temporaries
-    are freed on return, before region draws its SVG."""
-    a = np.abs(weights.values)
+def _weight_bounds(weights: WeightSequence) -> tuple[float, float]:
+    """sup (n+1) a_n and Rhaly's bound adding sup sqrt(n(n+1)) a_n, for
+    nonnegative weights; the per-weight temporaries are freed on return,
+    before region draws its SVG."""
+    a = weights.values
     n = np.arange(a.size)
     sup_weight = float(((n + 1.0) * a).max())
-    bound = sup_weight + float(np.max(np.sqrt(n * (n + 1.0)) * a))
-    tail = normal_prefix(weights.values)
-    if tail and tail < a.size:
-        reason = f"weights underflow below the normal range from index {tail}"
-    elif np.any(weights.values <= 0.0):
-        reason = "weights must be real and positive"
-    elif first_coincidence(np.sort(weights.values)[::-1]) is not None:
-        reason = "weights must be pairwise distinct"
-    else:
-        reason = None
-    return sup_weight, bound, reason
+    return sup_weight, sup_weight + float(np.max(np.sqrt(n * (n + 1.0)) * a))
 
 
 @_command("region", "predicted spectral region from the weight limit",
@@ -316,9 +306,18 @@ def _weight_test(weights: WeightSequence):
 def _cmd_region(args, writer: ArtifactWriter):
     # the predicted spectrum of a terraced operator with positive distinct
     # weights a_n and limit L: the weights plus the closed disc |z - L| <= L,
-    # or plus {0} when L = 0
-    weights, limit = _build_weights(args.spec, args.n)
-    sup_weight, bound, reason = _weight_test(weights)
+    # or plus {0} when L = 0.  Moments are nonincreasing, so they are
+    # pairwise distinct when no consecutive pair coincides
+    weights = _build_weights(args.spec, args.n)
+    limit = args.spec.weight_limit()
+    sup_weight, bound = _weight_bounds(weights)
+    normal = normal_length(weights.values)
+    if normal < args.n:
+        reason = f"weights underflow below the normal range from index {normal}"
+    elif first_coincidence(weights.values) is not None:
+        reason = "weights must be pairwise distinct"
+    else:
+        reason = None
     payload = {
         "sup_weight": sup_weight,
         "limit_estimate": limit,
@@ -352,7 +351,7 @@ def _cmd_pseudo(args, writer: ArtifactWriter):
     if args.dump_matrix:
         # the terraced grid has no dense limit, but the dumped matrix has
         check_dense_limit(args.dim)
-    op = _build_operator(args, args.dim)
+    op = _build_operator(args.spec, args.kind, args.dim)
     grid = pseudospectrum_grid(op, tuple(window), args.res, args.dim)
     writer.write_text("pseudo.csv", grid_csv(grid))
     writer.write_text("pseudo.svg", heatmap_svg(grid.sigma_min, tuple(window)))
@@ -367,7 +366,8 @@ def _cmd_pseudo(args, writer: ArtifactWriter):
           ("--angles", dict(type=_at_least(4), default=256)),
           ("--require-rhp", dict(action="store_true", help=f"exit 2 if min Re W < -{RHP_TOL}")))
 def _cmd_fov(args, writer: ArtifactWriter):
-    result = fov_boundary(_build_operator(args, args.dim).dense(), n_angles=args.angles)
+    result = fov_boundary(_build_operator(args.spec, args.kind, args.dim).dense(),
+                          n_angles=args.angles)
     writer.write_text("fov.csv", fov_csv(result))
     writer.write_text("fov.svg", boundary_svg(result.boundary_points))
     payload = {
@@ -388,7 +388,7 @@ def _cmd_fov(args, writer: ArtifactWriter):
           ("--shift", dict(type=_finite_float, default=0.0,
                            help="check A - shift*I instead (negative control)")))
 def _cmd_contraction(args, writer: ArtifactWriter):
-    matrix = TerracedOperator(_build_weights(args.spec, args.dim)[0], args.dim).dense()
+    matrix = _build_operator(args.spec, "terraced", args.dim).dense()
     if args.shift:
         matrix = matrix - args.shift * np.eye(args.dim)
     taus = _parse_floats("--taus", args.taus)

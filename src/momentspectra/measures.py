@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -239,25 +239,26 @@ class MomentSequence:
 
     error_bounds holds each entry's quadrature error bound (its summed
     bisection discrepancies) when any density term was integrated, and is
-    None when every entry is a closed form.  degenerate marks a measure
-    concentrated at 0: mu_0 > 0 and every later moment vanishes.
+    None when every entry is a closed form.
     """
 
     values: np.ndarray
     error_bounds: np.ndarray | None = None
-    partial_sums: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.partial_sums = np.cumsum(self.values)
 
     @property
     def n_terms(self) -> int:
         return self.values.size
 
     @property
-    def degenerate(self) -> bool:
-        return bool(self.n_terms >= 2 and self.values[0] > 0.0
-                    and np.all(self.values[1:] == 0.0))
+    def partial_sums(self) -> np.ndarray:
+        """s_0..s_{n-1}, summed when read.  Finite moments can still sum past
+        float64: OverflowError names the first index whose sum is not finite."""
+        with np.errstate(over="ignore"):
+            sums = np.cumsum(self.values)
+        finite = np.isfinite(sums)
+        if not finite.all():
+            raise OverflowError(f"partial sums overflow from index {int(np.argmin(finite))}")
+        return sums
 
 
 def moments(spec: MeasureSpec, n_terms: int, method: str = "closed",

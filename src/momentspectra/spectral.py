@@ -70,25 +70,19 @@ class ClassificationVerdict:
     method: str
 
 
-def normal_prefix(values: np.ndarray) -> int | None:
-    """Length of the prefix of positive normal floats when no normal float
-    follows it, so that the rest is an underflow tail; None otherwise."""
-    normal = values >= np.finfo(float).tiny
-    first = normal.size if normal.all() else int(np.argmin(normal))
-    return None if normal[first:].any() else first
-
-
-def _active_length(values: np.ndarray) -> int:
-    """Length of the prefix of normal floats; the rest must be an underflow
-    tail of subnormals and zeros.  A subnormal moment keeps too few bits for
-    its neighbours to be told apart: 0.75^n repeats values before n = 4096."""
+def normal_length(values: np.ndarray) -> int:
+    """Length of the leading run of positive normal floats, possibly 0; the
+    rest must be an underflow tail of subnormals and zeros.  A subnormal
+    moment keeps too few bits for its neighbours to be told apart: 0.75^n
+    repeats values before n = 4096."""
     if np.any(values < 0.0):
         raise ValueError("moments must be nonnegative")
-    active = normal_prefix(values)
-    if active is None:
+    normal = values >= np.finfo(float).tiny
+    length = normal.size if normal.all() else int(np.argmin(normal))
+    if normal[length:].any():
         raise ValueError("moments must be nonincreasing: an underflowed entry before a "
                          "normal one")
-    return active
+    return length
 
 
 def first_coincidence(values: np.ndarray) -> int | None:
@@ -100,9 +94,9 @@ def first_coincidence(values: np.ndarray) -> int | None:
 
 
 def _validate_moments(ms: MomentSequence) -> int:
-    if ms.degenerate:
+    if ms.n_terms >= 2 and ms.values[0] > 0.0 and np.all(ms.values[1:] == 0.0):
         raise ValueError("measure concentrated at 0: moments vanish past index 0")
-    active = _active_length(ms.values)
+    active = normal_length(ms.values)
     if active < 2:
         raise ValueError("need at least two positive moments")
     bad = first_coincidence(ms.values[:active])

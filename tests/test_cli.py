@@ -30,6 +30,10 @@ def artifact_bytes(out: Path) -> dict[str, bytes]:
 
 #: term weights that sum past float64: 1e308 written out, twice
 OVERFLOWING_MEASURE = "+".join(["1" + "0" * 308 + "*lebesgue"] * 2)
+#: finite moments 1e308/(n+1) whose partial sums pass float64 at s_2
+LARGE_MEASURE = "1" + "0" * 308 + "*lebesgue"
+#: the weight 1e-320 written out: every moment of it over lebesgue is subnormal
+SUBNORMAL = "0." + "0" * 319 + "1"
 OVERFLOWING_SUM = "measure error: term weights must have a finite sum, got inf"
 
 
@@ -50,6 +54,23 @@ def test_moments_command(tmp_path):
     assert manifest["command"] == "moments"
     assert manifest["inputs"]["n"] == 8
     assert set(manifest["outputs"]) == {name.name for name in out.iterdir()}
+
+
+def test_moments_refuses_overflowing_partial_sums(tmp_path, capsys):
+    out = tmp_path / "m"
+    assert main(["moments", "--measure", LARGE_MEASURE, "--n", "2", "--out", str(out)]) == 0
+    assert (out / "moments.csv").read_text().splitlines()[2] == "1,5e+307,1.5e+308,closed-form"
+    out = tmp_path / "m4"
+    assert main(["moments", "--measure", LARGE_MEASURE, "--n", "4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "numeric error: partial sums overflow from index 2\n"
+    assert read_json(out / "manifest.json")["status"] == "error"
+    assert not (out / "moments.csv").exists()
+
+
+def test_classify_never_sums_the_moments(tmp_path):
+    # classify reads no partial sum, so one past float64 neither fails nor warns
+    assert main(["classify", "--measure", LARGE_MEASURE, "--k", "0..1", "--n", "8",
+                 "--out", str(tmp_path / "c")]) == 0
 
 
 def test_moments_quadrature_provenance(tmp_path):
@@ -157,11 +178,16 @@ def test_region_command_hypotheses_not_met(tmp_path):
         assert payload["reason"] == f"weights underflow below the normal range from index {first}"
     assert main(["region", "--measure", "dirac(0.5)", "--n", "1023", "--out", str(out)]) == 0
     assert read_json(out / "region.json")["hypotheses_met"]
-    # zeros after a subnormal start, with no normal weight before them: a sign error
-    subnormal = "0." + "0" * 319 + "1"
-    assert main(["region", "--measure", f"{subnormal}*lebesgue", "--n", "8192",
-                 "--out", str(out)]) == 0
-    assert read_json(out / "region.json")["reason"] == "weights must be real and positive"
+    # weights subnormal from index 0, with or without zeros after them: an
+    # underflow from index 0, and no region is drawn
+    for n in ("8", "8192"):
+        out = tmp_path / f"subnormal{n}"
+        assert main(["region", "--measure", f"{SUBNORMAL}*lebesgue", "--n", n,
+                     "--out", str(out)]) == 0
+        payload = read_json(out / "region.json")
+        assert not payload["hypotheses_met"]
+        assert payload["reason"] == "weights underflow below the normal range from index 0"
+        assert not (out / "region.svg").exists()
 
 
 @pytest.mark.parametrize("n", ["1024", "4096"])

@@ -2,8 +2,9 @@
 an export that only tests call is API to delete, not to keep.  Every
 subcommand is a job of the benchmark's readme-cli workload, whose job list
 is the README's CLI block, and every option but a listed few is set by
-some benchmark job.  And one module, serialize, owns the JSON layout, and
-one, _lapack, owns the lookup of scipy's compiled routines."""
+some benchmark job.  And one module, serialize, owns the JSON layout, one,
+_lapack, owns the lookup of scipy's compiled routines, and one, spectral,
+owns the normal float range of a moment sequence."""
 
 import argparse
 import ast
@@ -131,6 +132,24 @@ def test_only_serialize_lays_out_json():
     writers = {path.name: _json_writers(path) for path in sorted(package.rglob("*.py"))
                if path.name != "serialize.py"}
     assert {name: found for name, found in writers.items() if found} == {}
+
+
+def _finfo_tiny_reads(path: Path) -> int:
+    """How many times the code of `path` reads the `tiny` of a finfo call."""
+    return sum(1 for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "tiny"
+               and isinstance(node.value, ast.Call)
+               and ast.unparse(node.value.func).split(".")[-1] == "finfo")
+
+
+def test_only_spectral_reads_the_normal_range():
+    # one owner of the normal-range decision: spectral.normal_length, which
+    # region and the moment checks share
+    package = ROOT / "src" / "momentspectra"
+    reads = {path.name: _finfo_tiny_reads(path) for path in sorted(package.rglob("*.py"))
+             if path.name != "spectral.py"}
+    assert {name: count for name, count in reads.items() if count} == {}
+    assert _finfo_tiny_reads(package / "spectral.py") > 0
 
 
 def _scipy_imports(path: Path) -> list[str]:

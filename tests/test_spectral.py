@@ -525,11 +525,11 @@ def test_spectrum_region_dirac_weights_degenerate_to_points(tmp_path):
 
 def test_spectrum_region_rejects_leibowitz(tmp_path):
     # zero weights, like Leibowitz's off the squares: 1e-320 / (n+1) starts
-    # subnormal and rounds to 0 from n = 4047
+    # subnormal and rounds to 0 from n = 4047, an underflow from index 0
     subnormal = "0." + "0" * 319 + "1"
     payload = region_json(tmp_path, "--measure", f"{subnormal}*lebesgue", "--n", "8192")
     assert not payload["hypotheses_met"] and "region" not in payload
-    assert "positive" in payload["reason"]
+    assert payload["reason"] == "weights underflow below the normal range from index 0"
 
 
 # --------------------------------------------------------------------------
