@@ -106,14 +106,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _tolerance(text: str) -> float:
-    """_finite_float refusing negatives too: the argparse type of moments --tol."""
-    value = _finite_float(text)
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative tolerance, got {text!r}")
-    return value
-
-
 def _at_least(minimum: float = -math.inf):
     """The argparse type of an integer option that nothing below minimum can
     run; with no minimum, of any integer."""
@@ -218,13 +210,11 @@ _KIND = ("--kind", dict(choices=("terraced", "hankel"), default="terraced"))
 @_command("moments", "moment sequence CSV for a measure",
           _MEASURE,
           ("--n", dict(type=_at_least(1), required=True)),
-          ("--quadrature", dict(action="store_true", help="force the adaptive-quadrature path")),
-          ("--tol", dict(type=_tolerance, default=measures_mod.MOMENT_TOL)))
+          ("--quadrature", dict(action="store_true", help="force the adaptive-quadrature path")))
 def _cmd_moments(args, writer: ArtifactWriter):
-    method = "quadrature" if args.quadrature else "closed"
-    ms = moments(args.spec, args.n, method=method, tol=args.tol)
+    ms = moments(args.spec, args.n, method="quadrature" if args.quadrature else "closed")
     writer.write_text("moments.csv", moments_csv(ms))
-    return 0, {"moment_tol": args.tol}
+    return 0, {"moment_tol": measures_mod.MOMENT_TOL}
 
 
 @_command("classify", "point-spectrum membership verdicts",
@@ -292,12 +282,16 @@ def _cmd_adjoint_disc(args, writer: ArtifactWriter):
 
 def _weight_bounds(weights: WeightSequence) -> tuple[float, float]:
     """sup (n+1) a_n and Rhaly's bound adding sup sqrt(n(n+1)) a_n, for
-    nonnegative weights; the per-weight temporaries are freed on return,
-    before region draws its SVG."""
+    nonnegative weights, or OverflowError when the bound is not finite; the
+    per-weight temporaries are freed on return, before region draws its SVG."""
     a = weights.values
     n = np.arange(a.size)
-    sup_weight = float(((n + 1.0) * a).max())
-    return sup_weight, sup_weight + float(np.max(np.sqrt(n * (n + 1.0)) * a))
+    with np.errstate(over="ignore"):
+        sup_weight = float(((n + 1.0) * a).max())
+        bound = sup_weight + float(np.max(np.sqrt(n * (n + 1.0)) * a))
+    if not math.isfinite(bound):
+        raise OverflowError("Rhaly's norm bound overflows")
+    return sup_weight, bound
 
 
 @_command("region", "predicted spectral region from the weight limit",

@@ -42,7 +42,7 @@ import numpy as np
 
 from .quadrature import integrate
 
-#: absolute quadrature tolerance per moment: the one default of every caller
+#: the one quadrature tolerance, relative to each moment
 MOMENT_TOL = 1e-13
 #: fewest moments whose octave ladder starts past index 0
 LADDER_MIN_TERMS = 9
@@ -213,31 +213,33 @@ def parse_measure(text: str) -> MeasureSpec:
 # --------------------------------------------------------------------------
 # moments
 
-def _density_moments(c: float, s: float, x0: float, ns: np.ndarray, tol: float):
-    """Quadrature moments of the density with Laplace triple (c, s, x0).
+def _density_moments(c: float, s: float, x0: float, ns: np.ndarray):
+    """Quadrature moments of the density with Laplace triple (c, s, x0) and
+    their error bounds, each relative to its entry.
 
-    Entry n's [x0, x0 + (120+20s)/(n+c)] is mapped onto [0, 1], cutting a tail
-    Q(s, 120+20s) <= e^{-120} of the entry (Chernoff).  Every entry is then
-    u^{s-1} e^{-(120+20s)u} times its own scale, so entry 0 alone is
-    integrated and entry n is its value and bound times (c/(n+c))^s e^{-n x0}
-    <= 1; the check tests closed_moments against the triple and Gamma(s).
+    With v = (n+c)(x - x0), entry n is its closed form (n+c)^{-s} e^{-(n+c)x0}
+    times the integral of W/Gamma(s) e^{-Wu} (Wu)^{s-1} on [0, 1], W = 120+20s,
+    which is P(s, W) ~ 1 (Chernoff: the cut tail is at most e^{-120}).  That
+    profile is integrated once, to MOMENT_TOL, and the closed form scales its
+    value and its bound; so the check tests closed_moments against the triple
+    and Gamma(s).
     """
-    width = (120.0 + 20.0 * s) / c
-    scale = width * math.exp(-c * x0) / math.gamma(s)
+    width = 120.0 + 20.0 * s
+    scale = width / math.gamma(s)
 
-    def f(u):
+    def profile(u):
         y = width * u
-        return scale * np.exp(-c * y) * np.power(y, s - 1.0)
-    value, bound = integrate(f, tol)
-    ratio = np.power((ns + c) / c, -s) * np.exp(-ns * x0)
-    return ratio * value, ratio * bound
+        return scale * np.exp(-y) * np.power(y, s - 1.0)
+    value, bound = integrate(profile, MOMENT_TOL)
+    closed = np.power(ns + c, -s) * np.exp(-(ns + c) * x0)
+    return closed * value, closed * bound
 
 
 @dataclass(eq=False)
 class MomentSequence:
     """Moments mu_0..mu_{n-1} and their partial sums s_n = mu_0 + ... + mu_n.
 
-    error_bounds holds each entry's quadrature error bound (its summed
+    error_bounds holds each entry's quadrature error bound (its terms' summed
     bisection discrepancies) when any density term was integrated, and is
     None when every entry is a closed form.
     """
@@ -261,8 +263,7 @@ class MomentSequence:
         return sums
 
 
-def moments(spec: MeasureSpec, n_terms: int, method: str = "closed",
-            tol: float = MOMENT_TOL) -> MomentSequence:
+def moments(spec: MeasureSpec, n_terms: int, method: str = "closed") -> MomentSequence:
     """Moment sequence of a measure: entry n integrates t^n against it.
 
     method="closed" evaluates the per-atom closed forms; method="quadrature"
@@ -282,8 +283,7 @@ def moments(spec: MeasureSpec, n_terms: int, method: str = "closed",
             continue
         if bounds is None:
             bounds = np.zeros(n_terms)
-        # split the per-moment tolerance so weighted bounds still sum below it
-        v, b = _density_moments(*atom.laplace(), ns, tol / (len(spec.terms) * max(weight, 1.0)))
+        v, b = _density_moments(*atom.laplace(), ns)
         values += weight * v
         bounds += weight * b
     return MomentSequence(values, bounds)

@@ -108,7 +108,8 @@ def _terraced_support(m: np.ndarray, angles: np.ndarray):
     n_angles, dim = angles.size, m.shape[0]
     if not np.isfinite(m).all():
         raise ValueError("fov_boundary needs a finite matrix")
-    sym, skew = 0.5 * (m + m.T), 0.5 * (m - m.T)
+    # halved before the sum, so that a finite matrix has a finite Hermitian part
+    sym, skew = 0.5 * m + 0.5 * m.T, 0.5 * m - 0.5 * m.T
     even, half = n_angles % 2 == 0, n_angles // 2 + 1
     support = np.empty(n_angles)
     vectors = np.empty((dim, half), dtype=complex)

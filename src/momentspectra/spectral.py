@@ -216,7 +216,7 @@ def eigenvector_residual(ms: MomentSequence, k: int, dim: int,
 
     embed_factor > 1 pads the vector with zeros and applies the operator at
     the larger truncation, so the residual also sees the rows the smaller
-    truncation would cut off.
+    truncation would cut off.  OverflowError if the residual is not finite.
     """
     if embed_factor < 1:
         raise ValueError("embed_factor must be at least 1")
@@ -229,7 +229,11 @@ def eigenvector_residual(ms: MomentSequence, k: int, dim: int,
     r = terraced_apply(op, x) - ms.values[k] * x
     # pairwise sums of squares: a BLAS dot over 32768 entries near 1 drops
     # their low bits and put ||x|| 27 eps off an exactly summed norm
-    return math.sqrt(np.sum(r * r)) / math.sqrt(np.sum(x * x))
+    with np.errstate(over="ignore"):
+        residual = math.sqrt(np.sum(r * r)) / math.sqrt(np.sum(x * x))
+    if not math.isfinite(residual):
+        raise OverflowError(f"eigenvector residual at k = {k} overflows")
+    return residual
 
 
 def adjoint_eigenvector(ms: MomentSequence, nu: complex, dim: int) -> np.ndarray:

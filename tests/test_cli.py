@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,9 +10,9 @@ import numpy as np
 import pytest
 
 import momentspectra
-from momentspectra import _lapack, cli, spectral
+from momentspectra import MeasureSpec, _lapack, cli, parse_measure, spectral
 
-from helpers import parse_complex, readme_commands
+from helpers import measure_text, parse_complex, readme_commands
 from momentspectra.cli import main
 from momentspectra.svg import boundary_svg, heatmap_svg, region_svg
 
@@ -65,6 +66,33 @@ def test_moments_refuses_overflowing_partial_sums(tmp_path, capsys):
     assert capsys.readouterr().err == "numeric error: partial sums overflow from index 2\n"
     assert read_json(out / "manifest.json")["status"] == "error"
     assert not (out / "moments.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--quadrature"]], ids=["closed", "quadrature"])
+@pytest.mark.parametrize("measure", ["logpower(3)+0.25*lebesgue(0.9)", "power(2.5)+dirac(0.5)",
+                                     "lebesgue", "120*lebesgue", "60*lebesgue+dirac(0.5)"])
+def test_moments_commute_with_scaling_by_a_power_of_two(tmp_path, measure, flags):
+    # 2^k times every term weight scales each moment, its partial sum and its
+    # quadrature bound (relative to the moment) by 2^k, exactly in float64;
+    # so a heavy measure runs at the one tolerance
+    spec = parse_measure(measure)
+
+    def run(exponent: int):
+        scaled = MeasureSpec(tuple((math.ldexp(w, exponent), atom) for w, atom in spec.terms))
+        out = tmp_path / str(exponent)
+        assert main(["moments", "--measure", measure_text(scaled), "--n", "2048", *flags,
+                     "--out", str(out)]) == 0
+        rows = [row.split(",") for row in (out / "moments.csv").read_text().splitlines()[1:]]
+        bounds = [float(r[3][len("quadrature("):-1]) for r in rows if r[3] != "closed-form"]
+        assert len(bounds) == (len(rows) if flags else 0)
+        return np.array([[float(r[1]), float(r[2])] for r in rows]), np.array(bounds)
+
+    values, bounds = run(0)
+    for exponent in (20, -20):
+        scaled_values, scaled_bounds = run(exponent)
+        assert np.array_equal(scaled_values, np.ldexp(values, exponent))
+        # each bound is printed to 4 digits
+        assert np.allclose(scaled_bounds, np.ldexp(bounds, exponent), rtol=1e-3, atol=0)
 
 
 def test_classify_never_sums_the_moments(tmp_path):
@@ -520,11 +548,13 @@ def test_huge_index_range_is_refused_without_building_it(tmp_path, args, line):
     assert int(done.stdout) < 100 * 1024
 
 
-def test_unreachable_quadrature_tolerance_exits_two(tmp_path, capsys):
-    code = main(["moments", "--measure", "power(2.5)", "--quadrature", "--n", "8",
-                 "--tol", "1e-18", "--out", str(tmp_path / "q")])
+def test_non_finite_quadrature_integrand_exits_two(tmp_path, capsys):
+    # (-log t)^169 overflows float64 on the mapped interval
+    code = main(["moments", "--measure", "logpower(170)", "--quadrature", "--n", "4",
+                 "--out", str(tmp_path / "q")])
     assert code == 2
-    assert capsys.readouterr().err.startswith("numeric error: adaptive quadrature stalled")
+    line = "numeric error: adaptive quadrature integrand is not finite"
+    assert capsys.readouterr().err == line + "\n"
 
 
 @pytest.mark.parametrize(
@@ -651,8 +681,8 @@ def test_failed_check_is_status_ok_with_its_exit_code(tmp_path):
 @pytest.mark.parametrize("args, code, line", [
     (["contraction", "--measure", "lebesgue", "--dim", "64", "--taus", "1e6", "--shift", "5"],
      2, "numeric error: matrix exponential overflowed at tau=1000000.0"),
-    (["moments", "--measure", "power(2.5)", "--quadrature", "--n", "8", "--tol", "1e-18"],
-     2, "numeric error: adaptive quadrature stalled before refining"),
+    (["moments", "--measure", "logpower(170)", "--quadrature", "--n", "4"],
+     2, "numeric error: adaptive quadrature integrand is not finite"),
     (["moments", "--measure", "dirac(2)", "--n", "4"],
      1, "measure error: "),
     (["hilbert", "--max-index", "2", "--dims", ""], 1, "input error: empty"),
@@ -690,6 +720,11 @@ def test_failed_check_is_status_ok_with_its_exit_code(tmp_path):
     # the overflowing sum on fov too
     (["fov", "--measure", OVERFLOWING_MEASURE, "--dim", "16", "--angles", "8"],
      1, OVERFLOWING_SUM),
+    # finite moments whose Rhaly bound or eigenvector residual passes float64
+    (["region", "--measure", LARGE_MEASURE, "--n", "8"],
+     2, "numeric error: Rhaly's norm bound overflows"),
+    (["eigencheck", "--measure", LARGE_MEASURE, "--k", "0", "--dim", "8"],
+     2, "numeric error: eigenvector residual at k = 0 overflows"),
 ])
 def test_failed_run_leaves_a_manifest_with_status_error(tmp_path, capsys, args, code, line):
     out = tmp_path / "err"
@@ -703,10 +738,11 @@ def test_failed_run_leaves_a_manifest_with_status_error(tmp_path, capsys, args, 
 
 
 @pytest.mark.parametrize("args, line", [
-    (["moments", "--measure", "lebesgue", "--n", "8", "--quadrature", "--tol", "nan"],
-     "usage error: argument --tol: expected a finite number, got 'nan'"),
-    (["moments", "--measure", "lebesgue", "--n", "8", "--quadrature", "--tol", "inf"],
-     "usage error: argument --tol: expected a finite number, got 'inf'"),
+    # moments' one number is its count of terms, --quadrature or not
+    (["moments", "--measure", "lebesgue", "--n", "nan", "--quadrature"],
+     "usage error: argument --n: invalid int value: 'nan'"),
+    (["moments", "--measure", "lebesgue", "--n", "inf", "--quadrature"],
+     "usage error: argument --n: invalid int value: 'inf'"),
     (["contraction", "--measure", "lebesgue", "--dim", "8", "--shift=-inf"],
      "usage error: argument --shift: expected a finite number, got '-inf'"),
     # a non-finite number is no integer either
@@ -730,9 +766,8 @@ def test_failed_run_leaves_a_manifest_with_status_error(tmp_path, capsys, args, 
      "usage error: argument --angles: 3 is below 4"),
     (["eigencheck", "--measure", "dirac(0.5)", "--k", "0", "--dim", "8", "--embed", "0"],
      "usage error: argument --embed: 0 is below 1"),
-    # a tolerance bounds a distance, so a negative one can never be met
-    (["moments", "--measure", "lebesgue", "--n", "8", "--quadrature", "--tol", "-1"],
-     "usage error: argument --tol: expected a nonnegative tolerance, got '-1'"),
+    (["moments", "--measure", "lebesgue", "--n", "0", "--quadrature"],
+     "usage error: argument --n: 0 is below 1"),
     # every --dim needs one row and every --res two points per axis
     (["eigencheck", "--measure", "dirac(0.5)", "--k", "0", "--dim", "0"],
      "usage error: argument --dim: 0 is below 1"),
@@ -793,6 +828,8 @@ def test_non_finite_or_out_of_range_number_is_an_input_error(tmp_path, capsys, a
     (["contraction", "--measure", "lebesgue", "--kind", "hankel"], "--kind hankel"),
     # fov takes --measure only
     (["fov", "--measure", "lebesgue", "--weights", "cesaro"], "--weights cesaro"),
+    # the quadrature's tolerance is MOMENT_TOL, relative to each moment
+    (["moments", "--measure", "lebesgue", "--n", "4", "--tol", "1e-9"], "--tol 1e-9"),
 ])
 def test_no_run_sets_its_own_gate(tmp_path, capsys, args, rest):
     # every gate is a fixed constant of cli, recorded in the manifest's tolerances

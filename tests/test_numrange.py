@@ -195,6 +195,18 @@ def test_terraced_support_scales_exactly_by_a_power_of_two(exponent):
     assert scaled.min_real_part == np.ldexp(base.min_real_part, exponent)
 
 
+def test_terraced_fov_at_the_top_of_float64():
+    # the Hermitian part is halved before the sum: 2^1023 + 2^1023 would overflow
+    matrix = terraced_from_measure("lebesgue", 8).dense()
+    base = fov_boundary(matrix, n_angles=8)
+    scaled = fov_boundary(np.ldexp(matrix, 1023), n_angles=8)
+    assert scaled.min_real_part == np.ldexp(base.min_real_part, 1023)
+    # LAPACK's norms may take their overflow-safe path here: rounding, not bits
+    reference = np.ldexp(base.support_values, 1023)
+    assert np.allclose(scaled.support_values, reference, rtol=0,
+                       atol=32 * np.finfo(float).eps * np.abs(reference).max())
+
+
 def test_terraced_fov_refuses_a_non_finite_matrix():
     matrix = terraced_from_measure("lebesgue", 8).dense()
     matrix[5, 2] = np.nan

@@ -73,10 +73,6 @@ def test_readme_cli_block_is_the_readme_cli_job_list():
 
 #: the options that no benchmark job sets, each with the reason it stays
 UNSET_OPTIONS = {
-    ("moments", "--tol"): "the quadrature solver's tolerance, which a heavy measure needs: "
-                          "at the default MOMENT_TOL the per-term share falls below the "
-                          "rounding floor, so --quadrature stalls on 120*lebesgue and runs "
-                          "at --tol 1e-9; it goes with the quadrature path (ROADMAP item 4)",
     ("region", "--measure"): "the moment weights of a measure, which ROADMAP item 11 gives "
                              "traffic when region writes both discs of --measure",
 }
