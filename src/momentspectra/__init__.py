@@ -9,6 +9,8 @@ semigroups, and invariant-subspace structure.
 
 __version__ = "0.1.0"
 
+# first, so that it sets the BLAS thread count before numpy loads
+from . import _lapack  # noqa: F401
 from .measures import (
     Dirac,
     Lebesgue,

@@ -10,14 +10,24 @@ and each module is registered in sys.modules under its own name, so a
 later `import scipy.linalg` reuses it.
 
 numpy's and scipy's wheels each bundle their own OpenBLAS, which starts one
-thread per core.  Both are pinned to one thread through the setter the
-library exports: numpy's when this module is imported (numpy has loaded it
-by then), scipy's right after the first lookup loads scipy's modules.  On
-the small products and eigensolves of this package a second thread adds CPU
-time and no speed, and its blocking moves the last bits of the results, so
-one thread makes every artifact's bytes independent of the thread count the
-process started with.  A BLAS without a known setter is left as it is and
-recorded as unpinned; `environment()` reports both for the run manifest.
+thread per core when it loads.  On the small products and eigensolves of
+this package a second thread adds CPU time and no speed, and its blocking
+moves the last bits of the results, so every artifact's bytes are made
+independent of the thread count the process started with, in two steps:
+
+* When this module is imported before numpy, as it is by `python -m
+  momentspectra` and the console script (the package imports it first), it
+  sets `OPENBLAS_NUM_THREADS=1` in its own process, so neither OpenBLAS
+  copy starts a thread pool.  The caller's value is kept for the manifest.
+  A process that imported numpy first keeps its environment untouched.
+* Both copies are pinned to one thread through the setter the library
+  exports: numpy's when this module is imported (numpy has loaded it by
+  then), scipy's right after the first lookup loads scipy's modules.  This
+  covers a library caller who imported numpy first.
+
+A BLAS without a known setter is left as it is and recorded as unpinned;
+`environment()` reports both, and the caller's `OPENBLAS_NUM_THREADS`, for
+the run manifest.
 """
 
 import ctypes
@@ -27,7 +37,14 @@ import importlib.util
 import os
 import sys
 
-import numpy as np
+#: the caller's OPENBLAS_NUM_THREADS, or None where it was unset
+_CALLER_THREADS = os.environ.get("OPENBLAS_NUM_THREADS")
+if "numpy" not in sys.modules:
+    # read by each OpenBLAS copy when it loads: numpy's at the import below,
+    # scipy's at the first routine lookup
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402  (after the variable is set)
 
 _ROUTINES = {"_fblas": ("dnrm2", "dznrm2", "ztbsv"),
              "_flapack": ("dstebz", "dstein", "zhetrd", "zhetrd_lwork", "zunmqr")}
@@ -70,10 +87,11 @@ def _scipy_dir() -> str:
 
 
 def environment() -> dict:
-    """numpy's and scipy's versions and, for each BLAS looked at so far,
-    whether it is pinned and, if so, its configuration and the thread count
-    in effect.  scipy's version is read from the name of its dist-info
-    directory, which imports nothing."""
+    """numpy's and scipy's versions, the caller's `OPENBLAS_NUM_THREADS`
+    (None where unset) and, for each BLAS looked at so far, whether it is
+    pinned and, if so, its configuration and the thread count in effect.
+    scipy's version is read from the name of its dist-info directory, which
+    imports nothing."""
     scipy_versions = [os.path.basename(path)[len("scipy-"):-len(".dist-info")] for path in
                       glob.glob(os.path.join(os.path.dirname(_scipy_dir()), "scipy-*.dist-info"))]
     blas = {}
@@ -84,7 +102,8 @@ def environment() -> dict:
             blas[package].update(config=config().decode(), threads=threads())
     return {"numpy": np.__version__,
             "scipy": scipy_versions[0] if len(scipy_versions) == 1 else None,
-            "blas": blas}
+            "blas": blas,
+            "caller_openblas_num_threads": _CALLER_THREADS}
 
 
 def __getattr__(name: str):

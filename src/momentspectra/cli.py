@@ -64,7 +64,10 @@ KERNEL_LOCATIONS = 8
 #: manifest's `tolerances` records the ones its command applied
 RESIDUAL_TOL = 1e-8
 CONTRACTION_TOL = 1e-9
-RHP_TOL = 1e-10
+#: fov --require-rhp's gate in units of dim * eps * w, w = max h(theta) the
+#: numerical radius (||A|| <= 2w): min Re W below -RHP_ROUNDING * dim * eps * w
+#: fails, a bound above the rounding of a positive semidefinite Hermitian part
+RHP_ROUNDING = 1.0
 INTEGRAL_TOL = 1e-11
 COLUMN_TOL = 1e-12
 SEMIGROUP_TOL = 1e-13
@@ -358,7 +361,10 @@ def _cmd_pseudo(args, writer: ArtifactWriter):
           _MEASURE, _KIND,
           ("--dim", dict(type=_at_least(1), default=64)),
           ("--angles", dict(type=_at_least(4), default=256)),
-          ("--require-rhp", dict(action="store_true", help=f"exit 2 if min Re W < -{RHP_TOL}")))
+          ("--require-rhp", dict(action="store_true",
+                                 help=f"exit 2 if min Re W < -{RHP_ROUNDING:g}*dim*eps*w, "
+                                      "w the largest support value; the manifest's "
+                                      "rhp_tol records the threshold")))
 def _cmd_fov(args, writer: ArtifactWriter):
     result = fov_boundary(_build_operator(args.spec, args.kind, args.dim).dense(),
                           n_angles=args.angles)
@@ -371,8 +377,10 @@ def _cmd_fov(args, writer: ArtifactWriter):
         "hermitian_min_eig": result.min_real_part,
     }
     writer.write_json("fov.json", payload)
-    code = 2 if args.require_rhp and result.min_real_part < -RHP_TOL else 0
-    return code, {"rhp_tol": RHP_TOL if args.require_rhp else None}
+    if not args.require_rhp:
+        return 0, {"rhp_tol": None}
+    rhp_tol = RHP_ROUNDING * args.dim * np.finfo(float).eps * result.support_values.max()
+    return (2 if result.min_real_part < -rhp_tol else 0), {"rhp_tol": rhp_tol}
 
 
 @_command("contraction", "semigroup contraction norms",

@@ -149,14 +149,21 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 _THETA13 = 5.371920351148152
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(A) by scaling and squaring with the Pade [13/13] approximant
-    (Higham, SIAM J. Matrix Anal. Appl. 26, 2005): A is scaled by 2^-s until
-    ||A||_1 <= theta_13, r_13 = (V - U)^{-1} (V + U) is formed from the even
-    powers A^2, A^4, A^6, and squared s times.  An overflow leaves non-finite
-    entries for the caller to check."""
-    s = max(0, math.frexp(np.abs(a).sum(axis=0).max() / _THETA13)[1])
-    a = np.ldexp(a, -s)
+def _expm(m: np.ndarray, tau: float) -> np.ndarray:
+    """exp(tau M) by scaling and squaring with the Pade [13/13] approximant
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 2005): A = tau M is scaled by
+    2^-s until ||A||_1 <= theta_13, r_13 = (V - U)^{-1} (V + U) is formed
+    from the even powers A^2, A^4, A^6, and squared s times.  M and tau are
+    first divided by powers of two that bring their largest entries below 1,
+    so a finite M whose 1-norm overflows is still scaled; every step is
+    exact, so s and the result do not depend on that division.  An overflow
+    of the squarings leaves non-finite entries for the caller to check."""
+    t, f = math.frexp(tau)
+    e = math.frexp(np.abs(m).max(initial=0.0))[1]
+    a = t * np.ldexp(m, -e)  # tau M = 2^(e+f) a, and every |a_ij| < 1
+    e += f
+    s = max(0, e + math.frexp(np.abs(a).sum(axis=0).max() / _THETA13)[1])
+    a = np.ldexp(a, e - s)
     b = _PADE13
     ident = np.eye(a.shape[0])
     a2 = a @ a
@@ -186,7 +193,7 @@ def contraction_check(matrix: np.ndarray, taus) -> np.ndarray:
     for i, tau in enumerate(taus):
         # an overflow is reported once, by the finiteness check below
         with np.errstate(over="ignore", invalid="ignore"):
-            exp_m = _expm(-tau * m)
+            exp_m = _expm(m, -tau)
         if not np.all(np.isfinite(exp_m)):
             raise OverflowError(f"matrix exponential overflowed at tau={tau}")
         norms[i] = np.linalg.norm(exp_m, 2)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from momentspectra import MeasureSpec, _lapack, cli, parse_measure, spectral
 
 from helpers import measure_text, parse_complex, readme_commands
 from momentspectra.cli import main
+from momentspectra.numrange import fov_boundary
 from momentspectra.svg import boundary_svg, heatmap_svg, region_svg
 
 
@@ -310,6 +312,41 @@ def test_fov_command_with_rhp_gate(tmp_path):
     assert header == "theta,re,im,h"
 
 
+def test_rhp_gate_scales_with_the_operator(tmp_path):
+    # the Hankel matrix of 2^20 lebesgue is a positive semidefinite Gram
+    # matrix: its min Re W of about -9e-10 is rounding at a numerical radius
+    # of about 3e6, inside the gate dim eps w, but below an absolute 1e-10
+    out = tmp_path / "big"
+    assert main(["fov", "--kind", "hankel", "--require-rhp", "--dim", "1024", "--angles", "8",
+                 "--measure", "1048576*lebesgue", "--out", str(out)]) == 0
+    payload = read_json(out / "fov.json")
+    support = [float(row.split(",")[3]) for row in
+               (out / "fov.csv").read_text().splitlines()[1:]]
+    gate = cli.RHP_ROUNDING * 1024 * np.finfo(float).eps * max(support)
+    assert -gate < payload["min_real_part"] < -1e-10
+    assert read_json(out / "manifest.json")["tolerances"] == {"rhp_tol": gate}
+
+
+def test_readme_fov_passes_the_rhp_gate(tmp_path):
+    (args,) = [argv for argv in readme_commands() if argv[0] == "fov"]
+    assert "--require-rhp" in args
+    assert main(args[:args.index("--out")] + ["--out", str(tmp_path / "f")]) == 0
+
+
+def test_rhp_gate_fails_a_clearly_negative_minimum(tmp_path, monkeypatch):
+    def shifted(matrix, n_angles):
+        result = fov_boundary(matrix, n_angles)
+        return dataclasses.replace(result, min_real_part=-1e-3 * result.support_values.max())
+
+    monkeypatch.setattr(cli, "fov_boundary", shifted)
+    out = tmp_path / "neg"
+    assert main(["fov", "--measure", "lebesgue", "--dim", "64", "--require-rhp",
+                 "--out", str(out)]) == 2
+    manifest = read_json(out / "manifest.json")
+    assert (manifest["status"], manifest["exit_code"]) == ("ok", 2)
+    assert 0.0 < manifest["tolerances"]["rhp_tol"] < 1e-12
+
+
 def test_fov_hankel_reports_one_hermitian_minimum(tmp_path):
     out = tmp_path / "fh"
     assert main(["fov", "--kind", "hankel", "--measure", "lebesgue", "--dim", "64",
@@ -476,18 +513,24 @@ def test_commands_load_only_the_compiled_routines(tmp_path):
 def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, args):
     # _lapack pins numpy's and scipy's OpenBLAS to one thread whatever count
     # the process starts with; two threads split the dense products another
-    # way and move the last bits of these grids and boundaries
+    # way and move the last bits of these grids and boundaries; unset, the
+    # package sets the variable to 1 itself and records the caller's None
     src = Path(momentspectra.__file__).resolve().parents[1]
     runs = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+    for threads in (None, "1", "2"):
+        out = tmp_path / str(threads)
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
         subprocess.run([sys.executable, "-m", "momentspectra", *args, "--out", str(out)],
                        env=env, check=True)
-        blas = read_json(out / "manifest.json")["environment"]["blas"]
+        environment = read_json(out / "manifest.json")["environment"]
+        assert environment["caller_openblas_num_threads"] == threads
+        blas = environment["blas"]
         assert blas and all(copy["threads"] == 1 for copy in blas.values())
         runs.append(artifact_bytes(out))
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
 
 
 @pytest.mark.parametrize(
@@ -667,6 +710,16 @@ def test_manifest_records_every_gate_its_run_applied(tmp_path):
     assert recorded == {"l2_margin": spectral.L2_MARGIN, "geometric_step": spectral.GEOMETRIC_STEP,
                         "flat_step": spectral.FLAT_STEP, "slowest_ratio": spectral.SLOWEST_RATIO,
                         "distinct_rel_gap": spectral.DISTINCT_REL_GAP}
+
+
+def test_contraction_of_a_generator_whose_one_norm_overflows(tmp_path):
+    # the terraced matrix of 1e308 lebesgue is finite, but its first column
+    # sums past float64; exp(-tau A) underflows to 0 at every tau
+    out = tmp_path / "big"
+    assert main(["contraction", "--measure", LARGE_MEASURE, "--dim", "8",
+                 "--out", str(out)]) == 0
+    assert read_json(out / "contraction.json") == [{"tau": tau, "norm": 0.0}
+                                                    for tau in (0.1, 1.0, 10.0)]
 
 
 def test_failed_check_is_status_ok_with_its_exit_code(tmp_path):

@@ -104,25 +104,74 @@ def test_ztbsv_in_place_matches_the_copying_call(rng, trans):
     assert not np.array_equal(stale, _lapack.ztbsv(2, band, rhs, lower=1, trans=trans))
 
 
+def _probe(source: str, threads: str | None) -> str:
+    """stdout of a fresh interpreter running `source` with the package on its
+    path and OPENBLAS_NUM_THREADS set to `threads`, or unset for None."""
+    src = Path(momentspectra.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return subprocess.run([sys.executable, "-c", source], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_import_pins_numpy_blas_and_first_lookup_pins_scipy_blas():
     # a process started with two BLAS threads: importing the package pins
     # numpy's copy before any scipy module is loaded, the first routine
     # lookup loads scipy's copy and pins it too
-    src = Path(momentspectra.__file__).resolve().parents[1]
     probe = ("import json\n"
              "import momentspectra\n"
              "from momentspectra import _lapack\n"
              "before = _lapack.environment()['blas']\n"
              "_lapack.dstebz\n"
              "print(json.dumps([before, _lapack.environment()['blas']]))\n")
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="2")
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, check=True)
-    before, after = json.loads(done.stdout)
+    before, after = json.loads(_probe(probe, "2"))
     assert before.keys() == {"numpy"} and after.keys() == {"numpy", "scipy"}
     for copy in (before["numpy"], after["numpy"], after["scipy"]):
         assert copy["pinned"] and copy["threads"] == 1
         assert copy["config"].startswith("OpenBLAS ")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+                    reason="needs /proc/self/task and at least two cores")
+def test_a_process_that_imports_the_package_first_starts_no_blas_thread():
+    # unset, each OpenBLAS copy would start one thread per core when it
+    # loads: numpy's at the import, scipy's at the first lookup
+    probe = ("import os\n"
+             "import momentspectra\n"
+             "from momentspectra import _lapack\n"
+             "print(len(os.listdir('/proc/self/task')))\n"
+             "_lapack.dstebz\n"
+             "print(len(os.listdir('/proc/self/task')))\n")
+    assert _probe(probe, None).split() == ["1", "1"]
+
+
+def test_a_process_that_imports_numpy_first_keeps_its_environment_and_the_pin():
+    probe = ("import json, os\n"
+             "import numpy\n"
+             "before = dict(os.environ)\n"
+             "import momentspectra\n"
+             "from momentspectra import _lapack\n"
+             "_lapack.dstebz\n"
+             "print(json.dumps([dict(os.environ) == before, _lapack.environment()]))\n")
+    unchanged, environment = json.loads(_probe(probe, "2"))
+    assert unchanged and environment["caller_openblas_num_threads"] == "2"
+    assert environment["blas"].keys() == {"numpy", "scipy"}
+    for copy in environment["blas"].values():
+        assert copy["pinned"] and copy["threads"] == 1
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_environment_records_the_callers_blas_thread_variable(threads):
+    # the package sets the variable to 1 in its own process and records the
+    # value it found, None where it was unset
+    probe = ("import json, os\n"
+             "import momentspectra\n"
+             "from momentspectra import _lapack\n"
+             "print(json.dumps([os.environ['OPENBLAS_NUM_THREADS'],\n"
+             "                  _lapack.environment()['caller_openblas_num_threads']]))\n")
+    assert json.loads(_probe(probe, threads)) == ["1", threads]
 
 
 def test_environment_reads_the_installed_versions():

@@ -280,7 +280,7 @@ def test_expm_norms_match_scipy_on_the_catalog(name):
     dim = 32
     matrix = rhp_catalog_matrices(dim)[name]
     for tau in (0.1, 1.0, 10.0):
-        ours = np.linalg.norm(_expm(-tau * matrix), 2)
+        ours = np.linalg.norm(_expm(matrix, -tau), 2)
         theirs = np.linalg.norm(scipy.linalg.expm(-tau * matrix), 2)
         assert abs(ours - theirs) <= 4 * dim * EPS * theirs
 
@@ -294,7 +294,7 @@ def test_expm_norms_match_scipy_on_shifted_catalog_generators(kind, shift):
     for text in CATALOG_MEASURES.values():
         matrix = build(text, dim).dense() - shift * np.eye(dim)
         for tau in (0.1, 1.0, 10.0):
-            ours = np.linalg.norm(_expm(-tau * matrix), 2)
+            ours = np.linalg.norm(_expm(matrix, -tau), 2)
             theirs = np.linalg.norm(scipy.linalg.expm(-tau * matrix), 2)
             assert abs(ours - theirs) <= 4 * dim * EPS * theirs, (text, tau)
 
@@ -308,7 +308,16 @@ def test_expm_of_a_symmetric_hankel_matrix_has_the_exact_norm(dim, shift):
         low = np.linalg.eigvalsh(matrix)[0]
         for tau in (0.1, 1.0, 10.0):
             exact = math.exp(-tau * low)
-            assert abs(np.linalg.norm(_expm(-tau * matrix), 2) - exact) <= 4 * dim * EPS * exact
+            assert abs(np.linalg.norm(_expm(matrix, -tau), 2) - exact) <= 4 * dim * EPS * exact
+
+
+def test_expm_does_not_depend_on_a_power_of_two_moved_from_tau_to_the_generator():
+    # exp(tau M) = exp((2^k tau)(2^-k M)): every scaling step of _expm is exact
+    matrix = terraced_from_measure("dirac(0)+0.5*lebesgue", 32).dense() - 0.1 * np.eye(32)
+    for tau in (-0.1, -1.0, -10.0):
+        base = _expm(matrix, tau)
+        for k in (-900, -40, 40, 900):
+            assert np.array_equal(_expm(np.ldexp(matrix, -k), math.ldexp(tau, k)), base)
 
 
 def test_contraction_overflow_reported():
