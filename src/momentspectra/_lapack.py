@@ -36,6 +36,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+from functools import lru_cache
 
 #: the caller's OPENBLAS_NUM_THREADS, or None where it was unset
 _CALLER_THREADS = os.environ.get("OPENBLAS_NUM_THREADS")
@@ -86,14 +87,20 @@ def _scipy_dir() -> str:
     return importlib.util.find_spec("scipy").submodule_search_locations[0]
 
 
+@lru_cache(maxsize=1)
+def _scipy_version() -> str | None:
+    """scipy's version, read once per process from the name of its
+    dist-info directory, which imports nothing; None where that is not one
+    directory."""
+    versions = [os.path.basename(path)[len("scipy-"):-len(".dist-info")] for path in
+                glob.glob(os.path.join(os.path.dirname(_scipy_dir()), "scipy-*.dist-info"))]
+    return versions[0] if len(versions) == 1 else None
+
+
 def environment() -> dict:
     """numpy's and scipy's versions, the caller's `OPENBLAS_NUM_THREADS`
     (None where unset) and, for each BLAS looked at so far, whether it is
-    pinned and, if so, its configuration and the thread count in effect.
-    scipy's version is read from the name of its dist-info directory, which
-    imports nothing."""
-    scipy_versions = [os.path.basename(path)[len("scipy-"):-len(".dist-info")] for path in
-                      glob.glob(os.path.join(os.path.dirname(_scipy_dir()), "scipy-*.dist-info"))]
+    pinned and, if so, its configuration and the thread count in effect."""
     blas = {}
     for package, getters in _BLAS.items():
         blas[package] = {"pinned": getters is not None}
@@ -101,7 +108,7 @@ def environment() -> dict:
             threads, config = getters
             blas[package].update(config=config().decode(), threads=threads())
     return {"numpy": np.__version__,
-            "scipy": scipy_versions[0] if len(scipy_versions) == 1 else None,
+            "scipy": _scipy_version(),
             "blas": blas,
             "caller_openblas_num_threads": _CALLER_THREADS}
 

@@ -23,14 +23,6 @@ import numpy as np
 
 from . import __version__, _lapack
 from . import measures as measures_mod
-from . import spectral as spectral_mod
-from .invariance import (
-    composition_matrix_phi,
-    hilbert_column_check,
-    kernel_span_rank,
-    monomial_invariance_check,
-    rhaly_adjoint_integral_check,
-)
 from .measures import (
     MeasureParameterError,
     MeasureSyntaxError,
@@ -38,24 +30,12 @@ from .measures import (
     octave_ladder,
     parse_measure,
 )
-from .numrange import contraction_check, fov_boundary
-from .operators import (
-    DENSE_LIMIT,
-    HankelMomentOperator,
-    TerracedOperator,
-    WeightSequence,
-    check_dense_limit,
-)
 from .serialize import fov_csv, grid_csv, matrix_csv, moments_csv, write_json
-from .spectral import (
-    classify_eigenvalue,
-    eigenvector_residual,
-    first_coincidence,
-    hankel_norm,
-    normal_length,
-    pseudospectrum_grid,
-)
-from .svg import boundary_svg, heatmap_svg, region_svg
+
+# spectral, numrange, invariance, operators and svg are imported inside the
+# handlers and builders that call them: a process loads only its command's
+# modules, and each call looks its function up in the defining module, where
+# a traced or patched replacement is found
 
 HILBERT_NORM_BOUND = 3.1416
 #: invariance's kernel-span check needs as many truncated dimensions as locations
@@ -182,10 +162,14 @@ class ArtifactWriter:
 
 def _build_weights(spec, n_terms: int) -> WeightSequence:
     """The first n_terms moments of the measure as weights."""
+    from .operators import WeightSequence
+
     return WeightSequence(moments(spec, n_terms).values)
 
 
 def _build_operator(spec, kind: str, dim: int):
+    from .operators import HankelMomentOperator, TerracedOperator
+
     if kind == "hankel":
         return HankelMomentOperator.from_moments(moments(spec, 2 * dim - 1), dim)
     return TerracedOperator(_build_weights(spec, dim), dim)
@@ -226,21 +210,23 @@ def _cmd_moments(args, writer: ArtifactWriter):
           ("--n", dict(type=_at_least(1), default=4096)),
           ("--method", dict(choices=("analytic", "numeric"), default="analytic")))
 def _cmd_classify(args, writer: ArtifactWriter):
+    from . import spectral
+
     ms = moments(args.spec, args.n)
     ks = _parse_index_range("--k", args.k)
-    verdicts = classify_eigenvalue(ms, args.spec.weight_limit(), ks, args.method)
+    verdicts = spectral.classify_eigenvalue(ms, args.spec.weight_limit(), ks, args.method)
     # each row is {k, mu_k, verdict, slope, method}
     rows = [{"k": k, "mu_k": float(ms.values[k]), **asdict(verdict)}
             for k, verdict in zip(ks, verdicts)]
     writer.write_json("verdicts.json", rows)
     # the settle constants gate only the numeric chords
     settle = {} if args.method == "analytic" else {
-        "l2_margin": spectral_mod.L2_MARGIN,
-        "geometric_step": spectral_mod.GEOMETRIC_STEP,
-        "flat_step": spectral_mod.FLAT_STEP,
-        "slowest_ratio": spectral_mod.SLOWEST_RATIO,
+        "l2_margin": spectral.L2_MARGIN,
+        "geometric_step": spectral.GEOMETRIC_STEP,
+        "flat_step": spectral.FLAT_STEP,
+        "slowest_ratio": spectral.SLOWEST_RATIO,
     }
-    return 0, {**settle, "distinct_rel_gap": spectral_mod.DISTINCT_REL_GAP}
+    return 0, {**settle, "distinct_rel_gap": spectral.DISTINCT_REL_GAP}
 
 
 @_command("eigencheck", "eigenvector residuals",
@@ -249,6 +235,8 @@ def _cmd_classify(args, writer: ArtifactWriter):
           ("--dim", dict(type=_at_least(1), default=400)),
           ("--embed", dict(type=_at_least(1), default=1)))
 def _cmd_eigencheck(args, writer: ArtifactWriter):
+    from .spectral import eigenvector_residual
+
     ks = _parse_index_range("--k", args.k)
     # the range's first refused index, refused before the first residual
     first_bad = ks[0] if not 0 <= ks[0] < args.dim else args.dim
@@ -305,6 +293,9 @@ def _cmd_region(args, writer: ArtifactWriter):
     # weights a_n and limit L: the weights plus the closed disc |z - L| <= L,
     # or plus {0} when L = 0.  Moments are nonincreasing, so they are
     # pairwise distinct when no consecutive pair coincides
+    from .spectral import first_coincidence, normal_length
+    from .svg import region_svg
+
     weights = _build_weights(args.spec, args.n)
     limit = args.spec.weight_limit()
     sup_weight, bound = _weight_bounds(weights)
@@ -342,6 +333,10 @@ def _cmd_region(args, writer: ArtifactWriter):
           ("--dim", dict(type=_at_least(1), default=256)),
           ("--dump-matrix", dict(action="store_true")))
 def _cmd_pseudo(args, writer: ArtifactWriter):
+    from .operators import check_dense_limit
+    from .spectral import pseudospectrum_grid
+    from .svg import heatmap_svg
+
     window = _parse_floats("--window", args.window)
     if len(window) != 4:
         raise ValueError("window must be re0,re1,im0,im1")
@@ -366,6 +361,9 @@ def _cmd_pseudo(args, writer: ArtifactWriter):
                                       "w the largest support value; the manifest's "
                                       "rhp_tol records the threshold")))
 def _cmd_fov(args, writer: ArtifactWriter):
+    from .numrange import fov_boundary
+    from .svg import boundary_svg
+
     result = fov_boundary(_build_operator(args.spec, args.kind, args.dim).dense(),
                           n_angles=args.angles)
     writer.write_text("fov.csv", fov_csv(result))
@@ -390,6 +388,8 @@ def _cmd_fov(args, writer: ArtifactWriter):
           ("--shift", dict(type=_finite_float, default=0.0,
                            help="check A - shift*I instead (negative control)")))
 def _cmd_contraction(args, writer: ArtifactWriter):
+    from .numrange import contraction_check
+
     matrix = _build_operator(args.spec, "terraced", args.dim).dense()
     if args.shift:
         matrix = matrix - args.shift * np.eye(args.dim)
@@ -405,6 +405,14 @@ def _cmd_contraction(args, writer: ArtifactWriter):
           _MEASURE,
           ("--dim", dict(type=_at_least(KERNEL_LOCATIONS), default=32)))
 def _cmd_invariance(args, writer: ArtifactWriter):
+    from .invariance import (
+        composition_matrix_phi,
+        kernel_span_rank,
+        monomial_invariance_check,
+        rhaly_adjoint_integral_check,
+    )
+    from .operators import HankelMomentOperator, TerracedOperator, WeightSequence
+
     checks = []
 
     def record(check: str, params: dict, value: float, tolerance: float, passed: bool):
@@ -460,6 +468,10 @@ def _cmd_invariance(args, writer: ArtifactWriter):
           ("--max-index", dict(type=_at_least(0), default=16)),
           ("--dims", dict(default="64,128,256")))
 def _cmd_hilbert(args, writer: ArtifactWriter):
+    from .invariance import hilbert_column_check
+    from .operators import DENSE_LIMIT, HankelMomentOperator
+    from .spectral import hankel_norm
+
     limit = DENSE_LIMIT
     largest = (limit - 1) // 2  # Bernstein table side 2 max-index + 1
     if args.max_index > largest:

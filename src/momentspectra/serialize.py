@@ -17,11 +17,15 @@ from __future__ import annotations
 import json
 import os
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .measures import MomentSequence
-from .numrange import FovResult
-from .spectral import PseudospectrumGrid
+if TYPE_CHECKING:
+    # annotations only: serialize loads none of these modules
+    from .measures import MomentSequence
+    from .numrange import FovResult
+    from .spectral import PseudospectrumGrid
 
 CHUNK = 1 << 14  # values per % operation: bounds the temporary tuple and text
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import momentspectra
-from momentspectra import MeasureSpec, _lapack, cli, parse_measure, spectral
+from momentspectra import MeasureSpec, _lapack, cli, numrange, parse_measure, spectral
 
 from helpers import measure_text, parse_complex, readme_commands
 from momentspectra.cli import main
@@ -338,7 +338,7 @@ def test_rhp_gate_fails_a_clearly_negative_minimum(tmp_path, monkeypatch):
         result = fov_boundary(matrix, n_angles)
         return dataclasses.replace(result, min_real_part=-1e-3 * result.support_values.max())
 
-    monkeypatch.setattr(cli, "fov_boundary", shifted)
+    monkeypatch.setattr(numrange, "fov_boundary", shifted)
     out = tmp_path / "neg"
     assert main(["fov", "--measure", "lebesgue", "--dim", "64", "--require-rhp",
                  "--out", str(out)]) == 2
@@ -904,8 +904,8 @@ def test_allocation_failure_exits_two_with_a_manifest(tmp_path, capsys, monkeypa
     def out_of_memory(*args):
         raise MemoryError("Unable to allocate 1.00 TiB for an array with shape (2**35, 2**2)")
 
-    # the name the pseudo handler calls
-    monkeypatch.setattr(cli, "pseudospectrum_grid", out_of_memory)
+    # the name the pseudo handler calls, looked up in its defining module
+    monkeypatch.setattr(spectral, "pseudospectrum_grid", out_of_memory)
     out = tmp_path / "m"
     assert main(["pseudo", "--weights", "cesaro", "--window=0.2,0.4,0.1,0.3", "--res", "2",
                  "--dim", "16", "--out", str(out)]) == 2
