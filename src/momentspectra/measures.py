@@ -40,8 +40,6 @@ from typing import Union
 
 import numpy as np
 
-from .quadrature import integrate
-
 #: the one quadrature tolerance, relative to each moment
 MOMENT_TOL = 1e-13
 #: fewest moments whose octave ladder starts past index 0
@@ -224,6 +222,8 @@ def _density_moments(c: float, s: float, x0: float, ns: np.ndarray):
     value and its bound; so the check tests closed_moments against the triple
     and Gamma(s).
     """
+    from .quadrature import integrate
+
     width = 120.0 + 20.0 * s
     scale = width / math.gamma(s)
 

@@ -1,17 +1,21 @@
-"""Adaptive Gauss-Legendre integration of a vectorized scalar integrand over [0, 1]."""
+"""Adaptive Gauss-Legendre integration of a vectorized scalar integrand over [0, 1].
+
+`invariance` imports it, and `measures` inside `_density_moments`: a CLI
+process loads it, and numpy.polynomial, only for `moments --quadrature`,
+`invariance` or `hilbert`."""
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 
 class QuadratureError(ArithmeticError):
     """Requested tolerance was not reached, or the integrand was not finite."""
 
 
-_ORDER = 15
+# the 15-point Gauss-Legendre nodes and weights on [-1, 1]
+_NODES, _WEIGHTS = leggauss(15)
 # bisections per integrate call: bounds the work an unreachable tolerance can cost
 MAX_PANELS = 4096
 # a tol below this many eps times |first panel estimate| is under the
@@ -22,26 +26,15 @@ TOL_FLOOR_EPS = 4
 _MAX_DEPTH = 52
 
 
-@lru_cache(maxsize=1)
-def _rule() -> tuple[np.ndarray, np.ndarray]:
-    """The _ORDER-point Gauss-Legendre nodes and weights on [-1, 1], built
-    at the first panel: numpy.polynomial loads only in a process that
-    integrates."""
-    from numpy.polynomial.legendre import leggauss
-
-    return leggauss(_ORDER)
-
-
 def _panel(f, a: float, b: float):
-    nodes, weights = _rule()
     mid = 0.5 * (a + b)
     rad = 0.5 * (b - a)
     # an overflow (inf, or inf * 0 = nan) is refused here rather than summed
     with np.errstate(over="ignore", invalid="ignore"):
-        values = f(mid + rad * nodes)
+        values = f(mid + rad * _NODES)
     if not np.all(np.isfinite(values)):
         raise QuadratureError("adaptive quadrature integrand is not finite")
-    return rad * (values @ weights)
+    return rad * (values @ _WEIGHTS)
 
 
 def _refine(f, a, b, whole, tol, depth, splits):
@@ -85,7 +78,5 @@ def fixed_gauss_legendre_01(order: int) -> tuple[np.ndarray, np.ndarray]:
 
     Exact for polynomials of degree <= 2*order - 1.
     """
-    from numpy.polynomial.legendre import leggauss
-
     x, w = leggauss(order)
     return 0.5 * (x + 1.0), 0.5 * w

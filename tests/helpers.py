@@ -11,21 +11,23 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
-from momentspectra import (
+from momentspectra.cli import main
+from momentspectra.measures import (
     Dirac,
-    HankelMomentOperator,
     Lebesgue,
     LogPowerDensity,
     MeasureSpec,
     PowerDensity,
+    moments,
+    parse_measure,
+)
+from momentspectra.operators import (
+    HankelMomentOperator,
     TerracedOperator,
     WeightSequence,
     hankel_apply,
-    moments,
-    parse_measure,
     terraced_apply,
 )
-from momentspectra.cli import main
 from momentspectra.spectral import (
     ANALYTIC,
     FLAT_STEP,

@@ -14,21 +14,21 @@ from helpers import (
     symmetric_min_eig,
     terraced_from_measure,
 )
-from momentspectra import (
-    WeightSequence,
-    classify_eigenvalue,
-    contraction_check,
-    eigenvector_residual,
-    hankel_apply,
+from momentspectra.cli import main
+from momentspectra.invariance import (
     hilbert_column_check,
     monomial_invariance_check,
-    parse_measure,
     rhaly_adjoint_integral_check,
+)
+from momentspectra.measures import parse_measure
+from momentspectra.numrange import contraction_check
+from momentspectra.operators import (
+    WeightSequence,
+    hankel_apply,
     terraced_apply,
     terraced_apply_adjoint,
 )
-from momentspectra.cli import main
-from momentspectra.spectral import IN_L2, NOT_IN_L2
+from momentspectra.spectral import IN_L2, NOT_IN_L2, classify_eigenvalue, eigenvector_residual
 
 
 def _report(number: int, message: str):

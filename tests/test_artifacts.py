@@ -18,8 +18,10 @@ from helpers import (
     reference_matrix_csv,
     terraced_from_measure,
 )
-from momentspectra import FovResult, MomentSequence
+from momentspectra import serialize
 from momentspectra.cli import main
+from momentspectra.measures import MomentSequence
+from momentspectra.numrange import FovResult
 from momentspectra.serialize import (
     _PLACEHOLDER,
     CHUNK,
@@ -414,6 +416,20 @@ def test_write_json_leaves_no_truncated_file(tmp_path):
     path = tmp_path / "partial.json"
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_json(path, {"points": np.arange(4.0), "limit": math.nan})
+    assert not path.exists()
+
+
+def test_write_json_removes_the_file_of_a_failed_write(tmp_path, monkeypatch):
+    # the array rows fail after the file is opened and its head written
+    path = tmp_path / "partial.json"
+
+    def failing(*args):
+        assert path.exists()
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(serialize, "_format_rows", failing)
+    with pytest.raises(OSError, match="no space left on device"):
+        write_json(path, {"points": np.arange(4.0)})
     assert not path.exists()
 
 

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import momentspectra
-from momentspectra import MeasureSpec, _lapack, cli, numrange, parse_measure, spectral
+from momentspectra import _lapack, cli, numrange, operators, spectral
+from momentspectra.measures import MeasureSpec, parse_measure
 
 from helpers import measure_text, parse_complex, readme_commands
 from momentspectra.cli import main
@@ -406,13 +407,13 @@ def test_hilbert_norms_form_no_dense_matrix(tmp_path, monkeypatch):
         raise AssertionError("the Hilbert norms formed a dense matrix")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    monkeypatch.setattr(momentspectra.HankelMomentOperator, "dense", refuse)
+    monkeypatch.setattr(operators.HankelMomentOperator, "dense", refuse)
     out = tmp_path / "h"
-    # up to the dense limit: a dense eigvalsh there takes tens of seconds
-    assert main(["hilbert", "--max-index", "8", "--dims", "16,64,256,8192",
+    # past the dense limit: a dense eigvalsh at 8192 alone takes tens of seconds
+    assert main(["hilbert", "--max-index", "8", "--dims", "16,64,256,8192,65536",
                  "--out", str(out)]) == 0
     payload = read_json(out / "hilbert.json")
-    assert [entry["dim"] for entry in payload["norms"]] == [16, 64, 256, 8192]
+    assert [entry["dim"] for entry in payload["norms"]] == [16, 64, 256, 8192, 65536]
     assert payload["norms_nondecreasing"] and payload["norms_within_bound"]
 
 
@@ -743,7 +744,7 @@ def test_failed_check_is_status_ok_with_its_exit_code(tmp_path):
     (["hilbert", "--max-index", "4", "--dims", "256,64"], 1, "input error: --dims 256,64 "),
     (["hilbert", "--max-index", "4", "--dims", "0,64"], 1, "input error: --dims 0,64 "),
     # refused before the column checks build their 8191 x 8191 table
-    (["hilbert", "--max-index", "4095", "--dims", "64,8193"], 1, "input error: --dims 64,8193 "),
+    (["hilbert", "--max-index", "4095", "--dims", "64,64"], 1, "input error: --dims 64,64 "),
     # the numeric classification runs at any --n, and refuses what the
     # analytic one refuses: an index past --n, after the indices before it
     (["classify", "--measure", "dirac(0.5)", "--k", "0..40", "--n", "32", "--method", "numeric"],
@@ -778,6 +779,13 @@ def test_failed_check_is_status_ok_with_its_exit_code(tmp_path):
      2, "numeric error: Rhaly's norm bound overflows"),
     (["eigencheck", "--measure", LARGE_MEASURE, "--k", "0", "--dim", "8"],
      2, "numeric error: eigenvector residual at k = 0 overflows"),
+    # the first index past --dim ends the run, however far the range reaches
+    (["eigencheck", "--measure", "dirac(0.5)", "--k", "0..1000000000000", "--dim", "8"],
+     1, "input error: index 8 out of range for dim 8"),
+    (["pseudo", "--measure", "lebesgue", "--window=0,1,2", "--res", "2", "--dim", "4"],
+     1, "input error: window must be re0,re1,im0,im1"),
+    (["pseudo", "--window=0,1,0,1", "--res", "2", "--dim", "4"],
+     1, "input error: provide --measure or --weights"),
 ])
 def test_failed_run_leaves_a_manifest_with_status_error(tmp_path, capsys, args, code, line):
     out = tmp_path / "err"
@@ -858,6 +866,9 @@ def test_failed_run_leaves_a_manifest_with_status_error(tmp_path, capsys, args, 
      "usage error: argument --weights: invalid choice: 'power:2' (choose from 'cesaro')"),
     (["pseudo", "--weights", "leibowitz", "--window=0,1,0,1", "--res", "2", "--dim", "8"],
      "usage error: argument --weights: invalid choice: 'leibowitz' (choose from 'cesaro')"),
+    # a word is no number either
+    (["contraction", "--measure", "lebesgue", "--shift", "abc"],
+     "usage error: argument --shift: expected a finite number, got 'abc'"),
 ])
 def test_non_finite_or_out_of_range_number_is_an_input_error(tmp_path, capsys, args, line):
     assert main(args + ["--out", str(tmp_path / "o")]) == 1

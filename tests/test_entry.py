@@ -27,7 +27,7 @@ import workloads  # noqa: E402
 
 #: the modules every command loads: the front end, the BLAS set-up, the
 #: measure parser and the writers
-BASE = {"_lapack", "cli", "measures", "quadrature", "serialize"}
+BASE = {"_lapack", "cli", "measures", "serialize"}
 
 #: the further modules each subcommand loads
 COMMAND_MODULES = {
@@ -39,8 +39,8 @@ COMMAND_MODULES = {
     "pseudo": {"operators", "spectral", "svg"},
     "fov": {"numrange", "operators", "spectral", "svg"},
     "contraction": {"numrange", "operators", "spectral"},
-    "invariance": {"invariance", "operators"},
-    "hilbert": {"invariance", "operators", "spectral"},
+    "invariance": {"invariance", "operators", "quadrature"},
+    "hilbert": {"invariance", "operators", "quadrature", "spectral"},
 }
 
 #: a measure whose moments 1e308/(n+1) have partial sums past float64 at s_2
@@ -58,6 +58,15 @@ def _assert_complete_manifest(out: Path, status: str, exit_code: int) -> None:
     manifest = json.loads((out / "manifest.json").read_text())
     assert (manifest["status"], manifest["exit_code"]) == (status, exit_code)
     assert sorted(manifest["outputs"]) == sorted(path.name for path in out.iterdir())
+
+
+def test_importing_the_package_loads_only_the_blas_set_up():
+    probe = ("import sys\n"
+             "import momentspectra\n"
+             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'momentspectra'))\n")
+    done = _python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "['momentspectra', 'momentspectra._lapack']\n"
 
 
 def test_importing_the_cli_loads_no_command_module():

@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from helpers import hankel_from_measure, random_complex, terraced_from_measure
-from momentspectra import (
-    WeightSequence,
+from momentspectra.cli import main
+from momentspectra.invariance import (
+    _bernstein,
     composition_matrix_phi,
     hilbert_column_check,
     kernel_span_rank,
     monomial_invariance_check,
     rhaly_adjoint_integral_check,
 )
-from momentspectra.cli import main
-from momentspectra.invariance import _bernstein
+from momentspectra.operators import WeightSequence
 
 
 # --------------------------------------------------------------------------

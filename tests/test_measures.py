@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import MEASURE_SPECS, measure_text
-from momentspectra import (
+from momentspectra import quadrature
+from momentspectra.measures import (
     Dirac,
     Lebesgue,
     LogPowerDensity,
@@ -14,7 +15,6 @@ from momentspectra import (
     MeasureSpec,
     MeasureSyntaxError,
     PowerDensity,
-    measures,
     moments,
     parse_measure,
 )
@@ -219,7 +219,7 @@ def test_moments_integrate_once_per_density_term(monkeypatch):
         calls.append(tol)
         return integrate(f, tol)
 
-    monkeypatch.setattr(measures, "integrate", counting)
+    monkeypatch.setattr(quadrature, "integrate", counting)
     quad = moments(parse_measure("dirac(0.3)+0.25*power(2)+lebesgue(0.9)+logpower(2)"), 512,
                    method="quadrature")
     assert quad.values.shape == quad.error_bounds.shape == (512,)
@@ -238,7 +238,7 @@ def test_quadrature_work_does_not_grow_with_n(monkeypatch):
                 return values
             return integrate(g, tol)
 
-        monkeypatch.setattr(measures, "integrate", counting)
+        monkeypatch.setattr(quadrature, "integrate", counting)
         moments(parse_measure("logpower(3)+0.25*lebesgue(0.9)"), n, method="quadrature")
         return sum(counts)
 

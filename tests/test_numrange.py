@@ -12,8 +12,8 @@ from helpers import (
     symmetric_min_eig,
     terraced_from_measure,
 )
-from momentspectra import _lapack, contraction_check, fov_boundary
-from momentspectra.numrange import _expm
+from momentspectra import _lapack
+from momentspectra.numrange import _expm, contraction_check, fov_boundary
 
 
 # --------------------------------------------------------------------------

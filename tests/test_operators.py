@@ -16,22 +16,19 @@ from helpers import (
     sparse_squares,
     terraced_from_measure,
 )
-from momentspectra import (
-    HankelMomentOperator,
-    TerracedOperator,
-    WeightSequence,
-    hankel_apply,
-    moments,
-    parse_measure,
-    terraced_apply,
-    terraced_apply_adjoint,
-)
+from momentspectra.measures import moments, parse_measure
 from momentspectra.operators import (
     DENSE_LIMIT,
     FFT_THRESHOLD,
+    HankelMomentOperator,
+    TerracedOperator,
+    WeightSequence,
     _fast_len,
+    hankel_apply,
     prefix_sums,
     suffix_sums,
+    terraced_apply,
+    terraced_apply_adjoint,
 )
 from momentspectra.serialize import matrix_csv
 

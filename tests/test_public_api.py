@@ -1,5 +1,6 @@
-"""Every name the package exports is used by the package or its benchmark:
-an export that only tests call is API to delete, not to keep.  Every
+"""Every public function and class of the package's modules is used by the
+package or its benchmark: one that only tests call is API to delete, not to
+keep, and the package itself holds nothing but its modules.  Every
 subcommand is a job of the benchmark's readme-cli workload, whose job list
 is the README's CLI block, and every option but a listed few is set by
 some benchmark job.  And one module, serialize, owns the JSON layout, one,
@@ -8,40 +9,40 @@ owns the normal float range of a moment sequence."""
 
 import argparse
 import ast
-import importlib
 import sys
+import types
 from pathlib import Path
-
-import pytest
 
 import momentspectra
 from helpers import readme_commands
 from momentspectra import cli
 
 ROOT = Path(__file__).resolve().parents[1]
-INIT = ROOT / "src" / "momentspectra" / "__init__.py"
+PACKAGE = ROOT / "src" / "momentspectra"
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 
-def _exported_names() -> list[str]:
-    """The names of the package's export table; an empty table would let
-    every check over it pass with nothing checked."""
-    names = list(momentspectra._EXPORTS)
+def _public_definitions() -> list[str]:
+    """The public module-level functions and classes of the package's
+    modules, as module.name; an empty list would let the check over it pass
+    with nothing checked."""
+    names = [f"{path.stem}.{node.name}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.parse(path.read_text()).body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and not node.name.startswith("_")]
     assert names
     return names
 
 
 def _code_references() -> set[str]:
     """Names, attributes and imported names in the code of src/ and
-    perfbench/ outside __init__.py.  Strings, comments and the def or class
-    statement of a name do not count."""
+    perfbench/.  Strings, comments and the def or class statement of a name
+    do not count."""
     names = set()
     for folder in ("src", "perfbench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
-            if path == INIT:
-                continue
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Name):
                     names.add(node.id)
@@ -52,20 +53,19 @@ def _code_references() -> set[str]:
     return names
 
 
-def test_every_export_is_referenced_outside_tests():
+def test_every_public_definition_is_referenced_outside_tests():
     references = _code_references()
-    assert [name for name in _exported_names() if name not in references] == []
+    assert [name for name in _public_definitions()
+            if name.partition(".")[2] not in references] == []
 
 
-def test_every_export_resolves_to_its_defining_module():
-    for name in _exported_names():
-        module = importlib.import_module(f"momentspectra.{momentspectra._EXPORTS[name]}")
-        value = getattr(module, name)
-        assert value.__module__ == module.__name__
-        assert getattr(momentspectra, name) is value
-    assert set(_exported_names()) <= set(dir(momentspectra))
-    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
-        momentspectra.no_such_name  # noqa: B018
+def test_the_package_namespace_holds_only_its_modules():
+    # each name is imported from its module, `from momentspectra.measures import moments`
+    others = [name for name, value in vars(momentspectra).items()
+              if not (name.startswith("__") and name.endswith("__"))
+              and not (isinstance(value, types.ModuleType)
+                       and value.__name__ == f"momentspectra.{name}")]
+    assert others == []
 
 
 def test_every_subcommand_is_a_readme_cli_job():

@@ -23,29 +23,39 @@ from helpers import (
     sparse_squares,
     terraced_from_measure,
 )
-from momentspectra import (
+from momentspectra import spectral
+from momentspectra.cli import main
+from momentspectra.measures import (
     Lebesgue,
     LogPowerDensity,
     MeasureSpec,
+    MomentSequence,
+    moments,
+    octave_ladder,
+    parse_measure,
+)
+from momentspectra.operators import (
+    DENSE_LIMIT,
     TerracedOperator,
     WeightSequence,
+    terraced_apply,
+    terraced_apply_adjoint,
+)
+from momentspectra.spectral import (
+    ANALYTIC,
+    IN_L2,
+    INCONCLUSIVE,
+    NOT_IN_L2,
+    NUMERIC_FIT,
     adjoint_eigenvector,
     adjoint_eigenvector_residual,
     classify_eigenvalue,
     eigenvector,
     eigenvector_residual,
     hankel_norm,
-    parse_measure,
     pseudospectrum_grid,
     smallest_singular_value,
-    terraced_apply,
-    terraced_apply_adjoint,
 )
-from momentspectra import spectral
-from momentspectra.cli import main
-from momentspectra.measures import MomentSequence, moments, octave_ladder
-from momentspectra.operators import DENSE_LIMIT
-from momentspectra.spectral import ANALYTIC, IN_L2, INCONCLUSIVE, NOT_IN_L2, NUMERIC_FIT
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from oracles import log_growth  # noqa: E402

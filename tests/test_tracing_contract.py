@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 from helpers import hankel_from_measure, measure_moments, random_complex, terraced_from_measure
-from momentspectra import (
-    fov_boundary,
+from momentspectra.numrange import fov_boundary
+from momentspectra.operators import (
+    FFT_THRESHOLD,
     hankel_apply,
-    pseudospectrum_grid,
     terraced_apply,
     terraced_apply_adjoint,
 )
-from momentspectra.operators import FFT_THRESHOLD
+from momentspectra.spectral import pseudospectrum_grid
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from tracing import HOOKS  # noqa: E402
