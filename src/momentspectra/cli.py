@@ -37,22 +37,30 @@ from .serialize import fov_csv, grid_csv, matrix_csv, moments_csv, write_json
 # modules, and each call looks its function up in the defining module, where
 # a traced or patched replacement is found
 
-HILBERT_NORM_BOUND = 3.1416
 #: invariance's kernel-span check needs as many truncated dimensions as locations
 KERNEL_LOCATIONS = 8
 #: the gates of the checks, fixed so that no run sets its own; each
 #: manifest's `tolerances` records the ones its command applied
+#: eigencheck's ||R x - mu_k x|| / ||x||, in the units of the weights
 RESIDUAL_TOL = 1e-8
+#: contraction's ||exp(-tau A)|| - 1, unitless: tau carries the inverse unit of A
 CONTRACTION_TOL = 1e-9
 #: fov --require-rhp's gate in units of dim * eps * w, w = max h(theta) the
 #: numerical radius (||A|| <= 2w): min Re W below -RHP_ROUNDING * dim * eps * w
 #: fails, a bound above the rounding of a positive semidefinite Hermitian part
 RHP_ROUNDING = 1.0
+#: adjoint-integral deviations, relative to the largest of the dim weights
 INTEGRAL_TOL = 1e-11
+#: Hilbert column deviations and norms: the Hilbert matrix is fixed, so they
+#: are absolute; Hilbert's inequality gives ||H_N|| < pi
 COLUMN_TOL = 1e-12
+HILBERT_NORM_BOUND = math.pi
+#: composition-semigroup entries, Bernstein values in [0, 1], are unitless
 SEMIGROUP_TOL = 1e-13
+#: the terraced monomial defect, in the units of the weights
 TERRACED_DEFECT_TOL = 1e-15
-#: the Hankel monomial defect must exceed this floor: no monomial is invariant
+#: the Hankel monomial defect must exceed this floor times mu_0: no monomial
+#: is invariant
 HANKEL_DEFECT_FLOOR = 1e-12
 #: invariance checks the monomials t^k for k up to this
 MONOMIAL_K_MAX = 8
@@ -160,19 +168,12 @@ class ArtifactWriter:
         write_json(self.out / "manifest.json", manifest)
 
 
-def _build_weights(spec, n_terms: int) -> WeightSequence:
-    """The first n_terms moments of the measure as weights."""
-    from .operators import WeightSequence
-
-    return WeightSequence(moments(spec, n_terms).values)
-
-
 def _build_operator(spec, kind: str, dim: int):
-    from .operators import HankelMomentOperator, TerracedOperator
+    from .operators import HankelMomentOperator, TerracedOperator, WeightSequence
 
     if kind == "hankel":
         return HankelMomentOperator.from_moments(moments(spec, 2 * dim - 1), dim)
-    return TerracedOperator(_build_weights(spec, dim), dim)
+    return TerracedOperator(WeightSequence(moments(spec, dim).values), dim)
 
 
 # --------------------------------------------------------------------------
@@ -271,11 +272,10 @@ def _cmd_adjoint_disc(args, writer: ArtifactWriter):
     return 0, {}
 
 
-def _weight_bounds(weights: WeightSequence) -> tuple[float, float]:
+def _weight_bounds(a: np.ndarray) -> tuple[float, float]:
     """sup (n+1) a_n and Rhaly's bound adding sup sqrt(n(n+1)) a_n, for
-    nonnegative weights, or OverflowError when the bound is not finite; the
+    nonnegative weights a, or OverflowError when the bound is not finite; the
     per-weight temporaries are freed on return, before region draws its SVG."""
-    a = weights.values
     n = np.arange(a.size)
     with np.errstate(over="ignore"):
         sup_weight = float(((n + 1.0) * a).max())
@@ -296,13 +296,13 @@ def _cmd_region(args, writer: ArtifactWriter):
     from .spectral import first_coincidence, normal_length
     from .svg import region_svg
 
-    weights = _build_weights(args.spec, args.n)
+    weights = moments(args.spec, args.n).values
     limit = args.spec.weight_limit()
     sup_weight, bound = _weight_bounds(weights)
-    normal = normal_length(weights.values)
+    normal = normal_length(weights)
     if normal < args.n:
         reason = f"weights underflow below the normal range from index {normal}"
-    elif first_coincidence(weights.values) is not None:
+    elif first_coincidence(weights) is not None:
         reason = "weights must be pairwise distinct"
     else:
         reason = None
@@ -314,7 +314,7 @@ def _cmd_region(args, writer: ArtifactWriter):
         "hypotheses_met": reason is None,
     }
     if reason is None:
-        points = weights.values if limit else np.append(weights.values, 0.0)
+        points = weights if limit else np.append(weights, 0.0)
         disc = limit or None
         # written first, so that the SVG text is freed before the JSON is written
         writer.write_text("region.svg", region_svg(points, disc))
@@ -391,8 +391,7 @@ def _cmd_contraction(args, writer: ArtifactWriter):
     from .numrange import contraction_check
 
     matrix = _build_operator(args.spec, "terraced", args.dim).dense()
-    if args.shift:
-        matrix = matrix - args.shift * np.eye(args.dim)
+    matrix[np.diag_indices(args.dim)] -= args.shift
     taus = _parse_floats("--taus", args.taus)
     norms = contraction_check(matrix, taus)
     writer.write_json("contraction.json",
@@ -437,7 +436,8 @@ def _cmd_invariance(args, writer: ArtifactWriter):
 
     ms = moments(args.spec, 2 * args.dim - 1)
     weights = WeightSequence(ms.values)
-    dev = rhaly_adjoint_integral_check(weights, args.dim)
+    # relative to the largest weight the check reads, as Cesaro's, whose a_0 is 1
+    dev = rhaly_adjoint_integral_check(weights, args.dim) / float(ms.values[: args.dim].max())
     record("rhaly-adjoint-integral", {"dim": args.dim, "measure": args.measure},
            dev, INTEGRAL_TOL, dev <= INTEGRAL_TOL)
 
@@ -448,9 +448,11 @@ def _cmd_invariance(args, writer: ArtifactWriter):
            worst, TERRACED_DEFECT_TOL, worst <= TERRACED_DEFECT_TOL)
 
     hankel = HankelMomentOperator.from_moments(ms, args.dim).dense()
+    # the defect is reported absolute, row 0's max mu_n; its floor scales with mu_0
     defect = monomial_invariance_check(hankel, 1)
+    floor = HANKEL_DEFECT_FLOOR * float(ms.values[0])
     record("hankel-monomial-defect", {"k": 1, "measure": args.measure},
-           defect, HANKEL_DEFECT_FLOOR, defect > HANKEL_DEFECT_FLOOR)
+           defect, floor, defect > floor)
 
     locations = list(np.linspace(0.0, 0.9, KERNEL_LOCATIONS))
     rank = kernel_span_rank(locations, args.dim)

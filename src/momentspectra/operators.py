@@ -29,20 +29,6 @@ def check_dense_limit(side: int) -> None:
         raise ValueError(f"dim {side} exceeds dense limit {DENSE_LIMIT}")
 
 
-def prefix_sums(x: np.ndarray) -> np.ndarray:
-    """Running sums of x, accumulated left to right in the dtype of x.
-
-    Recursive summation: entry i errs by at most (i+1) eps sum|x[:i+1]|
-    per component, the bound the dense product is held to as well.
-    """
-    return np.cumsum(x)
-
-
-def suffix_sums(x: np.ndarray) -> np.ndarray:
-    """Running sums of x accumulated right to left: out[m] = sum(x[m:])."""
-    return prefix_sums(x[::-1])[::-1]
-
-
 @dataclass(frozen=True, eq=False)
 class WeightSequence:
     """Row weights a_n of a terraced matrix: one real, finite float64 vector,
@@ -85,14 +71,14 @@ class TerracedOperator:
     def dense(self) -> np.ndarray:
         check_dense_limit(self.dim)
         a = self.row_weights()
-        return np.tril(np.ones((self.dim, self.dim))) * a[:, None]
+        return np.tril(np.broadcast_to(a[:, None], (self.dim, self.dim)))
 
 
 @dataclass(frozen=True, eq=False)
 class HankelMomentOperator:
     """Truncation of the Hankel matrix (mu_{m+n}) of a moment sequence.  The
-    moments are one real float64 vector; a complex array is refused, not
-    cast, so the dense matrix is real symmetric."""
+    moments are one real, finite float64 vector: a complex array is refused,
+    not cast, so the dense matrix is real symmetric, and a nan or inf too."""
 
     moments: np.ndarray
     dim: int
@@ -105,6 +91,8 @@ class HankelMomentOperator:
             raise ValueError("dim must be at least 1")
         if self.moments.ndim != 1 or self.moments.size < 2 * self.dim - 1:
             raise ValueError(f"need at least {2 * self.dim - 1} moments for dim {self.dim}")
+        if not np.all(np.isfinite(self.moments)):
+            raise ValueError("Hankel moments must be finite")
 
     @classmethod
     def from_moments(cls, ms: MomentSequence, dim: int) -> "HankelMomentOperator":
@@ -112,8 +100,9 @@ class HankelMomentOperator:
 
     def dense(self) -> np.ndarray:
         check_dense_limit(self.dim)
-        idx = np.add.outer(np.arange(self.dim), np.arange(self.dim))
-        return self.moments[idx]
+        # a copy of the window (mu_{m+n}) that hankel_apply's direct path reads
+        mu = self.moments[: 2 * self.dim - 1]
+        return np.lib.stride_tricks.sliding_window_view(mu, self.dim).copy()
 
     @cached_property
     def _moment_spectrum(self) -> np.ndarray:
@@ -124,21 +113,24 @@ class HankelMomentOperator:
 
 
 def terraced_apply(op: TerracedOperator, x: np.ndarray) -> np.ndarray:
-    """y_n = a_n * sum(x[:n+1]); one prefix-sum pass, left-to-right order.
-    A real x gives a real result."""
+    """y_n = a_n * sum(x[:n+1]); one `cumsum`, left to right, whose prefix sum
+    i errs by at most (i+1) eps sum|x[:i+1]| per component (recursive
+    summation), the bound the dense product is held to as well.  A real x
+    gives a real result."""
     x = np.asarray(x)
     if x.shape != (op.dim,):
         raise ValueError(f"expected a vector of length {op.dim}, got {x.shape}")
-    return op.row_weights() * prefix_sums(x)
+    return op.row_weights() * np.cumsum(x)
 
 
 def terraced_apply_adjoint(op: TerracedOperator, x: np.ndarray) -> np.ndarray:
     """y_m = sum(a_k x_k for k >= m): the transpose of the real terraced
-    matrix, which is its adjoint; one suffix-sum pass, right to left."""
+    matrix, which is its adjoint; one `cumsum` of the reversed product, right
+    to left."""
     x = np.asarray(x)
     if x.shape != (op.dim,):
         raise ValueError(f"expected a vector of length {op.dim}, got {x.shape}")
-    return suffix_sums(op.row_weights() * x)
+    return np.cumsum((op.row_weights() * x)[::-1])[::-1]
 
 
 def _fast_len(n: int) -> int:

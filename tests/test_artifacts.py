@@ -411,6 +411,13 @@ def test_write_json_refuses_a_string_equal_to_the_placeholder(tmp_path):
     assert _written(quoted) == reference_json(quoted)
 
 
+def test_write_json_refuses_an_object_it_cannot_serialize(tmp_path):
+    path = tmp_path / "object.json"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_json(path, object())
+    assert not path.exists()
+
+
 def test_write_json_leaves_no_truncated_file(tmp_path):
     # json refuses the nan before the file is opened, so no file is left
     path = tmp_path / "partial.json"

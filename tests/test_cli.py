@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import momentspectra
-from momentspectra import _lapack, cli, numrange, operators, spectral
+from momentspectra import _lapack, cli, invariance, numrange, operators, spectral
 from momentspectra.measures import MeasureSpec, parse_measure
 
 from helpers import measure_text, parse_complex, readme_commands
@@ -391,6 +391,49 @@ def test_invariance_passes_at_its_least_dims(tmp_path, dim):
     assert main(["invariance", "--measure", "lebesgue", "--dim", dim, "--out", str(out)]) == 0
     rank = next(c for c in read_json(out / "invariance.json") if c["check"] == "kernel-span-rank")
     assert rank["deviation_or_defect"] == 8.0 and rank["pass"]
+
+
+#: 2^20 and 2^-40, each exact in the measure grammar's decimal notation
+POWER_OF_TWO_SCALES = ["1048576", "0.0000000000009094947017729282"]
+
+
+def _invariance_checks(out: Path, measure: str) -> tuple[int, dict]:
+    code = main(["invariance", "--measure", measure, "--dim", "32", "--out", str(out)])
+    return code, {c["check"]: c for c in read_json(out / "invariance.json")}
+
+
+@pytest.mark.parametrize("scale", POWER_OF_TWO_SCALES)
+def test_invariance_verdicts_do_not_move_with_the_measure_scale(tmp_path, scale):
+    # the Rhaly deviation is relative to the largest weight and the Hankel
+    # floor to mu_0, so a power-of-two twin reads the same relative numbers
+    code, unit = _invariance_checks(tmp_path / "unit", "lebesgue")
+    twin_code, twin = _invariance_checks(tmp_path / "twin", f"{scale}*lebesgue")
+    assert code == twin_code == 0
+    rhaly = "rhaly-adjoint-integral"
+    assert twin[rhaly]["deviation_or_defect"] == unit[rhaly]["deviation_or_defect"]
+    hankel = twin["hankel-monomial-defect"]
+    assert hankel["tolerance"] == cli.HANKEL_DEFECT_FLOOR * float(scale)
+    assert hankel["deviation_or_defect"] == 0.5 * float(scale)
+
+
+@pytest.mark.parametrize("scale", ["1", *POWER_OF_TWO_SCALES])
+def test_rhaly_check_fails_a_perturbed_bernstein_table_at_every_scale(tmp_path, monkeypatch,
+                                                                      scale):
+    exact = invariance._bernstein_integrals
+    monkeypatch.setattr(invariance, "_bernstein_integrals",
+                        lambda degree: exact(degree) * (1.0 + 1e-9))
+    code, checks = _invariance_checks(tmp_path / "i", f"{scale}*lebesgue")
+    assert code == 2
+    assert not checks["rhaly-adjoint-integral"]["pass"]
+
+
+def test_hilbert_norm_bound_is_pi(tmp_path):
+    # Hilbert's inequality: ||H_N|| < pi at every N
+    out = tmp_path / "h"
+    assert main(["hilbert", "--max-index", "2", "--dims", "64,1024", "--out", str(out)]) == 0
+    payload = read_json(out / "hilbert.json")
+    assert payload["norm_bound"] == cli.HILBERT_NORM_BOUND == math.pi
+    assert all(entry["norm"] < math.pi for entry in payload["norms"])
 
 
 def test_hilbert_command(tmp_path):
@@ -935,6 +978,20 @@ def test_unconverged_sigma_min_exits_two_with_a_manifest(tmp_path, capsys, monke
     line = "numeric error: inverse Lanczos for sigma_min did not converge in 16 steps"
     assert capsys.readouterr().err == line + "\n"
     assert read_json(out / "manifest.json")["error"] == line
+
+
+def test_unconverged_top_singular_triplet_exits_two_with_a_manifest(tmp_path, capsys,
+                                                                    monkeypatch):
+    # LAPACK info 1 from the bisection: _top_ritz raises LinAlgError
+    monkeypatch.setattr(spectral, "_tridiagonal_eigenpairs",
+                        lambda entries, indices, largest: ([], [], 1))
+    out = tmp_path / "p"
+    assert main(["pseudo", "--weights", "cesaro", "--window=0.2,0.4,0.1,0.3", "--res", "2",
+                 "--dim", "16", "--out", str(out)]) == 2
+    line = "numeric error: top singular triplet of the 1 x 1 bidiagonal did not converge"
+    assert capsys.readouterr().err == line + "\n"
+    manifest = read_json(out / "manifest.json")
+    assert manifest["status"] == "error" and manifest["error"] == line
 
 
 def test_usage_error_writes_no_manifest(tmp_path):

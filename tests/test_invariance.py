@@ -161,6 +161,11 @@ def test_monomial_check_validates_index():
         monomial_invariance_check(np.eye(4), 4)
 
 
+def test_monomial_check_refuses_a_non_square_matrix():
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        monomial_invariance_check(np.ones((2, 3)), 1)
+
+
 # --------------------------------------------------------------------------
 # reproducing-kernel spans
 
@@ -201,6 +206,11 @@ def test_kernel_span_rejects_duplicates_and_bad_locations():
         kernel_span_rank([0.2, 1.0], 16)
     with pytest.raises(ValueError):
         kernel_span_rank([0.1, 0.2, 0.3], 2)
+
+
+def test_kernel_span_refuses_no_locations():
+    with pytest.raises(ValueError, match="need at least one location"):
+        kernel_span_rank([], 4)
 
 
 # --------------------------------------------------------------------------

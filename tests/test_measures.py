@@ -102,6 +102,23 @@ def test_parse_parameter_errors(text):
         parse_measure(text)
 
 
+@pytest.mark.parametrize("text,position", [("", 0), ("lebesgue+", 9)])
+def test_parse_refuses_a_missing_term(text, position):
+    message = f"expected a term (at position {position})"
+    with pytest.raises(MeasureSyntaxError, match=re.escape(message)):
+        parse_measure(text)
+
+
+def test_measure_without_terms_is_refused():
+    with pytest.raises(MeasureParameterError, match="a measure needs at least one term"):
+        MeasureSpec(())
+
+
+def test_unknown_moment_method_is_refused():
+    with pytest.raises(ValueError, match="unknown moment method 'adaptive'"):
+        moments(parse_measure("lebesgue"), 4, method="adaptive")
+
+
 # --------------------------------------------------------------------------
 # closed-form moments
 

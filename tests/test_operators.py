@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,8 +26,6 @@ from momentspectra.operators import (
     WeightSequence,
     _fast_len,
     hankel_apply,
-    prefix_sums,
-    suffix_sums,
     terraced_apply,
     terraced_apply_adjoint,
 )
@@ -35,6 +34,30 @@ from momentspectra.serialize import matrix_csv
 
 # --------------------------------------------------------------------------
 # weight sequences
+
+@pytest.mark.parametrize("values,message", [
+    (np.array([]), "nonempty vector"),
+    (np.array([1.0, np.inf]), "weights must be finite"),
+])
+def test_weight_sequence_refusals(values, message):
+    with pytest.raises(ValueError, match=message):
+        WeightSequence(values)
+
+
+def test_operator_dimension_refusals():
+    with pytest.raises(ValueError, match="dim must be at least 1"):
+        TerracedOperator(WeightSequence.cesaro(4), 0)
+    with pytest.raises(ValueError, match="weight sequence shorter than the requested dimension"):
+        TerracedOperator(WeightSequence.cesaro(4), 5)
+    with pytest.raises(ValueError, match="dim must be at least 1"):
+        HankelMomentOperator(np.ones(3), 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hankel_operator_refuses_non_finite_moments(bad):
+    with pytest.raises(ValueError, match="Hankel moments must be finite"):
+        HankelMomentOperator(np.array([1.0, bad, 0.3, 0.2, 0.1]), 3)
+
 
 def test_weight_sequence_refuses_a_complex_array():
     for values in (np.zeros(4, dtype=complex), 1.0 / (np.arange(4) + 1.0) + 0j):
@@ -51,12 +74,16 @@ def test_weights_and_the_terraced_matrix_are_float64():
 
 
 # --------------------------------------------------------------------------
-# prefix/suffix sums
+# prefix/suffix sums: the terraced applies on unit weights
+
+def _unit_weights(n: int) -> TerracedOperator:
+    return TerracedOperator(WeightSequence(np.ones(n)), n)
+
 
 def test_prefix_sums_match_fsum_oracle():
     rng = np.random.default_rng(11)
     x = random_complex(rng, 5000) * np.logspace(0, 8, 5000)
-    ours = prefix_sums(x)
+    ours = terraced_apply(_unit_weights(5000), x)
     for idx in (0, 1, 4096, 4999):
         exact = complex(math.fsum(x[: idx + 1].real), math.fsum(x[: idx + 1].imag))
         assert abs(ours[idx] - exact) <= 1e-9 * max(1.0, abs(exact))
@@ -69,7 +96,7 @@ def test_prefix_sums_within_recursive_summation_bound_at_two_to_the_twenty():
     rng = np.random.default_rng(13)
     x = random_complex(rng, n) * np.logspace(0, 8, n)
     eps = np.finfo(np.float64).eps
-    sums = prefix_sums(x)
+    sums = terraced_apply(_unit_weights(n), x)
     for idx in (0, 4095, 4096, 65535, 2**19, *rng.integers(0, n, 3), n - 1):
         for part in (np.real, np.imag):
             values = part(x[: idx + 1])
@@ -81,7 +108,7 @@ def test_prefix_sums_within_recursive_summation_bound_at_two_to_the_twenty():
 def test_suffix_sums_reverse_prefix():
     rng = np.random.default_rng(12)
     x = random_complex(rng, 300)
-    ours = suffix_sums(x)
+    ours = terraced_apply_adjoint(_unit_weights(300), x)
     direct = np.array([x[m:].sum() for m in range(300)])
     assert np.max(np.abs(ours - direct)) <= 1e-12
 
@@ -314,6 +341,22 @@ def test_dense_respects_limit():
     big = DENSE_LIMIT + 1
     with pytest.raises(ValueError, match=f"dim {big} exceeds dense limit {DENSE_LIMIT}"):
         TerracedOperator(WeightSequence.cesaro(big), big).dense()
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: TerracedOperator(WeightSequence.cesaro(n), n),
+    lambda n: HankelMomentOperator(1.0 / (np.arange(2 * n - 1) + 1.0), n),
+], ids=["terraced", "hankel"])
+def test_dense_is_one_allocation(build):
+    # no index array, ones matrix or product beside the returned matrix
+    op = build(1024)
+    tracemalloc.start()
+    try:
+        matrix = op.dense()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * matrix.nbytes, f"peak {peak / matrix.nbytes:.2f} x the matrix"
 
 
 def test_hankel_dense_is_exactly_symmetric():

@@ -230,6 +230,20 @@ def test_classify_index_out_of_range():
         classify_eigenvalue(ms, 1.0, [64], "analytic")
 
 
+def test_classify_refuses_one_positive_moment_and_an_unknown_method():
+    with pytest.raises(ValueError, match="need at least two positive moments"):
+        classify_eigenvalue(MomentSequence(np.array([1.0])), 0.0, [0], "analytic")
+    with pytest.raises(ValueError, match="unknown classification method 'auto'"):
+        classify_eigenvalue(measure_moments("lebesgue", 16), 1.0, [0], "auto")
+
+
+def test_normal_length_refusals():
+    with pytest.raises(ValueError, match="moments must be nonnegative"):
+        spectral.normal_length(np.array([1.0, -0.5]))
+    with pytest.raises(ValueError, match="an underflowed entry before a normal one"):
+        spectral.normal_length(np.array([1.0, 1e-320, 0.5]))
+
+
 #: the catalog, a slowly decaying point mass beside a small L, a logpower
 #: density beside lebesgue, and a summable logpower whose tail fit once
 #: looked unbounded
@@ -372,6 +386,18 @@ def test_eigenvector_overflow_guard_renormalizes():
     assert np.max(np.abs(vec)) <= 1e150
 
 
+def test_eigenvector_refusals():
+    ms = measure_moments("lebesgue", 16)
+    with pytest.raises(ValueError, match="index 16 out of range for dim 16"):
+        eigenvector(ms, 16, 16)
+    with pytest.raises(ValueError, match="need 32 moments, have 16"):
+        eigenvector(ms, 0, 32)
+    with pytest.raises(ValueError, match="embed_factor must be at least 1"):
+        eigenvector_residual(ms, 0, 16, embed_factor=0)
+    with pytest.raises(ValueError, match="need 32 moments for the embedded residual"):
+        eigenvector_residual(ms, 0, 16, embed_factor=2)
+
+
 def test_eigenvector_rejects_underflowed_range():
     ms = measure_moments("dirac(0.5)", 1200)  # powers of 1/2 leave the normal range at 1023
     with pytest.raises(ValueError):
@@ -488,6 +514,11 @@ def test_adjoint_eigenvector_rejects_zero():
     ms = measure_moments("lebesgue", 16)
     with pytest.raises(ValueError):
         adjoint_eigenvector(ms, 0.0, 16)
+
+
+def test_adjoint_eigenvector_refuses_too_few_moments():
+    with pytest.raises(ValueError, match="need 32 moments, have 16"):
+        adjoint_eigenvector(measure_moments("lebesgue", 16), 0.5, 32)
 
 
 # --------------------------------------------------------------------------
